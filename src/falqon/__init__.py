@@ -10,7 +10,6 @@ from .analysis import (
     LipschitzReport,
     SweepSummary,
     aggregate,
-    lipschitz_bound,
     lipschitz_from_betas,
     replay_fidelity,
     success_probability,
@@ -44,8 +43,6 @@ from .hamiltonian import (
     DiagonalHamiltonian,
     DriverHamiltonian,
     PowerIterationError,
-    SpectrumReport,
-    assumption_report,
     driver_x,
     ground_energy,
     maxcut_hamiltonian,
@@ -78,14 +75,12 @@ __all__ = [
     "PowerIterationError",
     "RunConfig",
     "RunTrace",
-    "SpectrumReport",
     "StateVector",
     "SweepSummary",
     "a_value",
     "aggregate",
     "apply_diagonal_phase",
     "apply_x_rotations",
-    "assumption_report",
     "driver_x",
     "erdos_renyi",
     "expectation_diagonal",
@@ -94,7 +89,6 @@ __all__ = [
     "ground_energy",
     "inner_product",
     "layer",
-    "lipschitz_bound",
     "lipschitz_from_betas",
     "load_edge_list",
     "max_cut_brute_force",

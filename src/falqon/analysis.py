@@ -54,6 +54,13 @@ class SweepSummary:
     mean_fidelity: float
 
 
+def fidelity_floor(l_value: float, epsilon_bar: float) -> tuple[float, bool]:
+    """Quadratic floor 1 - (L * epsilon_bar)^2 / 2 clamped to [0, 1], and
+    whether the raw value fell below zero (the bound says nothing there)."""
+    raw = 1.0 - 0.5 * (float(l_value) * float(epsilon_bar)) ** 2
+    return min(1.0, max(0.0, raw)), bool(raw < 0.0)
+
+
 def lipschitz_from_betas(betas, delta_t: float, diag: DiagonalHamiltonian,
                          driver: DriverHamiltonian,
                          epsilon_bar: float) -> LipschitzReport:
@@ -66,21 +73,14 @@ def lipschitz_from_betas(betas, delta_t: float, diag: DiagonalHamiltonian,
         raise ValueError(f"epsilon_bar must be nonnegative, got {eb}")
     norms = np.array([spectral_norm(diag, driver, float(b)) for b in betas])
     l_value = float(delta_t) * float(norms.sum())
-    raw = 1.0 - 0.5 * (l_value * eb) ** 2
+    floor, vacuous = fidelity_floor(l_value, eb)
     return LipschitzReport(
         per_layer_norms=norms,
         l_value=l_value,
         epsilon_bar=eb,
-        fidelity_lower_bound=min(1.0, max(0.0, raw)),
-        vacuous=bool(raw < 0.0),
+        fidelity_lower_bound=floor,
+        vacuous=vacuous,
     )
-
-
-def lipschitz_bound(trace: RunTrace, delta_t: float, diag: DiagonalHamiltonian,
-                    driver: DriverHamiltonian,
-                    epsilon_bar: float) -> LipschitzReport:
-    """Sensitivity report for a finished run (see lipschitz_from_betas)."""
-    return lipschitz_from_betas(trace.betas, delta_t, diag, driver, epsilon_bar)
 
 
 def replay_fidelity(betas, epsilons, delta_t: float, diag: DiagonalHamiltonian,

@@ -10,10 +10,14 @@ Four subcommands:
          empirical minimum over independent error draws; writes bound.csv.
 
 Settings come from an optional JSON config file and are overridden by flags.
-All real numbers in output files carry 17 significant digits and every file
-is written with LF endings, so reruns of a fixed configuration are
-byte-identical. Failures remove whatever partial output files the failing
-command had already written.
+Every subcommand takes its instance from --graph/--regular/--er or, failing
+those, from the config 'graph' entry; `graph` takes its generator seed from
+--seed, the others from --graph-seed. A sweep builds and checks every cell's
+run settings before any cell runs. All real numbers in output files carry 17
+significant digits and every file is written with LF endings, so reruns of a
+fixed configuration are byte-identical. Output files are staged and moved
+into place only once all exist, so a failing command neither leaves partial
+output nor touches the results of an earlier one.
 
 Exit codes: 0 on success, 1 for runtime failures (generator retry exhaustion,
 non-convergence, I/O), 2 for bad flags, bad config or invalid parameter
@@ -22,6 +26,7 @@ combinations.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -41,9 +46,9 @@ from .graphs import (
     random_regular,
     save_edge_list,
 )
-from .hamiltonian import assumption_report, driver_x, ground_energy, maxcut_hamiltonian
+from .hamiltonian import DEGENERACY_TOL, driver_x, ground_energy, maxcut_hamiltonian
 from .noise import NoiseKind, NoiseModel, trajectory
-from .statevector import inner_product, uniform_state
+from .statevector import inner_product
 
 #: Output directory used when neither --out nor the config gives one.
 ENV_OUT_DIR = "FALQON_OUT"
@@ -69,16 +74,25 @@ def _fmt(value) -> str:
 
 
 class _OutputSink:
-    """Tracks the files one command writes so a failure leaves no partial output."""
+    """Stages one command's output files and publishes them together.
+
+    Each file is written under a temporary name in the output directory;
+    ``commit`` moves every one into place with os.replace once all exist, and
+    ``discard`` removes only the temporaries, so a failed command leaves the
+    results of an earlier one untouched.
+    """
 
     def __init__(self, out_dir):
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.written: list[Path] = []
+        self._staged: list[Path] = []
 
     def write_text(self, name: str, text: str) -> Path:
         path = self.out_dir / name
-        path.write_text(text, encoding="utf-8", newline="\n")
+        staged = self.out_dir / f".{name}.{os.getpid()}.tmp"
+        self._staged.append(staged)
+        staged.write_text(text, encoding="utf-8", newline="\n")
         self.written.append(path)
         return path
 
@@ -88,12 +102,18 @@ class _OutputSink:
             lines.append(",".join(_fmt(cell) for cell in row))
         return self.write_text(name, "\n".join(lines) + "\n")
 
+    def commit(self) -> None:
+        for staged, path in zip(self._staged, self.written):
+            os.replace(staged, path)
+        self._staged.clear()
+
     def discard(self) -> None:
-        for path in self.written:
+        for staged in self._staged:
             try:
-                path.unlink()
+                staged.unlink()
             except OSError:
                 pass
+        self._staged.clear()
 
 
 def _load_config(path) -> dict:
@@ -160,41 +180,42 @@ def _resolve_out_dir(args, cfg: dict) -> Path:
     return Path(out)
 
 
-def _resolve_graph(args, cfg: dict) -> tuple[Graph, dict]:
-    """Build or load the instance; returns the graph and a config echo."""
+def _resolve_graph(args, cfg: dict, seed) -> tuple[Graph, dict]:
+    """Pick the instance source, flags first, then the config 'graph' entry,
+    and build it; returns the graph and a config echo.
+
+    ``seed`` is the generator seed given on the command line; without one
+    the seed of the config 'graph' entry (default 0) is used.
+    """
     if sum(x is not None for x in (args.graph, args.regular, args.er)) > 1:
         raise UsageError("give at most one of --graph, --regular, --er")
     gcfg = cfg.get("graph") if isinstance(cfg.get("graph"), dict) else {}
-    seed = args.graph_seed if args.graph_seed is not None else int(gcfg.get("seed", 0))
-    if args.graph is not None:
-        graph = load_edge_list(args.graph)
-        echo: dict = {"source": "file", "path": str(args.graph)}
-    elif args.regular is not None:
-        n, d = int(args.regular[0]), int(args.regular[1])
-        graph = random_regular(n, d, seed)
-        echo = {"source": "regular", "n": n, "d": d, "seed": seed}
-    elif args.er is not None:
-        try:
-            n, p = int(args.er[0]), float(args.er[1])
-        except ValueError:
-            raise UsageError(f"--er expects an integer and a real, got {args.er}") from None
-        graph = erdos_renyi(n, p, seed)
-        echo = {"source": "er", "n": n, "p": p, "seed": seed}
-    elif "path" in gcfg:
-        graph = load_edge_list(gcfg["path"])
-        echo = {"source": "file", "path": str(gcfg["path"])}
-    elif "regular" in gcfg:
-        n, d = (int(v) for v in gcfg["regular"])
-        graph = random_regular(n, d, seed)
-        echo = {"source": "regular", "n": n, "d": d, "seed": seed}
-    elif "er" in gcfg:
-        n, p = int(gcfg["er"][0]), float(gcfg["er"][1])
-        graph = erdos_renyi(n, p, seed)
-        echo = {"source": "er", "n": n, "p": p, "seed": seed}
+    seed = int(gcfg.get("seed", 0) if seed is None else seed)
+    flags = {"path": args.graph, "regular": args.regular, "er": args.er}
+    source = next((k for k, v in flags.items() if v is not None), None)
+    if source is not None:
+        value = flags[source]
     else:
-        raise UsageError(
-            "no graph source: use --graph/--regular/--er or a config 'graph' entry"
-        )
+        source = next((k for k in flags if k in gcfg), None)
+        if source is None:
+            raise UsageError(
+                "no graph source: use --graph/--regular/--er or a config 'graph' entry"
+            )
+        value = gcfg[source]
+    if source == "path":
+        graph = load_edge_list(value)
+        echo: dict = {"source": "file", "path": str(value)}
+    elif source == "regular":
+        n, d = (int(v) for v in value)
+        graph = random_regular(n, d, seed)
+        echo = {"source": "regular", "n": n, "d": d, "seed": seed}
+    else:
+        try:
+            n, p = int(value[0]), float(value[1])
+        except (IndexError, TypeError, ValueError):
+            raise UsageError(f"--er expects an integer and a real, got {value}") from None
+        graph = erdos_renyi(n, p, seed)
+        echo = {"source": "er", "n": n, "p": p, "seed": seed}
     echo["n_nodes"] = graph.n_nodes
     echo["n_edges"] = len(graph.edges)
     return graph, echo
@@ -222,19 +243,7 @@ def _noise_settings(args, cfg: dict, default_kind: str):
 
 def cmd_graph(args) -> int:
     cfg = _load_config(args.config)
-    seed = int(_pick(args.seed, cfg, "seed", 0))
-    if sum(x is not None for x in (args.graph, args.regular, args.er)) != 1:
-        raise UsageError("graph needs exactly one of --graph, --regular, --er")
-    if args.regular is not None:
-        graph = random_regular(int(args.regular[0]), int(args.regular[1]), seed)
-    elif args.er is not None:
-        try:
-            n, p = int(args.er[0]), float(args.er[1])
-        except ValueError:
-            raise UsageError(f"--er expects an integer and a real, got {args.er}") from None
-        graph = erdos_renyi(n, p, seed)
-    else:
-        graph = load_edge_list(args.graph)
+    graph, _ = _resolve_graph(args, cfg, _pick(args.seed, cfg, "seed"))
     out = _pick(args.out, cfg, "out")
     if out is None:
         out = Path(os.environ.get(ENV_OUT_DIR, ".")) / "graph.edges"
@@ -248,7 +257,7 @@ def cmd_graph(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    graph, graph_echo = _resolve_graph(args, cfg)
+    graph, graph_echo = _resolve_graph(args, cfg, args.graph_seed)
     delta_t, depth, lam, gain = _run_settings(args, cfg)
     kind, epsilon_bar, noise_seed = _noise_settings(args, cfg, "none")
     config = RunConfig(
@@ -261,9 +270,11 @@ def cmd_run(args) -> int:
         trace = engine.run(config)
         diag = maxcut_hamiltonian(graph)
         driver = driver_x(graph.n_nodes)
-        report = analysis.lipschitz_bound(trace, delta_t, diag, driver, epsilon_bar)
-        spectrum = assumption_report(diag, driver, uniform_state(graph.n_nodes))
-        succ = analysis.success_probability(trace.final_state, spectrum.ground_states)
+        report = analysis.lipschitz_from_betas(trace.betas, delta_t, diag, driver, epsilon_bar)
+        p0, ground_states = ground_energy(diag)
+        above = diag.diag[diag.diag > p0 + DEGENERACY_TOL]
+        p1 = float(above.min()) if above.size else p0
+        succ = analysis.success_probability(trace.final_state, ground_states)
         errors = trace.costs - trace.ground_energy
         rows = [
             [t + 1, trace.betas[t], trace.a_values[t], trace.costs[t], errors[t]]
@@ -285,13 +296,17 @@ def cmd_run(args) -> int:
             "fidelity_lower_bound": report.fidelity_lower_bound,
             "bound_vacuous": report.vacuous,
             "assumptions": {
-                "ground_energy": spectrum.ground_energy,
-                "n_ground_states": len(spectrum.ground_states),
-                "first_excited_energy": spectrum.first_excited_energy,
-                "degenerate_eigenvalues": spectrum.degenerate_eigenvalues,
-                "degenerate_gaps": spectrum.degenerate_gaps,
-                "driver_connected": spectrum.driver_connected,
-                "initial_energy_ok": spectrum.initial_energy_ok,
+                "ground_energy": p0,
+                "n_ground_states": len(ground_states),
+                "first_excited_energy": p1,
+                # Complementing a partition keeps its cut: every level repeats.
+                "degenerate_eigenvalues": True,
+                # A repeated level and any third entry give two equal gaps.
+                "degenerate_gaps": graph.n_nodes >= 2,
+                # X terms couple only bit-flip neighbours, all pairs only at n = 1.
+                "driver_connected": graph.n_nodes == 1,
+                # The uniform state's cost is the mean of the diagonal.
+                "initial_energy_ok": bool(p0 < float(diag.diag.mean()) < p1),
             },
         }
         sink.write_text("summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -302,6 +317,7 @@ def cmd_run(args) -> int:
                 title="closed-loop trace", x_label="layer", y_label="value",
             )
             sink.write_text("trace.svg", svg)
+        sink.commit()
     except BaseException:
         sink.discard()
         raise
@@ -313,35 +329,27 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _sweep_cell(payload: dict) -> dict:
+def _sweep_cell(configs: list[RunConfig]) -> tuple[analysis.SweepSummary, list]:
     """Run every seed of one (epsilon_bar, lambda) cell. Top level for pickling."""
-    graph = Graph(payload["n_nodes"], tuple(tuple(e) for e in payload["edges"]))
-    law = FeedbackLaw(payload["lam"], payload["gain"])
-    kind = NoiseKind(payload["kind"])
-    runs = []
-    for seed in payload["seeds"]:
-        config = RunConfig(
-            graph, payload["delta_t"], payload["depth"], law,
-            NoiseModel(kind, payload["epsilon_bar"], int(seed)),
-        )
-        runs.append(engine.run(config))
-    diag = maxcut_hamiltonian(graph)
-    driver = driver_x(graph.n_nodes)
+    runs = [engine.run(config) for config in configs]
+    diag = maxcut_hamiltonian(configs[0].graph)
+    driver = driver_x(configs[0].graph.n_nodes)
     p0, _ = ground_energy(diag)
     summary = analysis.aggregate(runs, p0)
     rows = []
-    for seed, trace in zip(payload["seeds"], runs):
+    for trace in runs:
         ideal = engine.replay(
             trace.betas, np.zeros_like(trace.betas), trace.config.delta_t, diag, driver
         )
         fid = abs(inner_product(ideal, trace.final_state))
-        rows.append([int(seed), float(trace.costs[-1]), trace.final_cost_error, fid])
-    return {"summary": summary, "rows": rows}
+        rows.append([trace.config.noise.seed, float(trace.costs[-1]),
+                     trace.final_cost_error, fid])
+    return summary, rows
 
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    graph, _ = _resolve_graph(args, cfg)
+    graph, _ = _resolve_graph(args, cfg, args.graph_seed)
     delta_t, depth, lam, gain = _run_settings(args, cfg)
     kind, _, _ = _noise_settings(args, cfg, "systematic")
     if kind is NoiseKind.NONE:
@@ -351,65 +359,44 @@ def cmd_sweep(args) -> int:
     lambdas = _float_list(lambdas_raw, "lambdas") if lambdas_raw is not None else [lam]
     seeds = _seed_list(_pick(args.seeds, cfg, "seeds"))
     jobs = int(_pick(args.jobs, cfg, "jobs", 1))
-    payloads = [
-        {
-            "n_nodes": graph.n_nodes, "edges": graph.edges,
-            "delta_t": delta_t, "depth": depth, "lam": lv, "gain": gain,
-            "kind": kind.value, "epsilon_bar": eb, "seeds": seeds,
-        }
+    cells = [
+        (eb, lv, [RunConfig(graph, delta_t, depth, FeedbackLaw(lv, gain),
+                            NoiseModel(kind, eb, seed)) for seed in seeds])
         for eb in epsilon_bars
         for lv in lambdas
     ]
+    names = [f"cell_eps{eb:g}_lam{lv:g}.csv" for eb, lv, _ in cells]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise UsageError(f"two sweep cells would both write {name}")
     results = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_sweep_cell, p) for p in payloads]
-            for payload, fut in zip(payloads, futures):
-                try:
-                    results.append(fut.result())
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"cell epsilon_bar={payload['epsilon_bar']:g} "
-                        f"lambda={payload['lam']:g} failed: {exc}"
-                    ) from exc
-    else:
-        for payload in payloads:
+    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1
+          else contextlib.nullcontext()) as pool:
+        outcomes = (pool.map if pool else map)(_sweep_cell, [c for _, _, c in cells])
+        for eb, lv, _ in cells:
             try:
-                results.append(_sweep_cell(payload))
+                results.append(next(outcomes))
             except (ValueError, RuntimeError) as exc:
                 raise RuntimeError(
-                    f"cell epsilon_bar={payload['epsilon_bar']:g} "
-                    f"lambda={payload['lam']:g} failed: {exc}"
+                    f"cell epsilon_bar={eb:g} lambda={lv:g} failed: {exc}"
                 ) from exc
     sink = _OutputSink(_resolve_out_dir(args, cfg))
     try:
-        agg_rows = []
-        for payload, result in zip(payloads, results):
-            s = result["summary"]
-            name = f"cell_eps{payload['epsilon_bar']:g}_lam{payload['lam']:g}.csv"
-            sink.write_csv(
-                name, ["seed", "final_cost", "final_cost_error", "fidelity"],
-                result["rows"],
-            )
-            agg_rows.append([
-                s.epsilon_bar, s.lam, s.n_seeds,
-                s.mean_final_cost_error, s.std_final_cost_error,
-            ])
+        for name, (_, rows) in zip(names, results):
+            sink.write_csv(name, ["seed", "final_cost", "final_cost_error", "fidelity"], rows)
         sink.write_csv(
             "aggregate.csv",
             ["epsilon_bar", "lambda", "n_seeds",
              "mean_final_cost_error", "std_final_cost_error"],
-            agg_rows,
+            [[s.epsilon_bar, s.lam, s.n_seeds, s.mean_final_cost_error, s.std_final_cost_error]
+             for s, _ in results],
         )
         if args.svg:
             series = []
             for lv in lambdas:
-                xs, ys = [], []
-                for payload, result in zip(payloads, results):
-                    if payload["lam"] == lv:
-                        xs.append(payload["epsilon_bar"])
-                        ys.append(result["summary"].mean_final_cost_error)
-                series.append((f"lambda={lv:g}", xs, ys))
+                picked = [s for s, _ in results if s.lam == lv]
+                series.append((f"lambda={lv:g}", [s.epsilon_bar for s in picked],
+                               [s.mean_final_cost_error for s in picked]))
             sink.write_text(
                 "sweep.svg",
                 plotting.line_plot_svg(
@@ -417,14 +404,14 @@ def cmd_sweep(args) -> int:
                     x_label="epsilon_bar", y_label="mean final cost error",
                 ),
             )
+        sink.commit()
     except BaseException:
         sink.discard()
         raise
     print(f"wrote {', '.join(str(p) for p in sink.written)}")
-    for payload, result in zip(payloads, results):
-        s = result["summary"]
+    for s, _ in results:
         print(
-            f"epsilon_bar {payload['epsilon_bar']:g} lambda {payload['lam']:g}: "
+            f"epsilon_bar {s.epsilon_bar:g} lambda {s.lam:g}: "
             f"mean error {_fmt(s.mean_final_cost_error)} "
             f"(std {_fmt(s.std_final_cost_error)}, n={s.n_seeds})"
         )
@@ -456,7 +443,7 @@ def _read_trace_betas(path: Path) -> np.ndarray:
 
 def cmd_bound(args) -> int:
     cfg = _load_config(args.config)
-    graph, _ = _resolve_graph(args, cfg)
+    graph, _ = _resolve_graph(args, cfg, args.graph_seed)
     delta_t, depth, lam, gain = _run_settings(args, cfg)
     diag = maxcut_hamiltonian(graph)
     driver = driver_x(graph.n_nodes)
@@ -471,12 +458,13 @@ def cmd_bound(args) -> int:
     if draws < 1:
         raise UsageError(f"draws must be at least 1, got {draws}")
     seed = int(_pick(args.seed, cfg, "seed", 0))
+    models = [NoiseModel(NoiseKind.INDEPENDENT, eb, seed) for eb in epsilon_bars]
     base = analysis.lipschitz_from_betas(betas, delta_t, diag, driver, 0.0)
     l_value = base.l_value
     rows = []
-    for eb in epsilon_bars:
-        raw = 1.0 - 0.5 * (l_value * float(eb)) ** 2
-        model = NoiseModel(NoiseKind.INDEPENDENT, float(eb), seed)
+    for model in models:
+        eb = model.epsilon_bar
+        floor, vacuous = analysis.fidelity_floor(l_value, eb)
         empirical = min(
             analysis.replay_fidelity(
                 betas, trajectory(model, depth, rebuild_index=i + 1),
@@ -484,9 +472,7 @@ def cmd_bound(args) -> int:
             )
             for i in range(draws)
         )
-        rows.append([
-            float(eb), l_value, min(1.0, max(0.0, raw)), empirical, draws, raw < 0.0,
-        ])
+        rows.append([eb, l_value, floor, empirical, draws, vacuous])
     sink = _OutputSink(_resolve_out_dir(args, cfg))
     try:
         sink.write_csv(
@@ -505,6 +491,7 @@ def cmd_bound(args) -> int:
                     title="fidelity bound", x_label="epsilon_bar", y_label="fidelity",
                 ),
             )
+        sink.commit()
     except BaseException:
         sink.discard()
         raise
@@ -533,10 +520,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="random D-regular graph on N nodes")
         sp.add_argument("--er", nargs=2, metavar=("N", "P"),
                         help="Erdos-Renyi graph on N nodes with edge probability P")
-        sp.add_argument("--graph-seed", type=int,
-                        help="generator seed when the instance is built inline")
 
     def add_run_params(sp, with_noise=True):
+        sp.add_argument("--graph-seed", type=int,
+                        help="generator seed when the instance is built inline")
         sp.add_argument("--delta-t", type=float, help="layer time step (default 0.05)")
         sp.add_argument("--depth", type=int, help="number of layers (default 200)")
         sp.add_argument("--lambda", dest="lam", type=float,

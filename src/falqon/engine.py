@@ -62,15 +62,12 @@ class FeedbackLaw:
 
     lam: float = 0.5
     gain: float = 1.0
-    kind: str = "linear"
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lam) and self.lam > 0.0):
             raise ValueError(f"lam must be a positive real, got {self.lam}")
         if not (math.isfinite(self.gain) and self.gain > 0.0):
             raise ValueError(f"gain must be a positive real, got {self.gain}")
-        if self.kind != "linear":
-            raise ValueError(f"unknown feedback kind {self.kind!r}")
 
 
 def feedback(a: float, law: FeedbackLaw) -> float:
@@ -89,6 +86,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.delta_t) and self.delta_t > 0.0):
             raise ValueError(f"delta_t must be a positive real, got {self.delta_t}")
+        if not float(self.depth).is_integer():
+            raise ValueError(f"depth must be an integer, got {self.depth}")
         depth = int(self.depth)
         object.__setattr__(self, "depth", depth)
         if depth < 1:
@@ -192,21 +191,23 @@ def _closed_loop(config: RunConfig, eps: np.ndarray) -> RunTrace:
     return RunTrace(config, betas, a_values, costs, state, p0, np.array(eps))
 
 
+def _require(config: RunConfig, kind: NoiseKind, mode: str) -> None:
+    if config.noise.kind is not kind:
+        raise ValueError(
+            f"{mode} needs noise kind {kind.value!r}, got {config.noise.kind.value}"
+        )
+
+
 def run_nominal(config: RunConfig) -> RunTrace:
     """Error-free closed-loop run."""
-    if config.noise.kind is not NoiseKind.NONE:
-        raise ValueError(f"run_nominal needs noise kind 'none', got {config.noise.kind.value}")
+    _require(config, NoiseKind.NONE, "run_nominal")
     return _closed_loop(config, np.zeros(config.depth))
 
 
 def run_systematic(config: RunConfig) -> RunTrace:
     """Closed-loop run under a frozen (prefix-consistent) error sequence."""
-    if config.noise.kind is not NoiseKind.SYSTEMATIC:
-        raise ValueError(
-            f"run_systematic needs noise kind 'systematic', got {config.noise.kind.value}"
-        )
-    eps = trajectory(config.noise, config.depth, rebuild_index=1).values
-    return _closed_loop(config, eps)
+    _require(config, NoiseKind.SYSTEMATIC, "run_systematic")
+    return _closed_loop(config, trajectory(config.noise, config.depth).values)
 
 
 def run_independent(config: RunConfig) -> RunTrace:
@@ -217,10 +218,7 @@ def run_independent(config: RunConfig) -> RunTrace:
     that build's final state. The feedback therefore reacts to one noisy
     realization per step, not to an average over builds.
     """
-    if config.noise.kind is not NoiseKind.INDEPENDENT:
-        raise ValueError(
-            f"run_independent needs noise kind 'independent', got {config.noise.kind.value}"
-        )
+    _require(config, NoiseKind.INDEPENDENT, "run_independent")
     diag, driver = _hamiltonians(config)
     p0, _ = ground_energy(diag)
     depth = config.depth
@@ -245,10 +243,11 @@ def run_independent(config: RunConfig) -> RunTrace:
 
 
 def run(config: RunConfig) -> RunTrace:
-    """Dispatch to the run mode matching config.noise.kind."""
-    kind = config.noise.kind
-    if kind is NoiseKind.NONE:
-        return run_nominal(config)
-    if kind is NoiseKind.SYSTEMATIC:
-        return run_systematic(config)
-    return run_independent(config)
+    """Closed-loop run in the mode that config.noise.kind selects.
+
+    Nominal and systematic runs share the incremental loop; the NONE
+    trajectory is all zeros, so the two need no branch of their own.
+    """
+    if config.noise.kind is NoiseKind.INDEPENDENT:
+        return run_independent(config)
+    return _closed_loop(config, trajectory(config.noise, config.depth).values)

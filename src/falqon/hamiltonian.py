@@ -1,4 +1,4 @@
-"""MaxCut cost Hamiltonian, transverse-field driver, and spectral diagnostics.
+"""MaxCut cost Hamiltonian, transverse-field driver, ground space and norm.
 
 Both operators are kept in structured form. The cost Hamiltonian is diagonal
 in the computational basis and stored as its diagonal vector; the driver is a
@@ -10,7 +10,9 @@ Encoding: for an edge (u, v, w) and partition bitstring x, the cost diagonal
 picks up w*(z_u*z_v - 1)/2 where z_q = +1 when bit q of x is 0 and -1 when it
 is 1. Summed over edges this equals minus the cut value of x, so the ground
 energy is minus the maximum cut and optimal partitions sit in the ground
-space.
+space. Complementing a partition keeps its cut, so every level of such a
+diagonal repeats exactly; spectral facts that hold for every MaxCut
+instance are therefore stated where they are reported, not computed.
 """
 from __future__ import annotations
 
@@ -21,13 +23,10 @@ import numpy as np
 
 from .graphs import Graph
 from .rng import SplitMix64, derive_key
-from .statevector import MAX_QUBITS, StateVector, driver_matvec, expectation_diagonal
+from .statevector import MAX_QUBITS, driver_matvec
 
-#: Eigenvalues (and spectral gaps) closer than this count as degenerate.
+#: Eigenvalues closer than this count as degenerate.
 DEGENERACY_TOL = 1e-12
-
-#: The all-pairs gap check is quadratic in the number of distinct eigenvalues.
-_GAP_CHECK_MAX_DISTINCT = 4096
 
 _STREAM_POWER_ITERATION = 21
 
@@ -81,25 +80,6 @@ class DriverHamiltonian:
     def abs_weight_sum(self) -> float:
         """Sum of |weight|, which is exactly the spectral norm of the driver."""
         return float(sum(abs(w) for _, w in self.terms))
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Structural facts about (cost, driver, initial state) that the
-    convergence guarantees of the feedback loop are sensitive to.
-
-    Flags state what holds for the instance; callers decide what to do with
-    violations (MaxCut instances, for example, always have degenerate ground
-    spaces because complementing a partition preserves the cut).
-    """
-
-    ground_energy: float
-    ground_states: tuple[int, ...]
-    first_excited_energy: float
-    degenerate_eigenvalues: bool
-    degenerate_gaps: bool
-    driver_connected: bool
-    initial_energy_ok: bool
 
 
 class PowerIterationError(RuntimeError):
@@ -211,60 +191,4 @@ def spectral_norm(diag: DiagonalHamiltonian, driver: DriverHamiltonian,
         f"power iteration did not converge in {max_iter} iterations; "
         f"last Rayleigh quotient {theta!r}",
         last_value=math.sqrt(max(theta, 0.0)),
-    )
-
-
-def _has_degenerate_gaps(sorted_vals: np.ndarray, has_duplicates: bool) -> bool:
-    """Whether any two pairwise eigenvalue differences coincide.
-
-    With a duplicated eigenvalue present, any third entry t forms pairs
-    (a, t) with both copies of a, so two equal differences exist whenever
-    there are at least three entries; no quadratic scan needed. The scan is
-    only required when all entries are distinct, and that case is capped
-    because it is quadratic in the entry count.
-    """
-    count = sorted_vals.size
-    if count < 3:
-        return False
-    if has_duplicates:
-        return True
-    if count > _GAP_CHECK_MAX_DISTINCT:
-        raise ValueError(
-            f"gap-degeneracy scan supports at most {_GAP_CHECK_MAX_DISTINCT} "
-            f"distinct eigenvalues, got {count}"
-        )
-    gaps = np.concatenate([sorted_vals[i + 1:] - sorted_vals[i] for i in range(count - 1)])
-    gaps.sort()
-    return bool(np.any(np.diff(gaps) <= DEGENERACY_TOL))
-
-
-def assumption_report(diag: DiagonalHamiltonian, driver: DriverHamiltonian,
-                      initial: StateVector) -> SpectrumReport:
-    """Diagnostic report on the structural conditions behind convergence.
-
-    * degenerate_eigenvalues: some cost eigenvalue repeats (within tolerance).
-    * degenerate_gaps: some pairwise eigenvalue difference repeats.
-    * driver_connected: the driver couples every pair of cost eigenstates.
-      Single-qubit X terms only connect basis states at Hamming distance one,
-      so this holds only for a 2-dimensional space with a nonzero term.
-    * initial_energy_ok: the initial cost expectation sits strictly between
-      the ground and first excited energies.
-    """
-    if diag.n_qubits != driver.n_qubits or diag.n_qubits != initial.n_qubits:
-        raise ValueError("cost, driver and state must share one register width")
-    p0, ground_states = ground_energy(diag)
-    svals = np.sort(diag.diag)
-    has_duplicates = bool(np.any(np.diff(svals) <= DEGENERACY_TOL))
-    above = svals[svals > p0 + DEGENERACY_TOL]
-    p1 = float(above[0]) if above.size else p0
-    v0 = expectation_diagonal(initial, diag)
-    connected = driver.n_qubits == 1 and any(w != 0.0 for _, w in driver.terms)
-    return SpectrumReport(
-        ground_energy=p0,
-        ground_states=tuple(ground_states),
-        first_excited_energy=p1,
-        degenerate_eigenvalues=has_duplicates,
-        degenerate_gaps=_has_degenerate_gaps(svals, has_duplicates),
-        driver_connected=connected,
-        initial_energy_ok=bool(p0 < v0 < p1),
     )

@@ -16,6 +16,7 @@ any order, or in parallel, with no shared generator state.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -50,8 +51,8 @@ class NoiseModel:
         object.__setattr__(self, "kind", NoiseKind(self.kind))
         eb = float(self.epsilon_bar)
         object.__setattr__(self, "epsilon_bar", eb)
-        if eb < 0.0:
-            raise ValueError(f"epsilon_bar must be nonnegative, got {eb}")
+        if not (math.isfinite(eb) and eb >= 0.0):
+            raise ValueError(f"epsilon_bar must be a nonnegative real, got {eb}")
         if self.kind is not NoiseKind.NONE and eb >= 1.0:
             raise ValueError(f"epsilon_bar must be below 1, got {eb}")
 

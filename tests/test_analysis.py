@@ -3,7 +3,7 @@ import pytest
 
 from falqon.analysis import (
     aggregate,
-    lipschitz_bound,
+    fidelity_floor,
     lipschitz_from_betas,
     replay_fidelity,
     success_probability,
@@ -52,11 +52,10 @@ def test_lipschitz_monotone_in_depth():
     assert l_long > l_short
 
 
-def test_lipschitz_bound_takes_trace():
+def test_lipschitz_from_betas_validates_input():
     trace = run_nominal(RunConfig(K2, 0.05, 10))
-    a = lipschitz_bound(trace, 0.05, K2_DIAG, K2_DRIVER, 0.2)
-    b = lipschitz_from_betas(trace.betas, 0.05, K2_DIAG, K2_DRIVER, 0.2)
-    assert a.l_value == b.l_value
+    report = lipschitz_from_betas(trace.betas, 0.05, K2_DIAG, K2_DRIVER, 0.2)
+    assert fidelity_floor(report.l_value, 0.2) == (report.fidelity_lower_bound, report.vacuous)
     with pytest.raises(ValueError):
         lipschitz_from_betas([], 0.05, K2_DIAG, K2_DRIVER, 0.2)
     with pytest.raises(ValueError):

@@ -3,8 +3,15 @@ import json
 import numpy as np
 import pytest
 
+from falqon import plotting
 from falqon.cli import main
-from falqon.graphs import load_edge_list, parse_edge_list, random_regular
+from falqon.graphs import (
+    load_edge_list,
+    parse_edge_list,
+    random_regular,
+    reference_instance,
+    save_edge_list,
+)
 
 
 def run_cli(*argv):
@@ -19,6 +26,12 @@ def test_graph_regular_writes_instance(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "nodes 8 edges 12" in captured
     assert "max cut 10" in captured
+    # the instance may also come from a config 'graph' entry, with its seed
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graph": {"regular": [8, 3], "seed": 42}}))
+    out2 = tmp_path / "cfg.edges"
+    assert run_cli("graph", "--config", str(cfg), "--out", str(out2)) == 0
+    assert out2.read_bytes() == out.read_bytes()
 
 
 def test_graph_er_deterministic(tmp_path):
@@ -34,6 +47,11 @@ def test_graph_rejects_impossible_parameters(tmp_path):
     assert run_cli("graph", "--regular", "5", "3", "--out", str(out)) == 2
     assert not out.exists()
     assert run_cli("graph", "--out", str(out)) == 2
+    # the generator seed of 'graph' is --seed; --graph-seed is not accepted
+    with pytest.raises(SystemExit) as info:
+        run_cli("graph", "--regular", "8", "3", "--graph-seed", "5", "--out", str(out))
+    assert info.value.code == 2
+    assert not out.exists()
 
 
 def test_run_writes_trace_and_summary(tmp_path):
@@ -123,7 +141,55 @@ def test_run_invalid_parameters_exit_2(tmp_path):
     assert run_cli("run", "--regular", "4", "3", "--noise", "systematic",
                    "--epsilon-bar", "1.0", "--out", str(out)) == 2
     assert run_cli("run", "--depth", "5", "--out", str(out)) == 2  # no graph source
+    assert run_cli("run", "--regular", "4", "3", "--epsilon-bar", "nan",
+                   "--out", str(out)) == 2
+    sweep = ("sweep", "--regular", "4", "3", "--seeds", "0", "--out", str(out))
+    assert run_cli(*sweep, "--noise", "systematic", "--epsilon-bars", "nan") == 2
+    assert run_cli(*sweep, "--noise", "independent", "--epsilon-bars", "0.1",
+                   "--depth", "600") == 2
+    assert run_cli("bound", "--regular", "4", "3", "--depth", "2", "--draws", "1",
+                   "--epsilon-bars", "nan", "--out", str(out)) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text, want", [
+    ("nodes 2\n0 1\n", {
+        "ground_energy": -1.0, "n_ground_states": 2, "first_excited_energy": 0.0,
+        "degenerate_eigenvalues": True, "degenerate_gaps": True,
+        "driver_connected": False, "initial_energy_ok": True}),
+    (None, {
+        "ground_energy": -10.0, "n_ground_states": 4, "first_excited_energy": -9.0,
+        "degenerate_eigenvalues": True, "degenerate_gaps": True,
+        "driver_connected": False, "initial_energy_ok": False}),
+    ("nodes 1\n", {
+        "ground_energy": 0.0, "n_ground_states": 2, "first_excited_energy": 0.0,
+        "degenerate_eigenvalues": True, "degenerate_gaps": False,
+        "driver_connected": True, "initial_energy_ok": False}),
+], ids=["k2", "ref8", "single-node"])
+def test_run_summary_assumptions(tmp_path, text, want):
+    inst = tmp_path / "inst.edges"
+    if text is None:
+        save_edge_list(reference_instance(), inst)
+    else:
+        inst.write_text(text)
+    out = tmp_path / "results"
+    assert run_cli("run", "--graph", str(inst), "--depth", "3", "--out", str(out)) == 0
+    assert json.loads((out / "summary.json").read_text())["assumptions"] == want
+
+
+def test_failed_rerun_keeps_earlier_results(tmp_path, monkeypatch):
+    out = tmp_path / "results"
+    args = ("run", "--regular", "4", "3", "--svg", "--out", str(out))
+    assert run_cli(*args, "--depth", "5") == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["summary.json", "trace.csv", "trace.svg"]
+
+    def broken_plot(*_, **__):
+        raise RuntimeError("plot failed")
+
+    monkeypatch.setattr(plotting, "line_plot_svg", broken_plot)
+    assert run_cli(*args, "--depth", "8") == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_run_loads_graph_file(tmp_path):
@@ -192,6 +258,12 @@ def test_sweep_requires_noisy_kind_and_lists(tmp_path):
                    "--seeds", "0", "--out", str(out)) == 2
     assert run_cli("sweep", "--regular", "4", "3", "--noise", "systematic",
                    "--epsilon-bars", "0.1", "--out", str(out)) == 2
+    # grid values whose cell files would share a name
+    assert run_cli("sweep", "--regular", "4", "3", "--seeds", "0",
+                   "--epsilon-bars", "0.1,0.1000000001", "--out", str(out)) == 2
+    assert run_cli("sweep", "--regular", "4", "3", "--seeds", "0", "--epsilon-bars", "0.1",
+                   "--lambdas", "0.5,0.5", "--out", str(out)) == 2
+    assert not out.exists()
 
 
 def test_bound_from_config_run(tmp_path):

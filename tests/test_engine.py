@@ -44,8 +44,6 @@ def test_feedback_law_validation():
         FeedbackLaw(lam=0.0)
     with pytest.raises(ValueError):
         FeedbackLaw(gain=-1.0)
-    with pytest.raises(ValueError):
-        FeedbackLaw(kind="quadratic")
 
 
 def test_layer_matches_dense_unitary():
@@ -213,7 +211,9 @@ def test_run_independent_records_last_rebuild_errors():
 
 
 def test_run_dispatch_matches_kind():
-    assert run(RunConfig(K2, 0.05, 5)).depth == 5
+    nominal = RunConfig(K2, 0.05, 5)
+    assert run(nominal).depth == 5
+    np.testing.assert_array_equal(run(nominal).costs, run_nominal(nominal).costs)
     sys_cfg = RunConfig(K2, 0.05, 5, noise=NoiseModel(NoiseKind.SYSTEMATIC, 0.1, 0))
     np.testing.assert_array_equal(
         run(sys_cfg).betas, run_systematic(sys_cfg).betas
@@ -238,6 +238,10 @@ def test_run_config_validation():
         RunConfig(K2, 0.0, 10)
     with pytest.raises(ValueError):
         RunConfig(K2, 0.05, 0)
+    for depth in (2.7, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            RunConfig(K2, 0.05, depth)
+    assert RunConfig(K2, 0.05, 3.0).depth == 3  # integral floats stay legal
     with pytest.raises(ValueError):
         RunConfig(K2, 0.05, 2001)
     with pytest.raises(ValueError):

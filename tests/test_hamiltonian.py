@@ -6,15 +6,13 @@ from falqon.hamiltonian import (
     DiagonalHamiltonian,
     DriverHamiltonian,
     PowerIterationError,
-    assumption_report,
     driver_x,
     ground_energy,
     maxcut_hamiltonian,
     spectral_norm,
 )
-from falqon.statevector import uniform_state
 
-from oracles import dense_spectral_norm
+from oracles import dense_driver, dense_spectral_norm
 
 K2 = Graph.from_edges(2, [(0, 1)])
 K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
@@ -133,68 +131,23 @@ def test_spectral_norm_nonconvergence_reports_last_estimate():
     assert "Rayleigh" in str(info.value)
 
 
-def test_assumption_report_k2():
-    diag = maxcut_hamiltonian(K2)
-    report = assumption_report(diag, driver_x(2), uniform_state(2))
-    assert report.ground_energy == -1.0
-    assert report.ground_states == (1, 2)
-    assert report.first_excited_energy == 0.0
-    assert report.degenerate_eigenvalues is True
-    assert report.driver_connected is False
-    # uniform-state energy -0.5 sits strictly between -1 and 0
-    assert report.initial_energy_ok is True
-
-
-def test_assumption_report_single_qubit_driver_connected():
-    diag = DiagonalHamiltonian(1, np.array([0.0, 1.0]))
-    report = assumption_report(diag, driver_x(1), uniform_state(1))
-    assert report.driver_connected is True
-    assert report.degenerate_eigenvalues is False
-    assert report.degenerate_gaps is False
-
-
-def test_assumption_report_distinct_gaps():
-    # spectrum 0, 1, 3, 7: the six pairwise differences are all distinct
-    diag = DiagonalHamiltonian(2, np.array([0.0, 1.0, 3.0, 7.0]))
-    report = assumption_report(diag, driver_x(2), uniform_state(2))
-    assert report.degenerate_eigenvalues is False
-    assert report.degenerate_gaps is False
-    assert report.first_excited_energy == 1.0
-
-
-def test_assumption_report_coincident_gaps_without_duplicates():
-    # 0, 1, 2, 4 has no repeated eigenvalue but 1-0 == 2-1
-    diag = DiagonalHamiltonian(2, np.array([0.0, 1.0, 2.0, 4.0]))
-    report = assumption_report(diag, driver_x(2), uniform_state(2))
-    assert report.degenerate_eigenvalues is False
-    assert report.degenerate_gaps is True
-
-
-def test_assumption_report_duplicates_imply_gap_degeneracy():
-    # any duplicated eigenvalue plus a third entry repeats a difference
-    diag = DiagonalHamiltonian(2, np.array([0.0, 0.0, 2.0, 5.0]))
-    report = assumption_report(diag, driver_x(2), uniform_state(2))
-    assert report.degenerate_eigenvalues is True
-    assert report.degenerate_gaps is True
-
-
-def test_assumption_report_constant_spectrum():
-    diag = DiagonalHamiltonian(2, np.zeros(4))
-    report = assumption_report(diag, driver_x(2), uniform_state(2))
-    assert report.first_excited_energy == report.ground_energy
-    assert report.initial_energy_ok is False
-
-
-def test_assumption_report_reference_instance():
-    diag = maxcut_hamiltonian(reference_instance())
-    report = assumption_report(diag, driver_x(8), uniform_state(8))
-    assert report.ground_energy == -10.0
-    assert len(report.ground_states) == 4
-    assert report.degenerate_eigenvalues is True  # complement symmetry guarantees it
-    assert report.degenerate_gaps is True
-    assert report.driver_connected is False
-    # uniform-state energy is -|E|/2 = -6, below the first excited energy -9
-    assert report.initial_energy_ok is False
+def test_maxcut_spectral_flags_are_fixed_by_width():
+    # summary.json states these flags instead of computing them; check the
+    # claims by brute force on random weighted graphs, negative weights too
+    rng = np.random.default_rng(31)
+    for n in range(1, 7):
+        for _ in range(4):
+            edges = [(u, v, rng.normal()) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < 0.6]
+            diag = maxcut_hamiltonian(Graph.from_edges(n, edges)).diag
+            assert np.unique(diag).size < diag.size  # every level repeats
+            s = np.sort(diag)
+            i, j = np.triu_indices(s.size, k=1)
+            gaps = np.sort(s[j] - s[i])
+            assert bool(np.any(np.diff(gaps) <= 1e-12)) == (n >= 2)
+            coupling = dense_driver(driver_x(n).terms, n)
+            off_diagonal = coupling[~np.eye(1 << n, dtype=bool)]
+            assert bool(np.all(off_diagonal != 0.0)) == (n == 1)
 
 
 def test_maxcut_rejects_oversized_instance():

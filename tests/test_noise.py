@@ -20,6 +20,10 @@ def test_model_validates_epsilon_bar():
         NoiseModel(NoiseKind.SYSTEMATIC, 1.0, 0)
     with pytest.raises(ValueError):
         NoiseModel(NoiseKind.INDEPENDENT, -0.1, 0)
+    for kind in NoiseKind:
+        for eb in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                NoiseModel(kind, eb, 0)
     NoiseModel(NoiseKind.SYSTEMATIC, 0.0, 0)  # zero magnitude stays legal
 
 
