@@ -42,7 +42,6 @@ from .graphs import (
 from .hamiltonian import (
     DiagonalHamiltonian,
     DriverHamiltonian,
-    PowerIterationError,
     driver_x,
     ground_energy,
     maxcut_hamiltonian,
@@ -72,7 +71,6 @@ __all__ = [
     "LipschitzReport",
     "NoiseKind",
     "NoiseModel",
-    "PowerIterationError",
     "RunConfig",
     "RunTrace",
     "StateVector",

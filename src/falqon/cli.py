@@ -8,20 +8,22 @@ Four subcommands:
          one CSV per cell plus aggregate.csv.
 * bound: worst-case fidelity bound for a control sequence next to the
          empirical minimum over independent error draws; writes bound.csv.
+         With --trace it bounds a recorded run, at the delta_t recorded in
+         the summary.json beside the trace.
 
 Settings come from an optional JSON config file and are overridden by flags.
 Every subcommand takes its instance from --graph/--regular/--er or, failing
 those, from the config 'graph' entry; `graph` takes its generator seed from
 --seed, the others from --graph-seed. A sweep builds and checks every cell's
-run settings before any cell runs. All real numbers in output files carry 17
-significant digits and every file is written with LF endings, so reruns of a
-fixed configuration are byte-identical. Output files are staged and moved
+run settings before any cell runs, and only a sweep takes --jobs. All real
+numbers in output files carry 17 significant digits and every file is
+written with LF endings, so reruns of a fixed configuration are
+byte-identical. Output files are staged and moved
 into place only once all exist, so a failing command neither leaves partial
 output nor touches the results of an earlier one.
 
 Exit codes: 0 on success, 1 for runtime failures (generator retry exhaustion,
-non-convergence, I/O), 2 for bad flags, bad config or invalid parameter
-combinations.
+I/O), 2 for bad flags, bad config or invalid parameter combinations.
 """
 from __future__ import annotations
 
@@ -41,10 +43,10 @@ from .graphs import (
     BRUTE_FORCE_MAX_NODES,
     Graph,
     erdos_renyi,
+    format_edge_list,
     load_edge_list,
     max_cut_brute_force,
     random_regular,
-    save_edge_list,
 )
 from .hamiltonian import DEGENERACY_TOL, driver_x, ground_energy, maxcut_hamiltonian
 from .noise import NoiseKind, NoiseModel, trajectory
@@ -76,10 +78,11 @@ def _fmt(value) -> str:
 class _OutputSink:
     """Stages one command's output files and publishes them together.
 
-    Each file is written under a temporary name in the output directory;
-    ``commit`` moves every one into place with os.replace once all exist, and
-    ``discard`` removes only the temporaries, so a failed command leaves the
-    results of an earlier one untouched.
+    Used as a context manager. Each file is written under a temporary name in
+    the output directory; a clean exit moves every one into place with
+    os.replace once all exist, and any exit removes the remaining
+    temporaries, so a failed command leaves the results of an earlier one
+    untouched.
     """
 
     def __init__(self, out_dir):
@@ -102,18 +105,18 @@ class _OutputSink:
             lines.append(",".join(_fmt(cell) for cell in row))
         return self.write_text(name, "\n".join(lines) + "\n")
 
-    def commit(self) -> None:
-        for staged, path in zip(self._staged, self.written):
-            os.replace(staged, path)
-        self._staged.clear()
+    def __enter__(self) -> "_OutputSink":
+        return self
 
-    def discard(self) -> None:
-        for staged in self._staged:
-            try:
-                staged.unlink()
-            except OSError:
-                pass
-        self._staged.clear()
+    def __exit__(self, exc_type, *_) -> None:
+        try:
+            if exc_type is None:
+                for staged, path in zip(self._staged, self.written):
+                    os.replace(staged, path)
+        finally:
+            for staged in self._staged:
+                with contextlib.suppress(OSError):
+                    staged.unlink()
 
 
 def _load_config(path) -> dict:
@@ -245,9 +248,9 @@ def cmd_graph(args) -> int:
     cfg = _load_config(args.config)
     graph, _ = _resolve_graph(args, cfg, _pick(args.seed, cfg, "seed"))
     out = _pick(args.out, cfg, "out")
-    if out is None:
-        out = Path(os.environ.get(ENV_OUT_DIR, ".")) / "graph.edges"
-    save_edge_list(graph, out)
+    out = Path(os.environ.get(ENV_OUT_DIR, ".")) / "graph.edges" if out is None else Path(out)
+    with _OutputSink(out.parent) as sink:
+        sink.write_text(out.name, format_edge_list(graph))
     print(f"nodes {graph.n_nodes} edges {len(graph.edges)} -> {out}")
     if graph.n_nodes <= BRUTE_FORCE_MAX_NODES:
         value, arg = max_cut_brute_force(graph)
@@ -265,8 +268,7 @@ def cmd_run(args) -> int:
         FeedbackLaw(lam, gain),
         NoiseModel(kind, epsilon_bar, noise_seed),
     )
-    sink = _OutputSink(_resolve_out_dir(args, cfg))
-    try:
+    with _OutputSink(_resolve_out_dir(args, cfg)) as sink:
         trace = engine.run(config)
         diag = maxcut_hamiltonian(graph)
         driver = driver_x(graph.n_nodes)
@@ -317,10 +319,6 @@ def cmd_run(args) -> int:
                 title="closed-loop trace", x_label="layer", y_label="value",
             )
             sink.write_text("trace.svg", svg)
-        sink.commit()
-    except BaseException:
-        sink.discard()
-        raise
     print(f"wrote {', '.join(str(p) for p in sink.written)}")
     print(
         f"final cost {_fmt(trace.costs[-1])} "
@@ -380,8 +378,7 @@ def cmd_sweep(args) -> int:
                 raise RuntimeError(
                     f"cell epsilon_bar={eb:g} lambda={lv:g} failed: {exc}"
                 ) from exc
-    sink = _OutputSink(_resolve_out_dir(args, cfg))
-    try:
+    with _OutputSink(_resolve_out_dir(args, cfg)) as sink:
         for name, (_, rows) in zip(names, results):
             sink.write_csv(name, ["seed", "final_cost", "final_cost_error", "fidelity"], rows)
         sink.write_csv(
@@ -404,10 +401,6 @@ def cmd_sweep(args) -> int:
                     x_label="epsilon_bar", y_label="mean final cost error",
                 ),
             )
-        sink.commit()
-    except BaseException:
-        sink.discard()
-        raise
     print(f"wrote {', '.join(str(p) for p in sink.written)}")
     for s, _ in results:
         print(
@@ -441,6 +434,22 @@ def _read_trace_betas(path: Path) -> np.ndarray:
     return np.array(betas)
 
 
+def _trace_delta_t(trace: Path, given) -> float:
+    """delta_t of the run that wrote ``trace``, from the summary.json beside
+    it; a flag or config value must agree, and stands in when there is none."""
+    summary = trace.with_name("summary.json")
+    if not summary.exists():
+        if given is None:
+            raise UsageError(f"no {summary} to take delta_t from; give --delta-t")
+        return float(given)
+    recorded = json.loads(summary.read_text(encoding="utf-8")).get("delta_t")
+    if not isinstance(recorded, (int, float)):
+        raise UsageError(f"{summary} records no delta_t")
+    if given is not None and float(given) != recorded:
+        raise UsageError(f"delta_t {given} disagrees with {recorded} in {summary}")
+    return float(recorded)
+
+
 def cmd_bound(args) -> int:
     cfg = _load_config(args.config)
     graph, _ = _resolve_graph(args, cfg, args.graph_seed)
@@ -450,6 +459,7 @@ def cmd_bound(args) -> int:
     if args.trace is not None:
         betas = _read_trace_betas(Path(args.trace))
         depth = betas.size
+        delta_t = _trace_delta_t(Path(args.trace), _pick(args.delta_t, cfg, "delta_t"))
     else:
         config = RunConfig(graph, delta_t, depth, FeedbackLaw(lam, gain), NoiseModel())
         betas = engine.run_nominal(config).betas
@@ -473,8 +483,7 @@ def cmd_bound(args) -> int:
             for i in range(draws)
         )
         rows.append([eb, l_value, floor, empirical, draws, vacuous])
-    sink = _OutputSink(_resolve_out_dir(args, cfg))
-    try:
+    with _OutputSink(_resolve_out_dir(args, cfg)) as sink:
         sink.write_csv(
             "bound.csv",
             ["epsilon_bar", "l_value", "fidelity_lower_bound",
@@ -491,10 +500,6 @@ def cmd_bound(args) -> int:
                     title="fidelity bound", x_label="epsilon_bar", y_label="fidelity",
                 ),
             )
-        sink.commit()
-    except BaseException:
-        sink.discard()
-        raise
     print(f"wrote {', '.join(str(p) for p in sink.written)}")
     print(f"l_value {_fmt(l_value)} over {depth} layers")
     return EXIT_OK
@@ -511,7 +516,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON config file; flags override its entries")
         sp.add_argument("--out", help=out_help)
         sp.add_argument("--seed", type=int, help="noise/draw seed (generator seed for 'graph')")
-        sp.add_argument("--jobs", type=int, help="worker processes for sweep cells")
         sp.add_argument("--svg", action="store_true", help="also write SVG plots")
 
     def add_graph_source(sp):
@@ -552,6 +556,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--epsilon-bars", help="comma list of error bounds, e.g. 0.1,0.25")
     sp.add_argument("--lambdas", help="comma list of regularization weights")
     sp.add_argument("--seeds", help="comma list and/or a:b ranges, e.g. 0:50")
+    sp.add_argument("--jobs", type=int, help="worker processes for sweep cells")
     sp.set_defaults(handler=cmd_sweep)
 
     sp = sub.add_parser("bound", help="fidelity lower bound vs empirical minimum")

@@ -41,6 +41,7 @@ from .hamiltonian import (
 )
 from .noise import NoiseKind, NoiseModel, trajectory
 from .statevector import (
+    MAX_QUBITS,
     StateVector,
     a_value,
     apply_diagonal_phase,
@@ -49,9 +50,6 @@ from .statevector import (
     uniform_state,
 )
 
-#: Register cap for closed-loop runs (stricter than the raw statevector cap;
-#: run_independent cost grows with the square of the depth and 2^n).
-MAX_QUBITS = 12
 MAX_DEPTH = 2000
 MAX_DEPTH_INDEPENDENT = 500
 

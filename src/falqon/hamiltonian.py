@@ -4,7 +4,7 @@ Both operators are kept in structured form. The cost Hamiltonian is diagonal
 in the computational basis and stored as its diagonal vector; the driver is a
 sum of weighted single-qubit X terms stored as (qubit, weight) pairs.
 Everything in this module works through matrix-vector products on those
-structures, no 2^n x 2^n matrix is ever materialized.
+structures; no operator is ever built as a 2^n x 2^n matrix.
 
 Encoding: for an edge (u, v, w) and partition bitstring x, the cost diagonal
 picks up w*(z_u*z_v - 1)/2 where z_q = +1 when bit q of x is 0 and -1 when it
@@ -16,6 +16,7 @@ instance are therefore stated where they are reported, not computed.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,11 +30,6 @@ from .statevector import MAX_QUBITS, driver_matvec
 DEGENERACY_TOL = 1e-12
 
 _STREAM_POWER_ITERATION = 21
-
-#: Block width for the norm iteration. Must exceed the extreme-level
-#: degeneracy of the cost diagonal for fast convergence; 8 covers the
-#: bit-flip pair times typical graph-automorphism multiplicity.
-_POWER_BLOCK = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,14 +78,6 @@ class DriverHamiltonian:
         return float(sum(abs(w) for _, w in self.terms))
 
 
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge; carries the last norm estimate."""
-
-    def __init__(self, message: str, last_value: float | None = None):
-        super().__init__(message)
-        self.last_value = last_value
-
-
 def maxcut_hamiltonian(graph: Graph) -> DiagonalHamiltonian:
     """Cost Hamiltonian whose diagonal entry at x is minus the cut value of x."""
     n = graph.n_nodes
@@ -118,77 +106,50 @@ def ground_energy(diag: DiagonalHamiltonian) -> tuple[float, list[int]]:
     return lo, [int(i) for i in idxs]
 
 
+@functools.cache
+def _start_vector(dim: int) -> np.ndarray:
+    """Seeded unit vector; random entries overlap every symmetry sector."""
+    rng = SplitMix64(derive_key(dim, _STREAM_POWER_ITERATION))
+    v = np.fromiter((rng.random() - 0.5 for _ in range(dim)), np.float64, count=dim)
+    return v / np.linalg.norm(v)
+
+
 def spectral_norm(diag: DiagonalHamiltonian, driver: DriverHamiltonian,
-                  beta: float, *, max_iter: int = 5000,
-                  rtol: float = 1e-10) -> float:
-    """2-norm of H_p + beta*H_d by block power iteration on the squared operator.
+                  beta: float) -> float:
+    """2-norm of M = H_p + beta*H_d by Lanczos with full reorthogonalisation.
 
-    M = H_p + beta*H_d is real symmetric, so ||M||_2 is the square root of
-    the top eigenvalue of M^2 and iterating with M^2 is insensitive to the
-    sign of the extreme eigenvalue. A single iterate is not enough here: the
-    extreme level of a MaxCut diagonal is usually degenerate, and a small
-    driver admixture splits it only at second order, leaving M^2 with a
-    cluster of leading eigenvalues a part in 1e4..1e8 apart. A lone vector
-    then needs on the order of 1/gap iterations, far past any sane cap.
-    Iterating a block of _POWER_BLOCK orthonormal vectors and reading off the
-    top Ritz value sidesteps that: once the block covers the cluster, the
-    rate is set by the gap to the first eigenvalue below the block, which
-    stays macroscopic.
-
-    The start block is seeded deterministically; the loop stops once
-    successive top Ritz values agree to ``rtol`` and raises
-    PowerIterationError (with the last estimate) otherwise.
+    M is real symmetric, so for any weight sign ||M||_2 is the larger of
+    |theta_min|, |theta_max| once those extreme Ritz values converge: both
+    residuals at most 1e-12 times the estimate, or a Krylov space that
+    stops growing (within 2^n steps). Ritz values sit inside the spectrum,
+    so the result is padded by its residual and capped at the triangle
+    ceiling max|diag| + |beta|*sum|w|, by which M is scaled throughout.
     """
     if diag.n_qubits != driver.n_qubits:
         raise ValueError(
             f"operator widths differ: {diag.n_qubits} vs {driver.n_qubits} qubits"
         )
-    d = diag.diag
-    b = float(beta)
-    terms = driver.terms
-    if float(np.max(np.abs(d))) + abs(b) * driver.abs_weight_sum == 0.0:
+    ceiling = float(np.max(np.abs(diag.diag))) + abs(float(beta)) * driver.abs_weight_sum
+    if ceiling == 0.0:
         return 0.0
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        if b == 0.0:
-            return d * v
-        return d * v + b * driver_matvec(v, terms)
-
+    # M / ceiling has its spectrum in [-1, 1], so tiny or subnormal inputs lose no digits
+    d, b = diag.diag / ceiling, float(beta) / ceiling
     dim = d.size
-    width = min(dim, _POWER_BLOCK)
-    rng = SplitMix64(derive_key(dim, _STREAM_POWER_ITERATION))
-
-    def fresh_start() -> np.ndarray:
-        block = np.fromiter(
-            (rng.random() - 0.5 for _ in range(dim * width)), np.float64,
-            count=dim * width,
-        ).reshape(dim, width)
-        q, _ = np.linalg.qr(block)
-        return q
-
-    basis = fresh_start()
-    theta = 0.0
-    theta_prev = None
-    for _ in range(max_iter):
-        image = np.empty_like(basis)
-        for j in range(width):
-            image[:, j] = matvec(matvec(basis[:, j]))
-        if float(np.linalg.norm(image)) == 0.0:
-            # the block landed in the kernel of M^2; restart, don't divide by zero
-            basis = fresh_start()
-            theta_prev = None
-            continue
-        # Rayleigh-Ritz on the current block: top eigenvalue of the projected
-        # operator is the best estimate of the top eigenvalue of M^2
-        projected = basis.T @ image
-        projected = 0.5 * (projected + projected.T)
-        theta = float(np.linalg.eigvalsh(projected)[-1])
-        if theta_prev is not None and abs(theta - theta_prev) <= rtol * max(abs(theta), 1.0):
-            return math.sqrt(max(theta, 0.0))
-        theta_prev = theta
-        basis, _ = np.linalg.qr(image)
-    raise PowerIterationError(
-        f"power iteration did not converge in {max_iter} iterations; "
-        f"last Rayleigh quotient {theta!r}",
-        last_value=math.sqrt(max(theta, 0.0)),
-    )
+    basis = np.empty((dim, dim))  # one row per Krylov vector; unused rows stay untouched
+    basis[0] = _start_vector(dim)
+    alpha, off = np.zeros(dim), np.zeros(dim)
+    for k in range(dim):
+        w = d * basis[k]
+        if b != 0.0:
+            w += b * driver_matvec(basis[k], driver.terms)
+        alpha[k] = basis[k] @ w
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            w -= basis[:k + 1].T @ (basis[:k + 1] @ w)
+        off[k] = np.linalg.norm(w)
+        # eigh reads only the lower triangle of the tridiagonal matrix
+        theta, s = np.linalg.eigh(np.diag(alpha[:k + 1]) + np.diag(off[:k], -1))
+        resid = off[k] * np.abs(s[-1, [0, -1]])
+        if k + 1 == dim or resid.max() <= 1e-12 * max(-theta[0], theta[-1]):
+            break
+        basis[k + 1] = w / off[k]
+    return ceiling * float(min(max(abs(theta[0]) + resid[0], abs(theta[-1]) + resid[1]), 1.0))

@@ -1,7 +1,7 @@
 """Seedable, platform-stable random primitives.
 
 Every stochastic component in this package (graph generation, error
-sampling, power-iteration start vectors) draws from the SplitMix64
+sampling, the start vector of the norm recurrence) draws from the SplitMix64
 generator implemented here instead of a library RNG, so that a fixed
 (seed, stream) pair reproduces bit-identical values across platforms and
 interpreter versions. SplitMix64 is the 64-bit mixing generator from

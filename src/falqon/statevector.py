@@ -21,8 +21,10 @@ import numpy as np
 if TYPE_CHECKING:
     from .hamiltonian import DiagonalHamiltonian, DriverHamiltonian
 
-#: Hard cap on register width; keeps every dense vector under a few MB.
-MAX_QUBITS = 16
+#: Register cap for the whole package. Closed-loop cost grows with 2^n (and
+#: with depth^2 for independent errors), and the norm's Krylov basis may hold
+#: up to 2^n vectors of 2^n entries: 134 MB at 12 qubits.
+MAX_QUBITS = 12
 
 #: Accepted deviation of |amplitudes| from 1 when wrapping a StateVector.
 NORM_TOL = 1e-10
@@ -110,7 +112,7 @@ def driver_matvec(amplitudes: np.ndarray,
                   terms: Sequence[tuple[int, float]]) -> np.ndarray:
     """Apply sum_q w_q X_q to a raw amplitude buffer.
 
-    Works on real or complex buffers (the power iteration uses real ones) and
+    Works on real or complex buffers (the norm recurrence uses real ones) and
     performs no normalization, so it is a plain matrix-vector product.
     """
     out = np.zeros_like(amplitudes)

@@ -32,6 +32,11 @@ def test_graph_regular_writes_instance(tmp_path, capsys):
     out2 = tmp_path / "cfg.edges"
     assert run_cli("graph", "--config", str(cfg), "--out", str(out2)) == 0
     assert out2.read_bytes() == out.read_bytes()
+    # a missing parent directory is created, and only the instance lands there
+    nested = tmp_path / "sub" / "g.edges"
+    assert run_cli("graph", "--regular", "8", "3", "--seed", "42", "--out", str(nested)) == 0
+    assert nested.read_bytes() == out.read_bytes()
+    assert [p.name for p in nested.parent.iterdir()] == ["g.edges"]
 
 
 def test_graph_er_deterministic(tmp_path):
@@ -149,6 +154,12 @@ def test_run_invalid_parameters_exit_2(tmp_path):
                    "--depth", "600") == 2
     assert run_cli("bound", "--regular", "4", "3", "--depth", "2", "--draws", "1",
                    "--epsilon-bars", "nan", "--out", str(out)) == 2
+    # only a sweep has cells to spread over worker processes
+    for command in ("run", "bound"):
+        with pytest.raises(SystemExit) as info:
+            run_cli(command, "--regular", "4", "3", "--depth", "3", "--jobs", "7",
+                    "--out", str(out))
+        assert info.value.code == 2
     assert not out.exists()
 
 
@@ -300,6 +311,33 @@ def test_bound_from_trace_file(tmp_path):
     assert code == 0
     row = (out_bound / "bound.csv").read_text().splitlines()[1].split(",")
     assert row[4] == "10"
+
+
+def test_bound_trace_takes_delta_t_from_its_run(tmp_path):
+    out_run = tmp_path / "run"
+    assert run_cli("run", "--regular", "4", "3", "--depth", "12", "--delta-t", "0.1",
+                   "--out", str(out_run)) == 0
+    summary = json.loads((out_run / "summary.json").read_text())
+    trace = out_run / "trace.csv"
+    bound = ("bound", "--regular", "4", "3", "--epsilon-bars", "0.1", "--draws", "2")
+    out = tmp_path / "bound"
+    assert run_cli(*bound, "--trace", str(trace), "--out", str(out)) == 0
+    row = (out / "bound.csv").read_text().splitlines()[1].split(",")
+    assert float(row[1]) == summary["l_value"]
+    assert run_cli(*bound, "--trace", str(trace), "--delta-t", "0.1",
+                   "--out", str(out)) == 0
+    # a delta_t that disagrees with the run's is refused
+    bad = tmp_path / "bad"
+    assert run_cli(*bound, "--trace", str(trace), "--delta-t", "0.05",
+                   "--out", str(bad)) == 2
+    # without a summary.json beside the trace, delta_t must be given
+    lone = tmp_path / "lone" / "trace.csv"
+    lone.parent.mkdir()
+    lone.write_bytes(trace.read_bytes())
+    assert run_cli(*bound, "--trace", str(lone), "--out", str(bad)) == 2
+    assert not bad.exists()
+    assert run_cli(*bound, "--trace", str(lone), "--delta-t", "0.1", "--out", str(bad)) == 0
+    assert (bad / "bound.csv").read_bytes() == (out / "bound.csv").read_bytes()
 
 
 def test_bound_flags_vacuous_rows(tmp_path):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from falqon.graphs import Graph, erdos_renyi, max_cut_brute_force, reference_instance
 from falqon.hamiltonian import (
     DiagonalHamiltonian,
     DriverHamiltonian,
-    PowerIterationError,
     driver_x,
     ground_energy,
     maxcut_hamiltonian,
@@ -123,12 +124,33 @@ def test_spectral_norm_triangle_bound():
         assert norm <= peak + abs(beta) * 8 + 1e-8
 
 
-def test_spectral_norm_nonconvergence_reports_last_estimate():
-    diag = maxcut_hamiltonian(reference_instance())
-    with pytest.raises(PowerIterationError) as info:
-        spectral_norm(diag, driver_x(8), 0.7, max_iter=1)
-    assert info.value.last_value is not None
-    assert "Rayleigh" in str(info.value)
+@st.composite
+def weighted_graphs(draw):
+    n = draw(st.integers(1, 6))
+    weight = st.one_of(st.none(), st.floats(-3.0, 3.0))
+    edges = [(u, v, w) for u in range(n) for v in range(u + 1, n)
+             if (w := draw(weight)) is not None]
+    return Graph.from_edges(n, edges)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(graph=weighted_graphs(), beta=st.floats(-3.0, 3.0))
+def test_spectral_norm_property_against_dense(graph, beta):
+    # negative weights included: the norm is read from both spectrum ends
+    n = graph.n_nodes
+    diag = maxcut_hamiltonian(graph)
+    driver = driver_x(n)
+    want = dense_spectral_norm(diag.diag, driver.terms, n, beta)
+    got = spectral_norm(diag, driver, beta)
+    assert abs(got - want) <= 1e-10 * max(1.0, want)
+    assert got >= want * (1.0 - 1e-12)
+    assert got <= float(np.max(np.abs(diag.diag))) + abs(beta) * n
+
+
+def test_spectral_norm_exact_on_the_diagonal():
+    # beta = 0 leaves the cost diagonal, whose norm is the maximum cut, 10
+    norm = spectral_norm(maxcut_hamiltonian(reference_instance()), driver_x(8), 0.0)
+    assert 10.0 <= norm <= 10.0 + 1e-12
 
 
 def test_maxcut_spectral_flags_are_fixed_by_width():

@@ -42,6 +42,8 @@ def test_uniform_state_rejects_bad_width():
     with pytest.raises(ValueError):
         uniform_state(0)
     with pytest.raises(ValueError):
+        uniform_state(13)
+    with pytest.raises(ValueError):
         uniform_state(17)
 
 
