@@ -10,6 +10,7 @@ from .analysis import (
     LipschitzReport,
     SweepSummary,
     aggregate,
+    ideal_fidelity,
     lipschitz_from_betas,
     replay_fidelity,
     success_probability,
@@ -85,6 +86,7 @@ __all__ = [
     "feedback",
     "format_edge_list",
     "ground_energy",
+    "ideal_fidelity",
     "inner_product",
     "layer",
     "lipschitz_from_betas",

@@ -101,6 +101,15 @@ def replay_fidelity(betas, epsilons, delta_t: float, diag: DiagonalHamiltonian,
     return abs(inner_product(ideal, noisy))
 
 
+def ideal_fidelity(trace: RunTrace, diag: DiagonalHamiltonian,
+                   driver: DriverHamiltonian) -> float:
+    """|<ideal|final>|: the run's final state against the error-free replay
+    of its own control sequence."""
+    ideal = replay(trace.betas, np.zeros_like(trace.betas), trace.config.delta_t,
+                   diag, driver)
+    return abs(inner_product(ideal, trace.final_state))
+
+
 def aggregate(runs: list[RunTrace], ground: float) -> SweepSummary:
     """Summary statistics over repeated runs of one sweep cell.
 
@@ -121,13 +130,7 @@ def aggregate(runs: list[RunTrace], ground: float) -> SweepSummary:
     diag = maxcut_hamiltonian(head.graph)
     driver = driver_x(head.graph.n_nodes)
     errors = np.array([float(t.costs[-1]) - float(ground) for t in runs])
-    fidelities = np.array([
-        abs(inner_product(
-            replay(t.betas, np.zeros_like(t.betas), t.config.delta_t, diag, driver),
-            t.final_state,
-        ))
-        for t in runs
-    ])
+    fidelities = np.array([ideal_fidelity(t, diag, driver) for t in runs])
     std = 0.0 if errors.size == 1 else float(np.std(errors, ddof=1))
     return SweepSummary(
         epsilon_bar=head.noise.epsilon_bar,

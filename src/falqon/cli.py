@@ -8,8 +8,8 @@ Four subcommands:
          one CSV per cell plus aggregate.csv.
 * bound: worst-case fidelity bound for a control sequence next to the
          empirical minimum over independent error draws; writes bound.csv.
-         With --trace it bounds a recorded run, at the delta_t recorded in
-         the summary.json beside the trace.
+         With --trace it bounds a recorded run of the same instance, at
+         the delta_t recorded in the summary.json beside the trace.
 
 Settings come from an optional JSON config file and are overridden by flags.
 Every subcommand takes its instance from --graph/--regular/--er or, failing
@@ -137,6 +137,16 @@ def _pick(flag_value, cfg: dict, key: str, default=None):
     return default
 
 
+def _int(value, what: str) -> int:
+    """An integer setting: booleans and non-integral numbers are refused, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise UsageError(f"{what} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _float_list(value, what: str) -> list[float]:
     if value is None:
         raise UsageError(f"missing {what} (flag or config)")
@@ -167,10 +177,9 @@ def _seed_list(value) -> list[int]:
             else:
                 out.append(int(tok))
     else:
-        try:
-            out = [int(v) for v in value]
-        except (TypeError, ValueError):
-            raise UsageError(f"could not parse seeds from {value!r}") from None
+        if not isinstance(value, list):
+            raise UsageError(f"could not parse seeds from {value!r}")
+        out = [_int(v, "seed") for v in value]
     if not out:
         raise UsageError("seeds must be non-empty")
     return out
@@ -193,7 +202,7 @@ def _resolve_graph(args, cfg: dict, seed) -> tuple[Graph, dict]:
     if sum(x is not None for x in (args.graph, args.regular, args.er)) > 1:
         raise UsageError("give at most one of --graph, --regular, --er")
     gcfg = cfg.get("graph") if isinstance(cfg.get("graph"), dict) else {}
-    seed = int(gcfg.get("seed", 0) if seed is None else seed)
+    seed = _int(gcfg.get("seed", 0) if seed is None else seed, "graph seed")
     flags = {"path": args.graph, "regular": args.regular, "er": args.er}
     source = next((k for k, v in flags.items() if v is not None), None)
     if source is not None:
@@ -209,12 +218,12 @@ def _resolve_graph(args, cfg: dict, seed) -> tuple[Graph, dict]:
         graph = load_edge_list(value)
         echo: dict = {"source": "file", "path": str(value)}
     elif source == "regular":
-        n, d = (int(v) for v in value)
+        n, d = (_int(v, "regular N and D") for v in value)
         graph = random_regular(n, d, seed)
         echo = {"source": "regular", "n": n, "d": d, "seed": seed}
     else:
         try:
-            n, p = int(value[0]), float(value[1])
+            n, p = _int(value[0], "er N"), float(value[1])
         except (IndexError, TypeError, ValueError):
             raise UsageError(f"--er expects an integer and a real, got {value}") from None
         graph = erdos_renyi(n, p, seed)
@@ -226,7 +235,7 @@ def _resolve_graph(args, cfg: dict, seed) -> tuple[Graph, dict]:
 
 def _run_settings(args, cfg: dict):
     delta_t = float(_pick(args.delta_t, cfg, "delta_t", 0.05))
-    depth = int(_pick(args.depth, cfg, "depth", 200))
+    depth = _int(_pick(args.depth, cfg, "depth", 200), "depth")
     lam = float(_pick(args.lam, cfg, "lambda", 0.5))
     gain = float(_pick(args.gain, cfg, "w", 1.0))
     return delta_t, depth, lam, gain
@@ -240,7 +249,7 @@ def _noise_settings(args, cfg: dict, default_kind: str):
     except ValueError:
         raise UsageError(f"unknown noise kind {raw_kind!r}") from None
     epsilon_bar = float(_pick(getattr(args, "epsilon_bar", None), ncfg, "epsilon_bar", 0.0))
-    seed = int(_pick(args.seed, ncfg, "seed", 0))
+    seed = _int(_pick(args.seed, ncfg, "seed", 0), "noise seed")
     return kind, epsilon_bar, seed
 
 
@@ -332,16 +341,9 @@ def _sweep_cell(configs: list[RunConfig]) -> tuple[analysis.SweepSummary, list]:
     runs = [engine.run(config) for config in configs]
     diag = maxcut_hamiltonian(configs[0].graph)
     driver = driver_x(configs[0].graph.n_nodes)
-    p0, _ = ground_energy(diag)
-    summary = analysis.aggregate(runs, p0)
-    rows = []
-    for trace in runs:
-        ideal = engine.replay(
-            trace.betas, np.zeros_like(trace.betas), trace.config.delta_t, diag, driver
-        )
-        fid = abs(inner_product(ideal, trace.final_state))
-        rows.append([trace.config.noise.seed, float(trace.costs[-1]),
-                     trace.final_cost_error, fid])
+    summary = analysis.aggregate(runs, runs[0].ground_energy)
+    rows = [[trace.config.noise.seed, float(trace.costs[-1]), trace.final_cost_error,
+             analysis.ideal_fidelity(trace, diag, driver)] for trace in runs]
     return summary, rows
 
 
@@ -356,7 +358,9 @@ def cmd_sweep(args) -> int:
     lambdas_raw = _pick(args.lambdas, cfg, "lambdas")
     lambdas = _float_list(lambdas_raw, "lambdas") if lambdas_raw is not None else [lam]
     seeds = _seed_list(_pick(args.seeds, cfg, "seeds"))
-    jobs = int(_pick(args.jobs, cfg, "jobs", 1))
+    jobs = _int(_pick(args.jobs, cfg, "jobs", 1), "jobs")
+    if jobs < 1:
+        raise UsageError(f"jobs must be at least 1, got {jobs}")
     cells = [
         (eb, lv, [RunConfig(graph, delta_t, depth, FeedbackLaw(lv, gain),
                             NoiseModel(kind, eb, seed)) for seed in seeds])
@@ -421,33 +425,47 @@ def _read_trace_betas(path: Path) -> np.ndarray:
     except ValueError:
         raise UsageError(f"{path} has no 'beta' column") from None
     betas = []
-    for line in lines[1:]:
+    for row, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
         try:
-            betas.append(float(parts[col]))
+            beta = float(parts[col])
         except (ValueError, IndexError):
             raise UsageError(f"{path}: unreadable row {line!r}") from None
+        if not np.isfinite(beta):
+            raise UsageError(f"{path} row {row}: beta {parts[col]} is not finite")
+        betas.append(beta)
     if not betas:
         raise UsageError(f"{path} has no data rows")
     return np.array(betas)
 
 
-def _trace_delta_t(trace: Path, given) -> float:
+def _trace_delta_t(trace: Path, given, graph: Graph, ground: float) -> float:
     """delta_t of the run that wrote ``trace``, from the summary.json beside
-    it; a flag or config value must agree, and stands in when there is none."""
-    summary = trace.with_name("summary.json")
-    if not summary.exists():
+    it, once that summary shows the run was on this instance (node and edge
+    counts, ground energy); a flag or config delta_t must agree, and stands
+    in when there is no summary."""
+    path = trace.with_name("summary.json")
+    if not path.exists():
         if given is None:
-            raise UsageError(f"no {summary} to take delta_t from; give --delta-t")
+            raise UsageError(f"no {path} to take delta_t from; give --delta-t")
         return float(given)
-    recorded = json.loads(summary.read_text(encoding="utf-8")).get("delta_t")
-    if not isinstance(recorded, (int, float)):
-        raise UsageError(f"{summary} records no delta_t")
-    if given is not None and float(given) != recorded:
-        raise UsageError(f"delta_t {given} disagrees with {recorded} in {summary}")
-    return float(recorded)
+    summary = json.loads(path.read_text(encoding="utf-8"))
+    run_graph = summary.get("graph") if isinstance(summary, dict) else None
+    if not isinstance(run_graph, dict):
+        raise UsageError(f"{path} records no instance")
+    there = (run_graph.get("n_nodes"), run_graph.get("n_edges"), summary.get("ground_energy"))
+    here = (graph.n_nodes, len(graph.edges), ground)
+    if there != here:
+        raise UsageError(f"{path} records a run on another instance: (nodes, edges, "
+                         f"ground energy) {there}, here {here}")
+    delta_t = summary.get("delta_t")
+    if not isinstance(delta_t, (int, float)):
+        raise UsageError(f"{path} records no delta_t")
+    if given is not None and float(given) != delta_t:
+        raise UsageError(f"delta_t {given} disagrees with {delta_t} in {path}")
+    return float(delta_t)
 
 
 def cmd_bound(args) -> int:
@@ -459,27 +477,29 @@ def cmd_bound(args) -> int:
     if args.trace is not None:
         betas = _read_trace_betas(Path(args.trace))
         depth = betas.size
-        delta_t = _trace_delta_t(Path(args.trace), _pick(args.delta_t, cfg, "delta_t"))
+        delta_t = _trace_delta_t(Path(args.trace), _pick(args.delta_t, cfg, "delta_t"),
+                                 graph, ground_energy(diag)[0])
     else:
         config = RunConfig(graph, delta_t, depth, FeedbackLaw(lam, gain), NoiseModel())
         betas = engine.run_nominal(config).betas
     epsilon_bars = _float_list(_pick(args.epsilon_bars, cfg, "epsilon_bars"), "epsilon_bars")
-    draws = int(_pick(args.draws, cfg, "draws", 100))
+    draws = _int(_pick(args.draws, cfg, "draws", 100), "draws")
     if draws < 1:
         raise UsageError(f"draws must be at least 1, got {draws}")
-    seed = int(_pick(args.seed, cfg, "seed", 0))
+    seed = _int(_pick(args.seed, cfg, "seed", 0), "seed")
     models = [NoiseModel(NoiseKind.INDEPENDENT, eb, seed) for eb in epsilon_bars]
     base = analysis.lipschitz_from_betas(betas, delta_t, diag, driver, 0.0)
     l_value = base.l_value
+    ideal = engine.replay(betas, np.zeros_like(betas), delta_t, diag, driver)
     rows = []
     for model in models:
         eb = model.epsilon_bar
         floor, vacuous = analysis.fidelity_floor(l_value, eb)
         empirical = min(
-            analysis.replay_fidelity(
-                betas, trajectory(model, depth, rebuild_index=i + 1),
+            abs(inner_product(ideal, engine.replay(
+                betas, trajectory(model, depth, rebuild_index=i + 1).values,
                 delta_t, diag, driver,
-            )
+            )))
             for i in range(draws)
         )
         rows.append([eb, l_value, floor, empirical, draws, vacuous])

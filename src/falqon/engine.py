@@ -13,16 +13,20 @@ gives the plain greedy law beta = -A; larger lam damps the controls, which
 costs convergence speed but buys robustness against errors the loop cannot
 see coming.
 
-Run modes:
+`run` is the one feedback loop for every noise kind. Step t fixes beta_t,
+obtains the state of the t-layer circuit, reads A_t and the cost from it and
+feeds A_t back. The kinds differ only in how that state is obtained:
 
-* run_nominal: no error. One state evolves incrementally, since a noiseless
-  rebuild of t layers reproduces the incremental state exactly.
-* run_systematic: frozen master error sequence. Prefix consistency makes
-  every rebuild reproduce the incremental state too, so the loop stays
-  incremental (the equivalence is covered by the test suite).
-* run_independent: fresh errors on every rebuild. Step t really does rebuild
-  the whole t-layer circuit, depth*(depth+1)/2 layer applications in total,
-  because no two rebuilds see the same error sequence.
+* no error and systematic errors are prefix-consistent: rebuilding t layers
+  replays the same error prefix, so it reproduces the previous step's state
+  plus one layer, and the loop advances one state incrementally (the
+  equivalence is covered by the test suite);
+* independent errors are redrawn on every rebuild, so no two rebuilds agree
+  and step t replays the whole t-layer circuit from the uniform state under
+  rebuild t's sequence, depth*(depth+1)/2 layer applications in total.
+
+run_nominal, run_systematic and run_independent are `run` restricted to one
+kind.
 """
 from __future__ import annotations
 
@@ -110,11 +114,11 @@ class RunConfig:
 class RunTrace:
     """Per-layer record of one closed-loop run.
 
-    betas[t] is the input applied at layer t+1 (betas[0] is always 0, the
-    loop has seen no measurement yet), a_values[t] and costs[t] are read from
-    the state after that layer. epsilons holds the error sequence of the
-    final circuit build: the master sequence for systematic runs, the last
-    rebuild's sequence for independent runs, zeros for nominal ones.
+    betas[t] is the input applied at layer t+1 (betas[0] is 0: no measurement
+    yet); a_values[t] and costs[t] are read from the (t+1)-layer circuit, whose
+    last build's state is final_state and whose errors are epsilons: the
+    master sequence for systematic runs, the last rebuild's sequence for
+    independent runs, zeros for nominal ones.
     """
 
     config: RunConfig
@@ -164,88 +168,58 @@ def replay(betas, epsilons, delta_t: float, diag: DiagonalHamiltonian,
     return state
 
 
-def _hamiltonians(config: RunConfig) -> tuple[DiagonalHamiltonian, DriverHamiltonian]:
-    diag = maxcut_hamiltonian(config.graph)
-    return diag, driver_x(config.graph.n_nodes)
-
-
-def _closed_loop(config: RunConfig, eps: np.ndarray) -> RunTrace:
-    """Incremental feedback loop under a fixed per-layer error sequence."""
-    diag, driver = _hamiltonians(config)
-    p0, _ = ground_energy(diag)
-    depth = config.depth
-    betas = np.zeros(depth)
-    a_values = np.zeros(depth)
-    costs = np.zeros(depth)
-    state = uniform_state(config.graph.n_nodes)
-    beta = 0.0
-    for t in range(depth):
-        state = layer(state, beta, config.delta_t, float(eps[t]), diag, driver)
-        a = a_value(state, diag, driver)
-        betas[t] = beta
-        a_values[t] = a
-        costs[t] = expectation_diagonal(state, diag)
-        beta = feedback(a, config.law)
-    return RunTrace(config, betas, a_values, costs, state, p0, np.array(eps))
-
-
-def _require(config: RunConfig, kind: NoiseKind, mode: str) -> None:
+def _run_as(config: RunConfig, kind: NoiseKind, mode: str) -> RunTrace:
     if config.noise.kind is not kind:
         raise ValueError(
             f"{mode} needs noise kind {kind.value!r}, got {config.noise.kind.value}"
         )
+    return run(config)
 
 
 def run_nominal(config: RunConfig) -> RunTrace:
     """Error-free closed-loop run."""
-    _require(config, NoiseKind.NONE, "run_nominal")
-    return _closed_loop(config, np.zeros(config.depth))
+    return _run_as(config, NoiseKind.NONE, "run_nominal")
 
 
 def run_systematic(config: RunConfig) -> RunTrace:
     """Closed-loop run under a frozen (prefix-consistent) error sequence."""
-    _require(config, NoiseKind.SYSTEMATIC, "run_systematic")
-    return _closed_loop(config, trajectory(config.noise, config.depth).values)
+    return _run_as(config, NoiseKind.SYSTEMATIC, "run_systematic")
 
 
 def run_independent(config: RunConfig) -> RunTrace:
-    """Closed-loop run where every feedback step rebuilds the circuit.
-
-    At step t the full t-layer circuit runs from the uniform state under a
-    fresh error sequence (rebuild index t); A_t and the cost are read from
-    that build's final state. The feedback therefore reacts to one noisy
-    realization per step, not to an average over builds.
-    """
-    _require(config, NoiseKind.INDEPENDENT, "run_independent")
-    diag, driver = _hamiltonians(config)
-    p0, _ = ground_energy(diag)
-    depth = config.depth
-    betas = np.zeros(depth)
-    a_values = np.zeros(depth)
-    costs = np.zeros(depth)
-    eps = np.zeros(depth)
-    state = uniform_state(config.graph.n_nodes)
-    beta = 0.0
-    for t in range(depth):
-        betas[t] = beta
-        eps = trajectory(config.noise, t + 1, rebuild_index=t + 1).values
-        state = uniform_state(config.graph.n_nodes)
-        for tau in range(t + 1):
-            state = layer(state, float(betas[tau]), config.delta_t,
-                          float(eps[tau]), diag, driver)
-        a = a_value(state, diag, driver)
-        a_values[t] = a
-        costs[t] = expectation_diagonal(state, diag)
-        beta = feedback(a, config.law)
-    return RunTrace(config, betas, a_values, costs, state, p0, np.array(eps))
+    """Closed-loop run where every feedback step rebuilds the circuit."""
+    return _run_as(config, NoiseKind.INDEPENDENT, "run_independent")
 
 
 def run(config: RunConfig) -> RunTrace:
     """Closed-loop run in the mode that config.noise.kind selects.
 
-    Nominal and systematic runs share the incremental loop; the NONE
-    trajectory is all zeros, so the two need no branch of their own.
+    Nominal and systematic runs take their whole error sequence up front and
+    advance one state by a layer per step. An independent run draws rebuild
+    t's sequence at step t and replays the t-layer circuit under it, so its
+    A_t and cost come from one noisy realization per step, not from an
+    average over builds.
     """
-    if config.noise.kind is NoiseKind.INDEPENDENT:
-        return run_independent(config)
-    return _closed_loop(config, trajectory(config.noise, config.depth).values)
+    diag = maxcut_hamiltonian(config.graph)
+    driver = driver_x(config.graph.n_nodes)
+    p0, _ = ground_energy(diag)
+    depth = config.depth
+    rebuild = config.noise.kind is NoiseKind.INDEPENDENT
+    eps = None if rebuild else trajectory(config.noise, depth).values
+    betas = np.zeros(depth)
+    a_values = np.zeros(depth)
+    costs = np.zeros(depth)
+    state = uniform_state(config.graph.n_nodes)
+    beta = 0.0
+    for t in range(depth):
+        betas[t] = beta
+        if rebuild:
+            eps = trajectory(config.noise, t + 1, rebuild_index=t + 1).values
+            state = replay(betas[:t + 1], eps, config.delta_t, diag, driver)
+        else:
+            state = layer(state, beta, config.delta_t, float(eps[t]), diag, driver)
+        a = a_value(state, diag, driver)
+        a_values[t] = a
+        costs[t] = expectation_diagonal(state, diag)
+        beta = feedback(a, config.law)
+    return RunTrace(config, betas, a_values, costs, state, p0, np.array(eps))

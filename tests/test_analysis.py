@@ -4,11 +4,12 @@ import pytest
 from falqon.analysis import (
     aggregate,
     fidelity_floor,
+    ideal_fidelity,
     lipschitz_from_betas,
     replay_fidelity,
     success_probability,
 )
-from falqon.engine import FeedbackLaw, RunConfig, run, run_nominal
+from falqon.engine import FeedbackLaw, RunConfig, run, run_nominal, run_systematic
 from falqon.graphs import Graph, reference_instance
 from falqon.hamiltonian import driver_x, ground_energy, maxcut_hamiltonian
 from falqon.noise import ErrorTrajectory, NoiseKind, NoiseModel, trajectory
@@ -90,6 +91,20 @@ def test_replay_fidelity_accepts_trajectory_objects():
     assert 0.0 <= f1 <= 1.0 + 1e-10
     with pytest.raises(ValueError):
         replay_fidelity(betas, np.zeros(9), 0.05, K2_DIAG, K2_DRIVER)
+
+
+def test_ideal_fidelity_against_replays():
+    # a nominal run is its own ideal replay; a systematic run's final state
+    # is the replay of its controls under its master sequence
+    nominal = run_nominal(RunConfig(K2, 0.05, 20))
+    assert abs(ideal_fidelity(nominal, K2_DIAG, K2_DRIVER) - 1.0) < 1e-12
+    graph = reference_instance()
+    diag, driver = maxcut_hamiltonian(graph), driver_x(graph.n_nodes)
+    noisy = run_systematic(
+        RunConfig(graph, 0.05, 30, noise=NoiseModel(NoiseKind.SYSTEMATIC, 0.5, 6)))
+    want = replay_fidelity(noisy.betas, noisy.epsilons, 0.05, diag, driver)
+    assert want < 0.999
+    assert abs(ideal_fidelity(noisy, diag, driver) - want) < 1e-12
 
 
 def test_fidelity_respects_lipschitz_bound_on_random_draws():

@@ -160,6 +160,16 @@ def test_run_invalid_parameters_exit_2(tmp_path):
             run_cli(command, "--regular", "4", "3", "--depth", "3", "--jobs", "7",
                     "--out", str(out))
         assert info.value.code == 2
+    # integer settings from a config file are refused, not truncated
+    cfg = tmp_path / "cfg.json"
+    for command, entries in (
+        ("run", {"depth": 2.7}), ("run", {"depth": True}),
+        ("run", {"noise": {"seed": 1.5}}), ("run", {"graph": {"seed": 0.5}}),
+        ("bound", {"draws": 2.5}), ("bound", {"seed": False}),
+    ):
+        cfg.write_text(json.dumps({"depth": 2, "epsilon_bars": [0.1], **entries}))
+        assert run_cli(command, "--regular", "4", "3", "--config", str(cfg),
+                       "--out", str(out)) == 2, entries
     assert not out.exists()
 
 
@@ -274,6 +284,14 @@ def test_sweep_requires_noisy_kind_and_lists(tmp_path):
                    "--epsilon-bars", "0.1,0.1000000001", "--out", str(out)) == 2
     assert run_cli("sweep", "--regular", "4", "3", "--seeds", "0", "--epsilon-bars", "0.1",
                    "--lambdas", "0.5,0.5", "--out", str(out)) == 2
+    # a sweep needs at least one worker, and integral seeds and jobs
+    assert run_cli("sweep", "--regular", "4", "3", "--seeds", "0", "--epsilon-bars", "0.1",
+                   "--jobs", "0", "--out", str(out)) == 2
+    cfg = tmp_path / "cfg.json"
+    for entries in ({"jobs": 1.5}, {"jobs": 0}, {"seeds": [0, 1.5]}, {"seeds": [True]}):
+        cfg.write_text(json.dumps({"depth": 2, "seeds": [0], "epsilon_bars": [0.1], **entries}))
+        assert run_cli("sweep", "--regular", "4", "3", "--config", str(cfg),
+                       "--out", str(out)) == 2, entries
     assert not out.exists()
 
 
@@ -335,9 +353,33 @@ def test_bound_trace_takes_delta_t_from_its_run(tmp_path):
     lone.parent.mkdir()
     lone.write_bytes(trace.read_bytes())
     assert run_cli(*bound, "--trace", str(lone), "--out", str(bad)) == 2
+    # a trace from another instance is refused: another size, or the same
+    # size with another weight, where only the ground energy tells them apart
+    assert run_cli("bound", "--regular", "6", "3", "--epsilon-bars", "0.1", "--draws", "2",
+                   "--trace", str(trace), "--out", str(bad)) == 2
+    heavy = tmp_path / "heavy.edges"
+    heavy.write_text("nodes 4\n0 1 2\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    assert run_cli("bound", "--graph", str(heavy), "--epsilon-bars", "0.1", "--draws", "2",
+                   "--trace", str(trace), "--out", str(bad)) == 2
     assert not bad.exists()
     assert run_cli(*bound, "--trace", str(lone), "--delta-t", "0.1", "--out", str(bad)) == 0
     assert (bad / "bound.csv").read_bytes() == (out / "bound.csv").read_bytes()
+
+
+def test_bound_trace_rejects_non_finite_betas(tmp_path, capsys):
+    out_run = tmp_path / "run"
+    assert run_cli("run", "--regular", "4", "3", "--depth", "4", "--out", str(out_run)) == 0
+    trace = out_run / "trace.csv"
+    lines = trace.read_text().splitlines()
+    for value in ("nan", "inf", "-inf"):
+        cells = lines[2].split(",")
+        cells[1] = value
+        trace.write_text("\n".join([*lines[:2], ",".join(cells), *lines[3:]]) + "\n")
+        out = tmp_path / "bound"
+        assert run_cli("bound", "--regular", "4", "3", "--trace", str(trace),
+                       "--epsilon-bars", "0.1", "--draws", "2", "--out", str(out)) == 2
+        assert "row 3" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_bound_flags_vacuous_rows(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import falqon.engine as engine
 from falqon.engine import (
@@ -132,7 +134,7 @@ def test_run_systematic_uses_master_sequence():
     )
 
 
-def _explicit_rebuild_systematic(config):
+def _explicit_rebuild(config):
     """Reference loop: rebuild the circuit from scratch at every step."""
     diag = maxcut_hamiltonian(config.graph)
     driver = driver_x(config.graph.n_nodes)
@@ -140,6 +142,8 @@ def _explicit_rebuild_systematic(config):
 
     depth = config.depth
     betas = np.zeros(depth)
+    a_values = np.zeros(depth)
+    costs = np.zeros(depth)
     beta = 0.0
     state = None
     for t in range(depth):
@@ -148,8 +152,10 @@ def _explicit_rebuild_systematic(config):
         state = uniform_state(config.graph.n_nodes)
         for tau in range(t + 1):
             state = layer(state, betas[tau], config.delta_t, eps[tau], diag, driver)
-        beta = feedback(a_value(state, diag, driver), config.law)
-    return betas, state
+        a_values[t] = a_value(state, diag, driver)
+        costs[t] = expectation_diagonal(state, diag)
+        beta = feedback(a_values[t], config.law)
+    return betas, a_values, costs, state
 
 
 def test_systematic_incremental_equals_explicit_rebuilds():
@@ -159,11 +165,38 @@ def test_systematic_incremental_equals_explicit_rebuilds():
             graph, 0.05, depth, noise=NoiseModel(NoiseKind.SYSTEMATIC, 0.5, 7)
         )
         fast = run_systematic(config)
-        betas, state = _explicit_rebuild_systematic(config)
+        betas, _, _, state = _explicit_rebuild(config)
         np.testing.assert_allclose(fast.betas, betas, atol=1e-12, rtol=0)
         np.testing.assert_allclose(
             fast.final_state.amplitudes, state.amplitudes, atol=1e-12, rtol=0
         )
+
+
+@st.composite
+def weighted_graphs(draw):
+    n = draw(st.integers(1, 5))
+    weight = st.one_of(st.none(), st.floats(-3.0, 3.0))
+    edges = [(u, v, w) for u in range(n) for v in range(u + 1, n)
+             if (w := draw(weight)) is not None]
+    return Graph.from_edges(n, edges)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(graph=weighted_graphs(), depth=st.integers(1, 8),
+       kind=st.sampled_from([NoiseKind.SYSTEMATIC, NoiseKind.INDEPENDENT]),
+       epsilon_bar=st.floats(0.0, 0.9), seed=st.integers(-(2**63), 2**63 - 1),
+       lam=st.floats(0.05, 20.0))
+def test_run_matches_explicit_rebuilds(graph, depth, kind, epsilon_bar, seed, lam):
+    # one loop serves both kinds: incremental steps for systematic errors,
+    # a replay per step for independent ones; both must equal full rebuilds
+    config = RunConfig(graph, 0.05, depth, FeedbackLaw(lam=lam),
+                       NoiseModel(kind, epsilon_bar, seed))
+    trace = run(config)
+    betas, a_values, costs, state = _explicit_rebuild(config)
+    for got, want in ((trace.betas, betas), (trace.a_values, a_values),
+                      (trace.costs, costs),
+                      (trace.final_state.amplitudes, state.amplitudes)):
+        np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
 
 def test_run_independent_zero_magnitude_equals_nominal():
