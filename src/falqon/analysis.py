@@ -152,5 +152,6 @@ def success_probability(state: StateVector, ground_states) -> float:
         raise ValueError("ground-state indices must be distinct")
     amps = state.amplitudes[idxs]
     p = float(np.sum(amps.real ** 2 + amps.imag ** 2))
-    assert -1e-10 <= p <= 1.0 + 1e-10, f"probability {p} outside [0, 1]"
+    if not -1e-10 <= p <= 1.0 + 1e-10:
+        raise AssertionError(f"probability {p} outside [0, 1]")
     return p

@@ -185,6 +185,13 @@ def _seed_list(value) -> list[int]:
     return out
 
 
+def _section(cfg: dict, key: str) -> dict:
+    value = cfg.get(key, {})
+    if not isinstance(value, dict):
+        raise UsageError(f"config {key!r} must be a JSON object, got {value!r}")
+    return value
+
+
 def _resolve_out_dir(args, cfg: dict) -> Path:
     out = _pick(args.out, cfg, "out")
     if out is None:
@@ -201,7 +208,7 @@ def _resolve_graph(args, cfg: dict, seed) -> tuple[Graph, dict]:
     """
     if sum(x is not None for x in (args.graph, args.regular, args.er)) > 1:
         raise UsageError("give at most one of --graph, --regular, --er")
-    gcfg = cfg.get("graph") if isinstance(cfg.get("graph"), dict) else {}
+    gcfg = _section(cfg, "graph")
     seed = _int(gcfg.get("seed", 0) if seed is None else seed, "graph seed")
     flags = {"path": args.graph, "regular": args.regular, "er": args.er}
     source = next((k for k, v in flags.items() if v is not None), None)
@@ -214,6 +221,10 @@ def _resolve_graph(args, cfg: dict, seed) -> tuple[Graph, dict]:
                 "no graph source: use --graph/--regular/--er or a config 'graph' entry"
             )
         value = gcfg[source]
+        if source == "path" and not isinstance(value, str):
+            raise UsageError(f"config graph 'path' must be a string, got {value!r}")
+        if source != "path" and not (isinstance(value, list) and len(value) == 2):
+            raise UsageError(f"config graph {source!r} must be a two-item list, got {value!r}")
     if source == "path":
         graph = load_edge_list(value)
         echo: dict = {"source": "file", "path": str(value)}
@@ -242,7 +253,7 @@ def _run_settings(args, cfg: dict):
 
 
 def _noise_settings(args, cfg: dict, default_kind: str):
-    ncfg = cfg.get("noise") if isinstance(cfg.get("noise"), dict) else {}
+    ncfg = _section(cfg, "noise")
     raw_kind = _pick(getattr(args, "noise", None), ncfg, "kind", default_kind)
     try:
         kind = NoiseKind(str(raw_kind))

@@ -51,6 +51,13 @@ class DiagonalHamiltonian:
             raise ValueError("diagonal entries must be finite")
         object.__setattr__(self, "diag", d)
 
+    @functools.cached_property
+    def levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted distinct diagonal values and, per basis index, the position of
+        its value among them (``values[index] == diag``); computed once. A
+        MaxCut diagonal has at most |E|+1, so phases are evaluated per level."""
+        return np.unique(self.diag, return_inverse=True)
+
 
 @dataclass(frozen=True)
 class DriverHamiltonian:

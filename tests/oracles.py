@@ -3,9 +3,18 @@
 Everything here goes the slow, obviously-correct way: build the full 2^n x 2^n
 operators with Kronecker products, exponentiate them with scipy, and compute
 expectations as literal matrix sandwiches. Intended for n <= a handful.
+
+The ``reference_*`` kernels are the plain per-pair and elementwise forms of
+the structured statevector kernels. They perform the same floating-point
+operations per amplitude, so the fused kernels must match them bit for bit.
 """
+import math
+
 import numpy as np
+from hypothesis import strategies as st
 from scipy.linalg import expm
+
+from falqon.graphs import Graph
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -63,3 +72,44 @@ def assert_equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, atol: float) -
     phase = a[k] / b[k]
     phase /= abs(phase)
     np.testing.assert_allclose(a, phase * b, atol=atol, rtol=0.0)
+
+
+@st.composite
+def weighted_graphs(draw, max_nodes: int = 6):
+    """Random graphs on 1..max_nodes nodes, weights in [-3, 3] (zero included)."""
+    n = draw(st.integers(1, max_nodes))
+    weight = st.one_of(st.none(), st.floats(-3.0, 3.0))
+    edges = [(u, v, w) for u in range(n) for v in range(u + 1, n)
+             if (w := draw(weight)) is not None]
+    return Graph.from_edges(n, edges)
+
+
+def reference_x_rotations(amplitudes: np.ndarray, terms, angle: float) -> np.ndarray:
+    """e^{-i*angle*sum_q w_q X_q}, one qubit at a time on the (lo, hi) halves."""
+    amps = np.array(amplitudes, dtype=complex)
+    for q, w in terms:
+        theta = float(angle) * w
+        c = math.cos(theta)
+        s = -1j * math.sin(theta)
+        view = amps.reshape(-1, 2, 1 << q)
+        lo = view[:, 0, :].copy()
+        hi = view[:, 1, :]
+        view[:, 0, :] = c * lo + s * hi
+        view[:, 1, :] = s * lo + c * hi
+    return amps
+
+
+def reference_driver_matvec(amplitudes: np.ndarray, terms) -> np.ndarray:
+    """sum_q w_q X_q applied as two half-slice updates per qubit."""
+    out = np.zeros_like(amplitudes)
+    for q, w in terms:
+        a = amplitudes.reshape(-1, 2, 1 << q)
+        o = out.reshape(-1, 2, 1 << q)
+        o[:, 0, :] += w * a[:, 1, :]
+        o[:, 1, :] += w * a[:, 0, :]
+    return out
+
+
+def reference_diagonal_phase(amplitudes: np.ndarray, diag, scale: float) -> np.ndarray:
+    """e^{-i*scale*H_p} with one exp per basis index."""
+    return amplitudes * np.exp((-1j * float(scale)) * np.asarray(diag, dtype=np.float64))

@@ -139,7 +139,7 @@ def test_run_bad_config_json_is_usage_error(tmp_path):
     assert run_cli("run", "--regular", "4", "3", "--config", str(bad)) == 2
 
 
-def test_run_invalid_parameters_exit_2(tmp_path):
+def test_run_invalid_parameters_exit_2(tmp_path, capsys):
     out = tmp_path / "results"
     assert run_cli("run", "--regular", "4", "3", "--depth", "0", "--out", str(out)) == 2
     assert run_cli("run", "--regular", "4", "3", "--delta-t", "-1", "--out", str(out)) == 2
@@ -166,10 +166,24 @@ def test_run_invalid_parameters_exit_2(tmp_path):
         ("run", {"depth": 2.7}), ("run", {"depth": True}),
         ("run", {"noise": {"seed": 1.5}}), ("run", {"graph": {"seed": 0.5}}),
         ("bound", {"draws": 2.5}), ("bound", {"seed": False}),
+        # a noise entry that is not an object is refused, not run as nominal
+        ("run", {"noise": 5}), ("run", {"noise": "systematic"}),
     ):
         cfg.write_text(json.dumps({"depth": 2, "epsilon_bars": [0.1], **entries}))
         assert run_cli(command, "--regular", "4", "3", "--config", str(cfg),
                        "--out", str(out)) == 2, entries
+    # a malformed config graph entry is a usage error, not a traceback
+    for entries, message in (
+        ({"graph": 5}, "config 'graph' must be a JSON object"),
+        ({"graph": {"regular": 8}}, "'regular' must be a two-item list"),
+        ({"graph": {"regular": [8, 3, 1]}}, "'regular' must be a two-item list"),
+        ({"graph": {"er": "80.5"}}, "'er' must be a two-item list"),
+        ({"graph": {"path": 5}}, "'path' must be a string"),
+    ):
+        cfg.write_text(json.dumps({"depth": 2, **entries}))
+        capsys.readouterr()
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2, entries
+        assert message in capsys.readouterr().err, entries
     assert not out.exists()
 
 

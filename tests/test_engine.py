@@ -20,7 +20,7 @@ from falqon.hamiltonian import DiagonalHamiltonian, driver_x, maxcut_hamiltonian
 from falqon.noise import NoiseKind, NoiseModel, trajectory
 from falqon.statevector import StateVector, uniform_state
 
-from oracles import dense_layer_unitary, random_unit_state
+from oracles import dense_layer_unitary, random_unit_state, weighted_graphs
 
 K2 = Graph.from_edges(2, [(0, 1)])
 
@@ -172,17 +172,8 @@ def test_systematic_incremental_equals_explicit_rebuilds():
         )
 
 
-@st.composite
-def weighted_graphs(draw):
-    n = draw(st.integers(1, 5))
-    weight = st.one_of(st.none(), st.floats(-3.0, 3.0))
-    edges = [(u, v, w) for u in range(n) for v in range(u + 1, n)
-             if (w := draw(weight)) is not None]
-    return Graph.from_edges(n, edges)
-
-
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(graph=weighted_graphs(), depth=st.integers(1, 8),
+@given(graph=weighted_graphs(max_nodes=5), depth=st.integers(1, 8),
        kind=st.sampled_from([NoiseKind.SYSTEMATIC, NoiseKind.INDEPENDENT]),
        epsilon_bar=st.floats(0.0, 0.9), seed=st.integers(-(2**63), 2**63 - 1),
        lam=st.floats(0.05, 20.0))

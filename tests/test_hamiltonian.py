@@ -13,7 +13,7 @@ from falqon.hamiltonian import (
     spectral_norm,
 )
 
-from oracles import dense_driver, dense_spectral_norm
+from oracles import dense_driver, dense_spectral_norm, weighted_graphs
 
 K2 = Graph.from_edges(2, [(0, 1)])
 K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
@@ -122,15 +122,6 @@ def test_spectral_norm_triangle_bound():
         beta = rng.uniform(-3, 3)
         norm = spectral_norm(diag, driver, beta)
         assert norm <= peak + abs(beta) * 8 + 1e-8
-
-
-@st.composite
-def weighted_graphs(draw):
-    n = draw(st.integers(1, 6))
-    weight = st.one_of(st.none(), st.floats(-3.0, 3.0))
-    edges = [(u, v, w) for u in range(n) for v in range(u + 1, n)
-             if (w := draw(weight)) is not None]
-    return Graph.from_edges(n, edges)
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)

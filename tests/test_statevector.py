@@ -1,7 +1,22 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from falqon.hamiltonian import DiagonalHamiltonian, DriverHamiltonian, driver_x
+import falqon
+from falqon.graphs import random_regular
+from falqon.hamiltonian import (
+    DiagonalHamiltonian,
+    DriverHamiltonian,
+    driver_x,
+    maxcut_hamiltonian,
+)
 from falqon.statevector import (
     StateVector,
     a_value,
@@ -17,6 +32,10 @@ from oracles import (
     dense_commutator_expectation,
     dense_layer_unitary,
     random_unit_state,
+    reference_diagonal_phase,
+    reference_driver_matvec,
+    reference_x_rotations,
+    weighted_graphs,
 )
 
 K2_DIAG = DiagonalHamiltonian(2, np.array([0.0, -1.0, -1.0, 0.0]))
@@ -213,3 +232,95 @@ def test_operations_do_not_mutate_input():
     apply_x_rotations(s, driver_x(2), 0.3)
     a_value(s, K2_DIAG, driver_x(2))
     np.testing.assert_array_equal(s.amplitudes, before)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    # compare the IEEE bit patterns: signed zeros and last-ulp differences count
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def assert_kernels_match_references(state, diag, driver, angle):
+    amps = state.amplitudes
+    assert_same_bits(apply_x_rotations(state, driver, angle).amplitudes,
+                     reference_x_rotations(amps, driver.terms, angle))
+    assert_same_bits(apply_diagonal_phase(state, diag, angle).amplitudes,
+                     reference_diagonal_phase(amps, diag.diag, angle))
+    # the norm recurrence feeds real buffers, a_value complex ones
+    for buf in (amps, amps.real.copy(), diag.diag * amps):
+        assert_same_bits(driver_matvec(buf, driver.terms),
+                         reference_driver_matvec(buf, driver.terms))
+
+
+@st.composite
+def kernel_cases(draw):
+    graph = draw(weighted_graphs())
+    n = graph.n_nodes
+    weight = st.one_of(st.none(), st.just(1.0), st.floats(-3.0, 3.0))
+    terms = tuple((q, w) for q in range(n) if (w := draw(weight)) is not None)
+    # None starts from the uniform state, whose imaginary parts are exact zeros
+    seed = draw(st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+    state = (uniform_state(n) if seed is None
+             else StateVector(n, random_unit_state(np.random.default_rng(seed), n)))
+    angle = draw(st.floats(-10.0, 10.0))
+    return state, maxcut_hamiltonian(graph), DriverHamiltonian(n, terms), angle
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=kernel_cases())
+def test_kernels_bit_identical_to_per_pair_references(case):
+    assert_kernels_match_references(*case)
+
+
+def test_kernels_bit_identical_at_twelve_qubits():
+    graph = random_regular(12, 3, 42)
+    diag = maxcut_hamiltonian(graph)
+    values, index = diag.levels
+    assert values.size <= len(graph.edges) + 1
+    assert_same_bits(values[index], diag.diag)
+    rng = np.random.default_rng(12)
+    weighted = DriverHamiltonian(12, tuple((q, rng.uniform(-2, 2)) for q in range(0, 12, 2)))
+    state = uniform_state(12)
+    for driver in (driver_x(12), weighted):
+        for angle in (0.05, -0.7, 2.3):
+            assert_kernels_match_references(state, diag, driver, angle)
+            state = apply_x_rotations(apply_diagonal_phase(state, diag, angle), driver, angle)
+
+
+def test_invariant_checks_hold_under_optimize_flag():
+    # each check gets an operand smuggled past the constructors' own checks
+    script = textwrap.dedent("""
+        import numpy as np
+        from falqon.analysis import success_probability
+        from falqon.hamiltonian import DiagonalHamiltonian, driver_x
+        from falqon.statevector import (a_value, expectation_diagonal,
+                                        inner_product, uniform_state)
+
+        assert False, "asserts must be stripped under -O"
+        s = uniform_state(2)
+        object.__setattr__(s, "amplitudes", 2.0 * s.amplitudes)
+        w = uniform_state(2)
+        object.__setattr__(w, "amplitudes", 10.0 * np.array([1, 1j, -1, 1]))
+        d = DiagonalHamiltonian(2, np.array([0.0, -1.0, -1.0, 0.0]))
+        c = DiagonalHamiltonian(2, np.zeros(4))
+        object.__setattr__(c, "diag", np.array([1j, 0, 0, 0]))
+        checks = [lambda: inner_product(s, s), lambda: success_probability(s, [0, 1]),
+                  lambda: a_value(w, d, driver_x(2)), lambda: expectation_diagonal(s, c)]
+        for check in checks:
+            try:
+                check()
+            except AssertionError as exc:
+                print(exc)
+            else:
+                raise SystemExit("no AssertionError")
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(falqon.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 4
+    for line, text in zip(lines, ("inner product", "probability", "commutator",
+                                  "came out complex")):
+        assert text in line
