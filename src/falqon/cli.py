@@ -11,14 +11,13 @@ Four subcommands:
          With --trace it bounds a recorded run of the same instance, at
          the delta_t recorded in the summary.json beside the trace.
 
-Settings come from an optional JSON config file and are overridden by flags.
-Every subcommand takes its instance from --graph/--regular/--er or, failing
-those, from the config 'graph' entry; `graph` takes its generator seed from
---seed, the others from --graph-seed. A sweep builds and checks every cell's
-run settings before any cell runs, and only a sweep takes --jobs. All real
-numbers in output files carry 17 significant digits and every file is
-written with LF endings, so reruns of a fixed configuration are
-byte-identical. Output files are staged and moved
+Every flag and config value is a row of one table, SETTINGS; flags override
+the optional JSON config file, and both go through the row's parser. Every
+subcommand takes its instance from --graph/--regular/--er or, failing those,
+from the config 'graph' entry. A sweep builds and checks every cell's run
+settings before any cell runs. All real numbers in output files carry 17
+significant digits and every file is written with LF endings, so reruns of
+a fixed configuration are byte-identical. Output files are staged and moved
 into place only once all exist, so a failing command neither leaves partial
 output nor touches the results of an earlier one.
 
@@ -29,11 +28,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
+import math
 import os
 import sys
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,14 +82,14 @@ class _OutputSink:
     """Stages one command's output files and publishes them together.
 
     Used as a context manager. Each file is written under a temporary name in
-    the output directory; a clean exit moves every one into place with
-    os.replace once all exist, and any exit removes the remaining
-    temporaries, so a failed command leaves the results of an earlier one
-    untouched.
+    the output directory ($FALQON_OUT or '.' when ``out_dir`` is None); a
+    clean exit moves every one into place with os.replace once all exist,
+    and any exit removes the remaining temporaries, so a failed command
+    leaves the results of an earlier one untouched.
     """
 
     def __init__(self, out_dir):
-        self.out_dir = Path(out_dir)
+        self.out_dir = Path(os.environ.get(ENV_OUT_DIR, ".") if out_dir is None else out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.written: list[Path] = []
         self._staged: list[Path] = []
@@ -119,70 +122,158 @@ class _OutputSink:
                     staged.unlink()
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    cfg = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(cfg, dict):
-        raise UsageError(f"config {path} must hold a JSON object")
-    return cfg
+#: An absent flag or config entry.
+_MISSING = object()
+#: The default of a setting that must be given.
+_REQUIRED = object()
 
 
-def _pick(flag_value, cfg: dict, key: str, default=None):
-    """Flag beats config beats default."""
-    if flag_value is not None:
-        return flag_value
-    if key in cfg:
-        return cfg[key]
-    return default
-
-
-def _int(value, what: str) -> int:
-    """An integer setting: booleans and non-integral numbers are refused, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise UsageError(f"{what} must be an integer, got {value!r}")
-    try:
+def _integer(value, name: str) -> int:
+    """An integer; booleans and non-integral numbers are refused, not truncated."""
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{what} must be an integer, got {value!r}") from None
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        with contextlib.suppress(ValueError):
+            return int(value)
+    raise UsageError(f"{name} must be an integer, got {value!r}")
 
 
-def _float_list(value, what: str) -> list[float]:
-    if value is None:
-        raise UsageError(f"missing {what} (flag or config)")
+def _count(value, name: str) -> int:
+    if (n := _integer(value, name)) < 1:
+        raise UsageError(f"{name} must be at least 1, got {n}")
+    return n
+
+
+def _real(value, name: str) -> float:
+    """A finite real; booleans are refused, not read as 0 or 1."""
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        with contextlib.suppress(ValueError, OverflowError):
+            if math.isfinite(x := float(value)):
+                return x
+    raise UsageError(f"{name} must be a finite real number, got {value!r}")
+
+
+def _reals(value, name: str) -> list[float]:
+    """A non-empty list of reals, or a comma-separated string of them."""
     if isinstance(value, str):
         value = [tok for tok in value.split(",") if tok.strip()]
-    try:
-        out = [float(v) for v in value]
-    except (TypeError, ValueError):
-        raise UsageError(f"could not parse {what} from {value!r}") from None
-    if not out:
-        raise UsageError(f"{what} must be non-empty")
-    return out
+    if not (isinstance(value, list) and value):
+        raise UsageError(f"{name} must be a non-empty list of reals, got {value!r}")
+    return [_real(v, name) for v in value]
 
 
-def _seed_list(value) -> list[int]:
+def _seed_list(value, name: str) -> list[int]:
     """Seeds as a list, comma string, or 'a:b' half-open ranges."""
-    if value is None:
-        raise UsageError("missing seeds (flag or config)")
     if isinstance(value, str):
         out: list[int] = []
         for tok in value.split(","):
-            tok = tok.strip()
-            if not tok:
-                continue
             if ":" in tok:
                 a, b = tok.split(":", 1)
-                out.extend(range(int(a), int(b)))
-            else:
-                out.append(int(tok))
+                out.extend(range(_integer(a, name), _integer(b, name)))
+            elif tok.strip():
+                out.append(_integer(tok, name))
+    elif isinstance(value, list):
+        out = [_integer(v, name) for v in value]
     else:
-        if not isinstance(value, list):
-            raise UsageError(f"could not parse seeds from {value!r}")
-        out = [_int(v, "seed") for v in value]
+        raise UsageError(f"could not parse {name} from {value!r}")
     if not out:
-        raise UsageError("seeds must be non-empty")
+        raise UsageError(f"{name} must be non-empty")
     return out
+
+
+def _pair(value, name: str, second) -> tuple:
+    """The N and D of a regular graph, or the N and P of an Erdos-Renyi one."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise UsageError(f"{name} must be a two-item list, got {value!r}")
+    return _integer(value[0], name), second(value[1], name)
+
+
+def _kind(value, name: str) -> NoiseKind:
+    try:
+        return NoiseKind(value)
+    except ValueError:
+        raise UsageError(f"{name} must be none, systematic or independent, got {value!r}") from None
+
+
+def _path(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise UsageError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _switch(value, name: str) -> bool:
+    """A flag that takes no value: set when given."""
+    return value is True
+
+
+_regular = functools.partial(_pair, second=_integer)
+_er = functools.partial(_pair, second=_real)
+
+
+class Setting(NamedTuple):
+    """One row of the settings table, SETTINGS."""
+
+    dest: str
+    flag: str
+    key: str | None
+    parse: Callable[[object, str], object]
+    default: object
+    commands: tuple[str, ...]
+    help: str
+    metavar: tuple[str, str] | None = None
+
+
+_ALL = ("graph", "run", "sweep", "bound")
+_RUNS = ("run", "sweep", "bound")
+_SEED_HELP = "; without it the config graph entry's seed, else 0"
+_KIND_HELP = "error model kind: none, systematic or independent"
+
+#: Every flag of every subcommand. A row's flag sets ``dest`` on the command
+#: line and its key in the config file (dotted inside a section; None when
+#: only the flag sets it). ``parse`` turns a flag string or a config value
+#: into the typed value, or refuses it with a UsageError naming the setting.
+#: The default is parsed like a given value; None leaves the setting unset.
+#: The instance flags have no config key: ``_resolve_graph`` reads the
+#: config 'graph' entry, since any instance flag beats every source in it.
+SETTINGS = (
+    Setting("config", "--config", None, _path, None, _ALL,
+            "JSON config file; flags override its entries"),
+    Setting("out", "--out", "out", _path, None, ("graph",),
+            "output edge-list file; without it graph.edges in $FALQON_OUT, else in '.'"),
+    Setting("out", "--out", "out", _path, None, _RUNS,
+            "output directory; without it $FALQON_OUT, else '.'"),
+    Setting("graph", "--graph", None, _path, None, _ALL, "edge-list file to load"),
+    Setting("regular", "--regular", None, _regular, None, _ALL,
+            "random D-regular graph on N nodes", ("N", "D")),
+    Setting("er", "--er", None, _er, None, _ALL,
+            "Erdos-Renyi graph on N nodes with edge probability P", ("N", "P")),
+    Setting("graph_seed", "--seed", "seed", _integer, None, ("graph",),
+            "generator seed" + _SEED_HELP),
+    Setting("graph_seed", "--graph-seed", None, _integer, None, _RUNS,
+            "generator seed of an inline instance" + _SEED_HELP),
+    Setting("delta_t", "--delta-t", "delta_t", _real, 0.05, _RUNS, "layer time step"),
+    Setting("depth", "--depth", "depth", _integer, 200, _RUNS, "number of layers"),
+    Setting("lam", "--lambda", "lambda", _real, 0.5, _RUNS, "feedback regularization weight"),
+    Setting("w", "--w", "w", _real, 1.0, _RUNS, "feedback gain"),
+    Setting("noise", "--noise", "noise.kind", _kind, "none", ("run",), _KIND_HELP),
+    Setting("noise", "--noise", "noise.kind", _kind, "systematic", ("sweep",), _KIND_HELP),
+    Setting("epsilon_bar", "--epsilon-bar", "noise.epsilon_bar", _real, 0.0, ("run",),
+            "error magnitude bound"),
+    Setting("noise_seed", "--seed", "noise.seed", _integer, 0, ("run",), "noise seed"),
+    Setting("epsilon_bars", "--epsilon-bars", "epsilon_bars", _reals, _REQUIRED,
+            ("sweep", "bound"), "comma list of error bounds, e.g. 0.1,0.25"),
+    Setting("lambdas", "--lambdas", "lambdas", _reals, None, ("sweep",),
+            "comma list of regularization weights; without it the --lambda value"),
+    Setting("seeds", "--seeds", "seeds", _seed_list, _REQUIRED, ("sweep",),
+            "noise seeds: comma list and/or a:b ranges, e.g. 0:50"),
+    Setting("jobs", "--jobs", "jobs", _count, 1, ("sweep",), "worker processes for sweep cells"),
+    Setting("trace", "--trace", None, _path, None, ("bound",),
+            "trace.csv to take the control sequence from"),
+    Setting("draws", "--draws", "draws", _count, 100, ("bound",),
+            "independent error draws per bound row"),
+    Setting("seed", "--seed", "seed", _integer, 0, ("bound",), "error-draw seed"),
+    Setting("svg", "--svg", None, _switch, None, _RUNS, "also write SVG plots"),
+)
 
 
 def _section(cfg: dict, key: str) -> dict:
@@ -192,51 +283,69 @@ def _section(cfg: dict, key: str) -> dict:
     return value
 
 
-def _resolve_out_dir(args, cfg: dict) -> Path:
-    out = _pick(args.out, cfg, "out")
-    if out is None:
-        out = os.environ.get(ENV_OUT_DIR, ".")
-    return Path(out)
+def _settings(args) -> tuple[argparse.Namespace, dict]:
+    """The settings of ``args.command`` and the config they were read from.
+
+    A flag beats the config entry, which beats the row's default. A config
+    entry is parsed even when a flag overrides it, so a config value of the
+    wrong type is always refused. ``given`` names the settings that a flag
+    or the config set.
+    """
+    path = args.config
+    cfg = {} if path is _MISSING else json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(cfg, dict):
+        raise UsageError(f"config {path} must hold a JSON object")
+    values, given = {}, set()
+    for row in (r for r in SETTINGS if args.command in r.commands):
+        name, raws = row.key or row.flag, []
+        if row.key is not None:
+            *sections, leaf = row.key.split(".")
+            entries = functools.reduce(_section, sections, cfg)
+            raws = [entries[leaf]] if leaf in entries else []
+        if getattr(args, row.dest) is not _MISSING:
+            raws.append(getattr(args, row.dest))  # after the config entry, so it wins
+        if raws:
+            given.add(row.dest)
+        elif row.default is _REQUIRED:
+            raise UsageError(f"missing {name} (flag {row.flag} or config)")
+        elif row.default is not None:
+            raws = [row.default]
+        parsed = [row.parse(raw, name) for raw in raws]
+        values[row.dest] = parsed[-1] if parsed else None
+    return argparse.Namespace(given=given, **values), cfg
 
 
-def _resolve_graph(args, cfg: dict, seed) -> tuple[Graph, dict]:
+def _resolve_graph(s, cfg: dict) -> tuple[Graph, dict]:
     """Pick the instance source, flags first, then the config 'graph' entry,
     and build it; returns the graph and a config echo.
 
-    ``seed`` is the generator seed given on the command line; without one
-    the seed of the config 'graph' entry (default 0) is used.
+    Without a generator seed among the settings, the seed of the config
+    'graph' entry (default 0) is used.
     """
-    if sum(x is not None for x in (args.graph, args.regular, args.er)) > 1:
+    flags = {"path": s.graph, "regular": s.regular, "er": s.er}
+    if sum(v is not None for v in flags.values()) > 1:
         raise UsageError("give at most one of --graph, --regular, --er")
     gcfg = _section(cfg, "graph")
-    seed = _int(gcfg.get("seed", 0) if seed is None else seed, "graph seed")
-    flags = {"path": args.graph, "regular": args.regular, "er": args.er}
+    seed = _integer(gcfg.get("seed", 0), "graph seed") if s.graph_seed is None else s.graph_seed
     source = next((k for k, v in flags.items() if v is not None), None)
-    if source is not None:
-        value = flags[source]
-    else:
+    if source is None:
         source = next((k for k in flags if k in gcfg), None)
         if source is None:
             raise UsageError(
                 "no graph source: use --graph/--regular/--er or a config 'graph' entry"
             )
-        value = gcfg[source]
-        if source == "path" and not isinstance(value, str):
-            raise UsageError(f"config graph 'path' must be a string, got {value!r}")
-        if source != "path" and not (isinstance(value, list) and len(value) == 2):
-            raise UsageError(f"config graph {source!r} must be a two-item list, got {value!r}")
+        parse = {"path": _path, "regular": _regular, "er": _er}[source]
+        flags[source] = parse(gcfg[source], f"config graph {source!r}")
+    value = flags[source]
     if source == "path":
         graph = load_edge_list(value)
-        echo: dict = {"source": "file", "path": str(value)}
+        echo: dict = {"source": "file", "path": value}
     elif source == "regular":
-        n, d = (_int(v, "regular N and D") for v in value)
+        n, d = value
         graph = random_regular(n, d, seed)
         echo = {"source": "regular", "n": n, "d": d, "seed": seed}
     else:
-        try:
-            n, p = _int(value[0], "er N"), float(value[1])
-        except (IndexError, TypeError, ValueError):
-            raise UsageError(f"--er expects an integer and a real, got {value}") from None
+        n, p = value
         graph = erdos_renyi(n, p, seed)
         echo = {"source": "er", "n": n, "p": p, "seed": seed}
     echo["n_nodes"] = graph.n_nodes
@@ -244,31 +353,10 @@ def _resolve_graph(args, cfg: dict, seed) -> tuple[Graph, dict]:
     return graph, echo
 
 
-def _run_settings(args, cfg: dict):
-    delta_t = float(_pick(args.delta_t, cfg, "delta_t", 0.05))
-    depth = _int(_pick(args.depth, cfg, "depth", 200), "depth")
-    lam = float(_pick(args.lam, cfg, "lambda", 0.5))
-    gain = float(_pick(args.gain, cfg, "w", 1.0))
-    return delta_t, depth, lam, gain
-
-
-def _noise_settings(args, cfg: dict, default_kind: str):
-    ncfg = _section(cfg, "noise")
-    raw_kind = _pick(getattr(args, "noise", None), ncfg, "kind", default_kind)
-    try:
-        kind = NoiseKind(str(raw_kind))
-    except ValueError:
-        raise UsageError(f"unknown noise kind {raw_kind!r}") from None
-    epsilon_bar = float(_pick(getattr(args, "epsilon_bar", None), ncfg, "epsilon_bar", 0.0))
-    seed = _int(_pick(args.seed, ncfg, "seed", 0), "noise seed")
-    return kind, epsilon_bar, seed
-
-
 def cmd_graph(args) -> int:
-    cfg = _load_config(args.config)
-    graph, _ = _resolve_graph(args, cfg, _pick(args.seed, cfg, "seed"))
-    out = _pick(args.out, cfg, "out")
-    out = Path(os.environ.get(ENV_OUT_DIR, ".")) / "graph.edges" if out is None else Path(out)
+    s, cfg = _settings(args)
+    graph, _ = _resolve_graph(s, cfg)
+    out = Path(os.environ.get(ENV_OUT_DIR, ".")) / "graph.edges" if s.out is None else Path(s.out)
     with _OutputSink(out.parent) as sink:
         sink.write_text(out.name, format_edge_list(graph))
     print(f"nodes {graph.n_nodes} edges {len(graph.edges)} -> {out}")
@@ -279,20 +367,19 @@ def cmd_graph(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args.config)
-    graph, graph_echo = _resolve_graph(args, cfg, args.graph_seed)
-    delta_t, depth, lam, gain = _run_settings(args, cfg)
-    kind, epsilon_bar, noise_seed = _noise_settings(args, cfg, "none")
+    s, cfg = _settings(args)
+    graph, graph_echo = _resolve_graph(s, cfg)
     config = RunConfig(
-        graph, delta_t, depth,
-        FeedbackLaw(lam, gain),
-        NoiseModel(kind, epsilon_bar, noise_seed),
+        graph, s.delta_t, s.depth,
+        FeedbackLaw(s.lam, s.w),
+        NoiseModel(s.noise, s.epsilon_bar, s.noise_seed),
     )
-    with _OutputSink(_resolve_out_dir(args, cfg)) as sink:
+    with _OutputSink(s.out) as sink:
         trace = engine.run(config)
         diag = maxcut_hamiltonian(graph)
         driver = driver_x(graph.n_nodes)
-        report = analysis.lipschitz_from_betas(trace.betas, delta_t, diag, driver, epsilon_bar)
+        report = analysis.lipschitz_from_betas(trace.betas, s.delta_t, diag, driver,
+                                               s.epsilon_bar)
         p0, ground_states = ground_energy(diag)
         above = diag.diag[diag.diag > p0 + DEGENERACY_TOL]
         p1 = float(above.min()) if above.size else p0
@@ -300,16 +387,16 @@ def cmd_run(args) -> int:
         errors = trace.costs - trace.ground_energy
         rows = [
             [t + 1, trace.betas[t], trace.a_values[t], trace.costs[t], errors[t]]
-            for t in range(depth)
+            for t in range(s.depth)
         ]
         sink.write_csv("trace.csv", ["layer", "beta", "a", "cost", "cost_error"], rows)
         summary = {
             "graph": graph_echo,
-            "delta_t": delta_t,
-            "depth": depth,
-            "lambda": lam,
-            "w": gain,
-            "noise": {"kind": kind.value, "epsilon_bar": epsilon_bar, "seed": noise_seed},
+            "delta_t": s.delta_t,
+            "depth": s.depth,
+            "lambda": s.lam,
+            "w": s.w,
+            "noise": {"kind": s.noise.value, "epsilon_bar": s.epsilon_bar, "seed": s.noise_seed},
             "ground_energy": trace.ground_energy,
             "final_cost": float(trace.costs[-1]),
             "final_cost_error": trace.final_cost_error,
@@ -332,8 +419,8 @@ def cmd_run(args) -> int:
             },
         }
         sink.write_text("summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        if args.svg:
-            xs = list(range(1, depth + 1))
+        if s.svg:
+            xs = list(range(1, s.depth + 1))
             svg = plotting.line_plot_svg(
                 [("cost_error", xs, list(errors)), ("beta", xs, list(trace.betas))],
                 title="closed-loop trace", x_label="layer", y_label="value",
@@ -359,23 +446,15 @@ def _sweep_cell(configs: list[RunConfig]) -> tuple[analysis.SweepSummary, list]:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    graph, _ = _resolve_graph(args, cfg, args.graph_seed)
-    delta_t, depth, lam, gain = _run_settings(args, cfg)
-    kind, _, _ = _noise_settings(args, cfg, "systematic")
-    if kind is NoiseKind.NONE:
+    s, cfg = _settings(args)
+    graph, _ = _resolve_graph(s, cfg)
+    if s.noise is NoiseKind.NONE:
         raise UsageError("sweep needs a noisy kind: systematic or independent")
-    epsilon_bars = _float_list(_pick(args.epsilon_bars, cfg, "epsilon_bars"), "epsilon_bars")
-    lambdas_raw = _pick(args.lambdas, cfg, "lambdas")
-    lambdas = _float_list(lambdas_raw, "lambdas") if lambdas_raw is not None else [lam]
-    seeds = _seed_list(_pick(args.seeds, cfg, "seeds"))
-    jobs = _int(_pick(args.jobs, cfg, "jobs", 1), "jobs")
-    if jobs < 1:
-        raise UsageError(f"jobs must be at least 1, got {jobs}")
+    lambdas = [s.lam] if s.lambdas is None else s.lambdas
     cells = [
-        (eb, lv, [RunConfig(graph, delta_t, depth, FeedbackLaw(lv, gain),
-                            NoiseModel(kind, eb, seed)) for seed in seeds])
-        for eb in epsilon_bars
+        (eb, lv, [RunConfig(graph, s.delta_t, s.depth, FeedbackLaw(lv, s.w),
+                            NoiseModel(s.noise, eb, seed)) for seed in s.seeds])
+        for eb in s.epsilon_bars
         for lv in lambdas
     ]
     names = [f"cell_eps{eb:g}_lam{lv:g}.csv" for eb, lv, _ in cells]
@@ -383,7 +462,7 @@ def cmd_sweep(args) -> int:
         if name in names[:i]:
             raise UsageError(f"two sweep cells would both write {name}")
     results = []
-    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1
+    with (ProcessPoolExecutor(max_workers=s.jobs) if s.jobs > 1
           else contextlib.nullcontext()) as pool:
         outcomes = (pool.map if pool else map)(_sweep_cell, [c for _, _, c in cells])
         for eb, lv, _ in cells:
@@ -393,22 +472,22 @@ def cmd_sweep(args) -> int:
                 raise RuntimeError(
                     f"cell epsilon_bar={eb:g} lambda={lv:g} failed: {exc}"
                 ) from exc
-    with _OutputSink(_resolve_out_dir(args, cfg)) as sink:
+    with _OutputSink(s.out) as sink:
         for name, (_, rows) in zip(names, results):
             sink.write_csv(name, ["seed", "final_cost", "final_cost_error", "fidelity"], rows)
         sink.write_csv(
             "aggregate.csv",
             ["epsilon_bar", "lambda", "n_seeds",
              "mean_final_cost_error", "std_final_cost_error"],
-            [[s.epsilon_bar, s.lam, s.n_seeds, s.mean_final_cost_error, s.std_final_cost_error]
-             for s, _ in results],
+            [[c.epsilon_bar, c.lam, c.n_seeds, c.mean_final_cost_error, c.std_final_cost_error]
+             for c, _ in results],
         )
-        if args.svg:
+        if s.svg:
             series = []
             for lv in lambdas:
-                picked = [s for s, _ in results if s.lam == lv]
-                series.append((f"lambda={lv:g}", [s.epsilon_bar for s in picked],
-                               [s.mean_final_cost_error for s in picked]))
+                picked = [c for c, _ in results if c.lam == lv]
+                series.append((f"lambda={lv:g}", [c.epsilon_bar for c in picked],
+                               [c.mean_final_cost_error for c in picked]))
             sink.write_text(
                 "sweep.svg",
                 plotting.line_plot_svg(
@@ -417,11 +496,11 @@ def cmd_sweep(args) -> int:
                 ),
             )
     print(f"wrote {', '.join(str(p) for p in sink.written)}")
-    for s, _ in results:
+    for c, _ in results:
         print(
-            f"epsilon_bar {s.epsilon_bar:g} lambda {s.lam:g}: "
-            f"mean error {_fmt(s.mean_final_cost_error)} "
-            f"(std {_fmt(s.std_final_cost_error)}, n={s.n_seeds})"
+            f"epsilon_bar {c.epsilon_bar:g} lambda {c.lam:g}: "
+            f"mean error {_fmt(c.mean_final_cost_error)} "
+            f"(std {_fmt(c.std_final_cost_error)}, n={c.n_seeds})"
         )
     return EXIT_OK
 
@@ -437,16 +516,9 @@ def _read_trace_betas(path: Path) -> np.ndarray:
         raise UsageError(f"{path} has no 'beta' column") from None
     betas = []
     for row, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        try:
-            beta = float(parts[col])
-        except (ValueError, IndexError):
-            raise UsageError(f"{path}: unreadable row {line!r}") from None
-        if not np.isfinite(beta):
-            raise UsageError(f"{path} row {row}: beta {parts[col]} is not finite")
-        betas.append(beta)
+        if line.strip():
+            parts = line.split(",")
+            betas.append(_real(parts[col] if col < len(parts) else None, f"{path} row {row} beta"))
     if not betas:
         raise UsageError(f"{path} has no data rows")
     return np.array(betas)
@@ -461,7 +533,7 @@ def _trace_delta_t(trace: Path, given, graph: Graph, ground: float) -> float:
     if not path.exists():
         if given is None:
             raise UsageError(f"no {path} to take delta_t from; give --delta-t")
-        return float(given)
+        return given
     summary = json.loads(path.read_text(encoding="utf-8"))
     run_graph = summary.get("graph") if isinstance(summary, dict) else None
     if not isinstance(run_graph, dict):
@@ -471,34 +543,28 @@ def _trace_delta_t(trace: Path, given, graph: Graph, ground: float) -> float:
     if there != here:
         raise UsageError(f"{path} records a run on another instance: (nodes, edges, "
                          f"ground energy) {there}, here {here}")
-    delta_t = summary.get("delta_t")
-    if not isinstance(delta_t, (int, float)):
-        raise UsageError(f"{path} records no delta_t")
-    if given is not None and float(given) != delta_t:
+    delta_t = _real(summary.get("delta_t"), f"delta_t in {path}")
+    if given is not None and given != delta_t:
         raise UsageError(f"delta_t {given} disagrees with {delta_t} in {path}")
-    return float(delta_t)
+    return delta_t
 
 
 def cmd_bound(args) -> int:
-    cfg = _load_config(args.config)
-    graph, _ = _resolve_graph(args, cfg, args.graph_seed)
-    delta_t, depth, lam, gain = _run_settings(args, cfg)
+    s, cfg = _settings(args)
+    graph, _ = _resolve_graph(s, cfg)
+    delta_t, depth, draws = s.delta_t, s.depth, s.draws
     diag = maxcut_hamiltonian(graph)
     driver = driver_x(graph.n_nodes)
-    if args.trace is not None:
-        betas = _read_trace_betas(Path(args.trace))
+    if s.trace is not None:
+        betas = _read_trace_betas(Path(s.trace))
         depth = betas.size
-        delta_t = _trace_delta_t(Path(args.trace), _pick(args.delta_t, cfg, "delta_t"),
+        # without a given delta_t the run's own applies, not the default
+        delta_t = _trace_delta_t(Path(s.trace), delta_t if "delta_t" in s.given else None,
                                  graph, ground_energy(diag)[0])
     else:
-        config = RunConfig(graph, delta_t, depth, FeedbackLaw(lam, gain), NoiseModel())
+        config = RunConfig(graph, delta_t, depth, FeedbackLaw(s.lam, s.w), NoiseModel())
         betas = engine.run_nominal(config).betas
-    epsilon_bars = _float_list(_pick(args.epsilon_bars, cfg, "epsilon_bars"), "epsilon_bars")
-    draws = _int(_pick(args.draws, cfg, "draws", 100), "draws")
-    if draws < 1:
-        raise UsageError(f"draws must be at least 1, got {draws}")
-    seed = _int(_pick(args.seed, cfg, "seed", 0), "seed")
-    models = [NoiseModel(NoiseKind.INDEPENDENT, eb, seed) for eb in epsilon_bars]
+    models = [NoiseModel(NoiseKind.INDEPENDENT, eb, s.seed) for eb in s.epsilon_bars]
     base = analysis.lipschitz_from_betas(betas, delta_t, diag, driver, 0.0)
     l_value = base.l_value
     ideal = engine.replay(betas, np.zeros_like(betas), delta_t, diag, driver)
@@ -514,14 +580,14 @@ def cmd_bound(args) -> int:
             for i in range(draws)
         )
         rows.append([eb, l_value, floor, empirical, draws, vacuous])
-    with _OutputSink(_resolve_out_dir(args, cfg)) as sink:
+    with _OutputSink(s.out) as sink:
         sink.write_csv(
             "bound.csv",
             ["epsilon_bar", "l_value", "fidelity_lower_bound",
              "empirical_min_fidelity", "draws", "vacuous"],
             rows,
         )
-        if args.svg:
+        if s.svg:
             xs = [r[0] for r in rows]
             sink.write_text(
                 "bound.svg",
@@ -542,63 +608,27 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Feedback-driven MaxCut optimization on a dense statevector simulator.",
     )
     sub = parser.add_subparsers(dest="command")
-
-    def add_common(sp, out_help):
-        sp.add_argument("--config", help="JSON config file; flags override its entries")
-        sp.add_argument("--out", help=out_help)
-        sp.add_argument("--seed", type=int, help="noise/draw seed (generator seed for 'graph')")
-        sp.add_argument("--svg", action="store_true", help="also write SVG plots")
-
-    def add_graph_source(sp):
-        sp.add_argument("--graph", help="edge-list file to load")
-        sp.add_argument("--regular", nargs=2, type=int, metavar=("N", "D"),
-                        help="random D-regular graph on N nodes")
-        sp.add_argument("--er", nargs=2, metavar=("N", "P"),
-                        help="Erdos-Renyi graph on N nodes with edge probability P")
-
-    def add_run_params(sp, with_noise=True):
-        sp.add_argument("--graph-seed", type=int,
-                        help="generator seed when the instance is built inline")
-        sp.add_argument("--delta-t", type=float, help="layer time step (default 0.05)")
-        sp.add_argument("--depth", type=int, help="number of layers (default 200)")
-        sp.add_argument("--lambda", dest="lam", type=float,
-                        help="feedback regularization weight (default 0.5)")
-        sp.add_argument("--w", dest="gain", type=float, help="feedback gain (default 1)")
-        if with_noise:
-            sp.add_argument("--noise", choices=[k.value for k in NoiseKind],
-                            help="error model kind")
-            sp.add_argument("--epsilon-bar", type=float, help="error magnitude bound")
-
-    sp = sub.add_parser("graph", help="generate or normalize an instance file")
-    add_common(sp, out_help="output edge-list file (default: graph.edges in $FALQON_OUT or '.')")
-    add_graph_source(sp)
-    sp.set_defaults(handler=cmd_graph)
-
-    sp = sub.add_parser("run", help="one closed-loop run")
-    add_common(sp, out_help="output directory (default: $FALQON_OUT or '.')")
-    add_graph_source(sp)
-    add_run_params(sp)
-    sp.set_defaults(handler=cmd_run)
-
-    sp = sub.add_parser("sweep", help="grid of (epsilon_bar, lambda) cells over seeds")
-    add_common(sp, out_help="output directory (default: $FALQON_OUT or '.')")
-    add_graph_source(sp)
-    add_run_params(sp)
-    sp.add_argument("--epsilon-bars", help="comma list of error bounds, e.g. 0.1,0.25")
-    sp.add_argument("--lambdas", help="comma list of regularization weights")
-    sp.add_argument("--seeds", help="comma list and/or a:b ranges, e.g. 0:50")
-    sp.add_argument("--jobs", type=int, help="worker processes for sweep cells")
-    sp.set_defaults(handler=cmd_sweep)
-
-    sp = sub.add_parser("bound", help="fidelity lower bound vs empirical minimum")
-    add_common(sp, out_help="output directory (default: $FALQON_OUT or '.')")
-    add_graph_source(sp)
-    add_run_params(sp, with_noise=False)
-    sp.add_argument("--trace", help="trace.csv to take the control sequence from")
-    sp.add_argument("--epsilon-bars", help="comma list of error bounds")
-    sp.add_argument("--draws", type=int, help="independent error draws per bound row (default 100)")
-    sp.set_defaults(handler=cmd_bound)
-
+    for command, handler, text in (
+        ("graph", cmd_graph, "generate or normalize an instance file"),
+        ("run", cmd_run, "one closed-loop run"),
+        ("sweep", cmd_sweep, "grid of (epsilon_bar, lambda) cells over seeds"),
+        ("bound", cmd_bound, "fidelity lower bound vs empirical minimum"),
+    ):
+        # Flags are spelled out in full, so a flag that one subcommand lacks
+        # is refused there, not read as a longer flag that it starts.
+        sp = sub.add_parser(command, help=text, allow_abbrev=False)
+        sp.set_defaults(handler=handler)
+        for row in SETTINGS:
+            if command not in row.commands:
+                continue
+            if row.parse is _switch:
+                shape: dict = {"action": "store_true"}
+            else:
+                shape = {"nargs": 2, "metavar": row.metavar} if row.metavar else {}
+            note = ("" if row.default is None else " (required)" if row.default is _REQUIRED
+                    else f" (default {row.default})")
+            sp.add_argument(row.flag, dest=row.dest, default=_MISSING, help=row.help + note,
+                            **shape)
     return parser
 
 

@@ -156,7 +156,8 @@ def a_value(state: StateVector, diag: "DiagonalHamiltonian",
     amps = state.amplitudes
     z = np.vdot(amps, driver_matvec(diag.diag * amps, driver.terms))
     val = -2.0 * float(z.imag)
-    limit = 2.0 * float(np.max(np.abs(diag.diag))) * driver.abs_weight_sum
+    values = diag.levels[0]  # sorted, so max|diag| sits at one of the two ends
+    limit = 2.0 * max(abs(float(values[0])), abs(float(values[-1]))) * driver.abs_weight_sum
     if not abs(val) <= limit * (1.0 + 1e-12) + 1e-12:
         raise AssertionError(f"commutator expectation {val} exceeds operator bound {limit}")
     return val

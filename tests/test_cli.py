@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from falqon import plotting
-from falqon.cli import main
+from falqon.cli import SETTINGS, _build_parser, main
 from falqon.graphs import (
     load_edge_list,
     parse_edge_list,
@@ -52,10 +53,12 @@ def test_graph_rejects_impossible_parameters(tmp_path):
     assert run_cli("graph", "--regular", "5", "3", "--out", str(out)) == 2
     assert not out.exists()
     assert run_cli("graph", "--out", str(out)) == 2
-    # the generator seed of 'graph' is --seed; --graph-seed is not accepted
-    with pytest.raises(SystemExit) as info:
-        run_cli("graph", "--regular", "8", "3", "--graph-seed", "5", "--out", str(out))
-    assert info.value.code == 2
+    # the generator seed of 'graph' is --seed; --graph-seed is not accepted,
+    # and 'graph' writes no plot
+    for flags in (("--graph-seed", "5"), ("--svg",)):
+        with pytest.raises(SystemExit) as info:
+            run_cli("graph", "--regular", "8", "3", *flags, "--out", str(out))
+        assert info.value.code == 2
     assert not out.exists()
 
 
@@ -154,11 +157,13 @@ def test_run_invalid_parameters_exit_2(tmp_path, capsys):
                    "--depth", "600") == 2
     assert run_cli("bound", "--regular", "4", "3", "--depth", "2", "--draws", "1",
                    "--epsilon-bars", "nan", "--out", str(out)) == 2
-    # only a sweep has cells to spread over worker processes
-    for command in ("run", "bound"):
+    # only a sweep has cells to spread over worker processes, and a sweep takes
+    # its noise seeds and error bounds from --seeds and --epsilon-bars alone
+    grid = ("--seeds", "0", "--epsilon-bars", "0.1")
+    for argv in (("run", "--jobs", "7"), ("bound", "--jobs", "7"),
+                 ("sweep", *grid, "--seed", "7"), ("sweep", *grid, "--epsilon-bar", "0.3")):
         with pytest.raises(SystemExit) as info:
-            run_cli(command, "--regular", "4", "3", "--depth", "3", "--jobs", "7",
-                    "--out", str(out))
+            run_cli(*argv, "--regular", "4", "3", "--depth", "3", "--out", str(out))
         assert info.value.code == 2
     # integer settings from a config file are refused, not truncated
     cfg = tmp_path / "cfg.json"
@@ -168,6 +173,12 @@ def test_run_invalid_parameters_exit_2(tmp_path, capsys):
         ("bound", {"draws": 2.5}), ("bound", {"seed": False}),
         # a noise entry that is not an object is refused, not run as nominal
         ("run", {"noise": 5}), ("run", {"noise": "systematic"}),
+        # real and path settings of the wrong JSON type are refused, not a traceback
+        ("run", {"delta_t": [1]}), ("run", {"delta_t": None}), ("run", {"out": 5}),
+        ("bound", {"delta_t": [0.05]}), ("run", {"lambda": {"a": 1}}),
+        ("run", {"noise": {"kind": "systematic", "epsilon_bar": [0.1]}}),
+        # booleans are not reals
+        ("run", {"lambda": True}), ("bound", {"epsilon_bars": [False]}),
     ):
         cfg.write_text(json.dumps({"depth": 2, "epsilon_bars": [0.1], **entries}))
         assert run_cli(command, "--regular", "4", "3", "--config", str(cfg),
@@ -425,3 +436,12 @@ def test_svg_outputs(tmp_path):
 
 def test_no_subcommand_prints_usage():
     assert main([]) == 2
+
+
+@pytest.mark.parametrize("command", ["graph", "run", "sweep", "bound"])
+def test_parser_flags_match_settings_table(command):
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = [flag for action in sub.choices[command]._actions
+             for flag in action.option_strings if flag not in ("-h", "--help")]
+    assert sorted(flags) == sorted(row.flag for row in SETTINGS if command in row.commands)
