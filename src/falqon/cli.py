@@ -12,14 +12,15 @@ Four subcommands:
          the delta_t recorded in the summary.json beside the trace.
 
 Every flag and config value is a row of one table, SETTINGS; flags override
-the optional JSON config file, and both go through the row's parser. Every
-subcommand takes its instance from --graph/--regular/--er or, failing those,
-from the config 'graph' entry. A sweep builds and checks every cell's run
-settings before any cell runs. All real numbers in output files carry 17
-significant digits and every file is written with LF endings, so reruns of
-a fixed configuration are byte-identical. Output files are staged and moved
-into place only once all exist, so a failing command neither leaves partial
-output nor touches the results of an earlier one.
+the optional JSON config file, both go through the row's parser, and a config
+entry that no row reads is refused. Every subcommand takes its instance from
+exactly one source: one of --graph/--regular/--er or, failing those, one of
+the config's graph.path/graph.regular/graph.er. A sweep builds and checks
+every cell's run settings before any cell runs. All real numbers in output
+files carry 17 significant digits and every file is written with LF endings,
+so reruns of a fixed configuration are byte-identical. Output files are
+staged and moved into place only once all exist, so a failing command
+neither leaves partial output nor touches the results of an earlier one.
 
 Exit codes: 0 on success, 1 for runtime failures (generator retry exhaustion,
 I/O), 2 for bad flags, bad config or invalid parameter combinations.
@@ -225,7 +226,6 @@ class Setting(NamedTuple):
 
 _ALL = ("graph", "run", "sweep", "bound")
 _RUNS = ("run", "sweep", "bound")
-_SEED_HELP = "; without it the config graph entry's seed, else 0"
 _KIND_HELP = "error model kind: none, systematic or independent"
 
 #: Every flag of every subcommand. A row's flag sets ``dest`` on the command
@@ -233,8 +233,6 @@ _KIND_HELP = "error model kind: none, systematic or independent"
 #: only the flag sets it). ``parse`` turns a flag string or a config value
 #: into the typed value, or refuses it with a UsageError naming the setting.
 #: The default is parsed like a given value; None leaves the setting unset.
-#: The instance flags have no config key: ``_resolve_graph`` reads the
-#: config 'graph' entry, since any instance flag beats every source in it.
 SETTINGS = (
     Setting("config", "--config", None, _path, None, _ALL,
             "JSON config file; flags override its entries"),
@@ -242,15 +240,14 @@ SETTINGS = (
             "output edge-list file; without it graph.edges in $FALQON_OUT, else in '.'"),
     Setting("out", "--out", "out", _path, None, _RUNS,
             "output directory; without it $FALQON_OUT, else '.'"),
-    Setting("graph", "--graph", None, _path, None, _ALL, "edge-list file to load"),
-    Setting("regular", "--regular", None, _regular, None, _ALL,
+    Setting("graph", "--graph", "graph.path", _path, None, _ALL, "edge-list file to load"),
+    Setting("regular", "--regular", "graph.regular", _regular, None, _ALL,
             "random D-regular graph on N nodes", ("N", "D")),
-    Setting("er", "--er", None, _er, None, _ALL,
+    Setting("er", "--er", "graph.er", _er, None, _ALL,
             "Erdos-Renyi graph on N nodes with edge probability P", ("N", "P")),
-    Setting("graph_seed", "--seed", "seed", _integer, None, ("graph",),
-            "generator seed" + _SEED_HELP),
-    Setting("graph_seed", "--graph-seed", None, _integer, None, _RUNS,
-            "generator seed of an inline instance" + _SEED_HELP),
+    Setting("graph_seed", "--seed", "graph.seed", _integer, 0, ("graph",), "generator seed"),
+    Setting("graph_seed", "--graph-seed", "graph.seed", _integer, 0, _RUNS,
+            "generator seed of an inline instance"),
     Setting("delta_t", "--delta-t", "delta_t", _real, 0.05, _RUNS, "layer time step"),
     Setting("depth", "--depth", "depth", _integer, 200, _RUNS, "number of layers"),
     Setting("lam", "--lambda", "lambda", _real, 0.5, _RUNS, "feedback regularization weight"),
@@ -283,82 +280,73 @@ def _section(cfg: dict, key: str) -> dict:
     return value
 
 
-def _settings(args) -> tuple[argparse.Namespace, dict]:
-    """The settings of ``args.command`` and the config they were read from.
+def _settings(args) -> argparse.Namespace:
+    """The settings of ``args.command``.
 
     A flag beats the config entry, which beats the row's default. A config
     entry is parsed even when a flag overrides it, so a config value of the
-    wrong type is always refused. ``given`` names the settings that a flag
-    or the config set.
+    wrong type is always refused, and an entry that no row of any subcommand
+    reads is refused too. ``given`` maps each setting that a flag or the
+    config set to "flag" or "config".
     """
     path = args.config
     cfg = {} if path is _MISSING else json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(cfg, dict):
         raise UsageError(f"config {path} must hold a JSON object")
-    values, given = {}, set()
+    keys = {row.key for row in SETTINGS if row.key}
+    sections = {key.partition(".")[0] for key in keys if "." in key}
+    named = {*cfg, *(f"{k}.{leaf}" for k in sections if isinstance(cfg.get(k), dict)
+                     for leaf in cfg[k])}
+    if unknown := sorted(named - keys - sections):
+        raise UsageError(f"unknown config entries: {', '.join(unknown)}")
+    values, given = {}, {}
     for row in (r for r in SETTINGS if args.command in r.commands):
-        name, raws = row.key or row.flag, []
+        raws = []
         if row.key is not None:
-            *sections, leaf = row.key.split(".")
-            entries = functools.reduce(_section, sections, cfg)
-            raws = [entries[leaf]] if leaf in entries else []
+            *names, leaf = row.key.split(".")
+            section = functools.reduce(_section, names, cfg)
+            if leaf in section:
+                raws, given[row.dest] = [(section[leaf], row.key)], "config"
         if getattr(args, row.dest) is not _MISSING:
-            raws.append(getattr(args, row.dest))  # after the config entry, so it wins
-        if raws:
-            given.add(row.dest)
-        elif row.default is _REQUIRED:
-            raise UsageError(f"missing {name} (flag {row.flag} or config)")
-        elif row.default is not None:
-            raws = [row.default]
-        parsed = [row.parse(raw, name) for raw in raws]
+            raws.append((getattr(args, row.dest), row.flag))  # after the config entry, so it wins
+            given[row.dest] = "flag"
+        if not raws and row.default is _REQUIRED:
+            raise UsageError(f"missing {row.key} (flag {row.flag} or config)")
+        if not raws and row.default is not None:
+            raws = [(row.default, row.key or row.flag)]
+        parsed = [row.parse(raw, name) for raw, name in raws]
         values[row.dest] = parsed[-1] if parsed else None
-    return argparse.Namespace(given=given, **values), cfg
+    return argparse.Namespace(given=given, **values)
 
 
-def _resolve_graph(s, cfg: dict) -> tuple[Graph, dict]:
-    """Pick the instance source, flags first, then the config 'graph' entry,
-    and build it; returns the graph and a config echo.
-
-    Without a generator seed among the settings, the seed of the config
-    'graph' entry (default 0) is used.
-    """
-    flags = {"path": s.graph, "regular": s.regular, "er": s.er}
-    if sum(v is not None for v in flags.values()) > 1:
-        raise UsageError("give at most one of --graph, --regular, --er")
-    gcfg = _section(cfg, "graph")
-    seed = _integer(gcfg.get("seed", 0), "graph seed") if s.graph_seed is None else s.graph_seed
-    source = next((k for k, v in flags.items() if v is not None), None)
-    if source is None:
-        source = next((k for k in flags if k in gcfg), None)
-        if source is None:
-            raise UsageError(
-                "no graph source: use --graph/--regular/--er or a config 'graph' entry"
-            )
-        parse = {"path": _path, "regular": _regular, "er": _er}[source]
-        flags[source] = parse(gcfg[source], f"config graph {source!r}")
-    value = flags[source]
-    if source == "path":
-        graph = load_edge_list(value)
-        echo: dict = {"source": "file", "path": value}
-    elif source == "regular":
-        n, d = value
-        graph = random_regular(n, d, seed)
-        echo = {"source": "regular", "n": n, "d": d, "seed": seed}
+def _resolve_graph(s) -> tuple[Graph, dict]:
+    """Build the instance from its one source, a flag before any config
+    entry; returns the graph and a config echo."""
+    picked = ([k for k in ("graph", "regular", "er") if s.given.get(k) == "flag"]
+              or [k for k in ("graph", "regular", "er") if k in s.given])
+    if len(picked) != 1:
+        raise UsageError("give one instance source: one of --graph, --regular, --er, "
+                         "else one of the config's graph.path, graph.regular, graph.er")
+    if picked == ["graph"]:
+        graph = load_edge_list(s.graph)
+        echo: dict = {"source": "file", "path": s.graph}
+    elif picked == ["regular"]:
+        n, d = s.regular
+        graph = random_regular(n, d, s.graph_seed)
+        echo = {"source": "regular", "n": n, "d": d, "seed": s.graph_seed}
     else:
-        n, p = value
-        graph = erdos_renyi(n, p, seed)
-        echo = {"source": "er", "n": n, "p": p, "seed": seed}
-    echo["n_nodes"] = graph.n_nodes
-    echo["n_edges"] = len(graph.edges)
-    return graph, echo
+        n, p = s.er
+        graph = erdos_renyi(n, p, s.graph_seed)
+        echo = {"source": "er", "n": n, "p": p, "seed": s.graph_seed}
+    return graph, {**echo, "n_nodes": graph.n_nodes, "n_edges": len(graph.edges)}
 
 
 def cmd_graph(args) -> int:
-    s, cfg = _settings(args)
-    graph, _ = _resolve_graph(s, cfg)
-    out = Path(os.environ.get(ENV_OUT_DIR, ".")) / "graph.edges" if s.out is None else Path(s.out)
-    with _OutputSink(out.parent) as sink:
-        sink.write_text(out.name, format_edge_list(graph))
+    s = _settings(args)
+    graph, _ = _resolve_graph(s)
+    out = Path("graph.edges" if s.out is None else s.out)
+    with _OutputSink(None if s.out is None else out.parent) as sink:
+        out = sink.write_text(out.name, format_edge_list(graph))
     print(f"nodes {graph.n_nodes} edges {len(graph.edges)} -> {out}")
     if graph.n_nodes <= BRUTE_FORCE_MAX_NODES:
         value, arg = max_cut_brute_force(graph)
@@ -367,8 +355,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_run(args) -> int:
-    s, cfg = _settings(args)
-    graph, graph_echo = _resolve_graph(s, cfg)
+    s = _settings(args)
+    graph, graph_echo = _resolve_graph(s)
     config = RunConfig(
         graph, s.delta_t, s.depth,
         FeedbackLaw(s.lam, s.w),
@@ -446,8 +434,8 @@ def _sweep_cell(configs: list[RunConfig]) -> tuple[analysis.SweepSummary, list]:
 
 
 def cmd_sweep(args) -> int:
-    s, cfg = _settings(args)
-    graph, _ = _resolve_graph(s, cfg)
+    s = _settings(args)
+    graph, _ = _resolve_graph(s)
     if s.noise is NoiseKind.NONE:
         raise UsageError("sweep needs a noisy kind: systematic or independent")
     lambdas = [s.lam] if s.lambdas is None else s.lambdas
@@ -550,12 +538,16 @@ def _trace_delta_t(trace: Path, given, graph: Graph, ground: float) -> float:
 
 
 def cmd_bound(args) -> int:
-    s, cfg = _settings(args)
-    graph, _ = _resolve_graph(s, cfg)
+    s = _settings(args)
+    graph, _ = _resolve_graph(s)
     delta_t, depth, draws = s.delta_t, s.depth, s.draws
     diag = maxcut_hamiltonian(graph)
     driver = driver_x(graph.n_nodes)
     if s.trace is not None:
+        # the trace fixes the control sequence, which these settings would make
+        for dest, flag in (("depth", "--depth"), ("lam", "--lambda"), ("w", "--w")):
+            if s.given.get(dest) == "flag":
+                raise UsageError(f"{flag} does not apply with --trace")
         betas = _read_trace_betas(Path(s.trace))
         depth = betas.size
         # without a given delta_t the run's own applies, not the default

@@ -1,5 +1,6 @@
 import argparse
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,10 +131,14 @@ def test_run_config_file_with_flag_override(tmp_path):
     assert summary["graph"]["seed"] == 42
 
 
-def test_run_defaults_out_dir_to_env(tmp_path, monkeypatch):
+def test_run_defaults_out_dir_to_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("FALQON_OUT", str(tmp_path / "envout"))
     assert run_cli("run", "--regular", "4", "3", "--depth", "5") == 0
     assert (tmp_path / "envout" / "trace.csv").exists()
+    capsys.readouterr()
+    assert run_cli("graph", "--regular", "4", "3") == 0
+    assert (tmp_path / "envout" / "graph.edges").exists()
+    assert f"-> {tmp_path / 'envout' / 'graph.edges'}" in capsys.readouterr().out
 
 
 def test_run_bad_config_json_is_usage_error(tmp_path):
@@ -186,16 +191,77 @@ def test_run_invalid_parameters_exit_2(tmp_path, capsys):
     # a malformed config graph entry is a usage error, not a traceback
     for entries, message in (
         ({"graph": 5}, "config 'graph' must be a JSON object"),
-        ({"graph": {"regular": 8}}, "'regular' must be a two-item list"),
-        ({"graph": {"regular": [8, 3, 1]}}, "'regular' must be a two-item list"),
-        ({"graph": {"er": "80.5"}}, "'er' must be a two-item list"),
-        ({"graph": {"path": 5}}, "'path' must be a string"),
+        ({"graph": {"regular": 8}}, "graph.regular must be a two-item list"),
+        ({"graph": {"regular": [8, 3, 1]}}, "graph.regular must be a two-item list"),
+        ({"graph": {"er": "80.5"}}, "graph.er must be a two-item list"),
+        ({"graph": {"path": 5}}, "graph.path must be a string"),
     ):
         cfg.write_text(json.dumps({"depth": 2, **entries}))
         capsys.readouterr()
         assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2, entries
         assert message in capsys.readouterr().err, entries
+    # a config entry that no setting reads is refused and named, not ignored
+    for entries, names in (
+        ({"dept": 7}, "dept"),
+        ({"noise": {"knd": "systematic"}}, "noise.knd"),
+        ({"graph": {"regular": [4, 3], "sed": 3}}, "graph.sed"),
+        ({"dept": 7, "noise": {"knd": "systematic"}, "graph": {"regular": [4, 3], "sed": 3}},
+         "dept, graph.sed, noise.knd"),
+    ):
+        cfg.write_text(json.dumps({"graph": {"regular": [4, 3]}, **entries}))
+        for command in ("graph", "run"):
+            capsys.readouterr()
+            assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2, entries
+            assert f"unknown config entries: {names}" in capsys.readouterr().err, entries
     assert not out.exists()
+
+
+def test_one_config_drives_every_command(tmp_path):
+    # a key that one subcommand does not read is still legal there
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "graph": {"regular": [6, 3], "seed": 1}, "delta_t": 0.05, "depth": 4,
+        "lambda": 1.0, "w": 1.0,
+        "noise": {"kind": "independent", "epsilon_bar": 0.1, "seed": 2},
+        "epsilon_bars": [0.1], "lambdas": [0.5], "seeds": [0, 1], "jobs": 1,
+        "draws": 2, "seed": 3,
+    }))
+    for command, out, names in (
+        ("graph", tmp_path / "g.edges", None),
+        ("run", tmp_path / "run", ["summary.json", "trace.csv"]),
+        ("sweep", tmp_path / "sweep", ["aggregate.csv", "cell_eps0.1_lam0.5.csv"]),
+        ("bound", tmp_path / "bound", ["bound.csv"]),
+    ):
+        assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 0, command
+        if names:
+            assert sorted(p.name for p in out.iterdir()) == names
+    assert load_edge_list(tmp_path / "g.edges") == random_regular(6, 3, seed=1)
+
+
+def test_config_names_one_instance(tmp_path, capsys):
+    # graph.seed is the generator seed; the top-level seed is bound's draw seed
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graph": {"regular": [8, 3], "seed": 1}, "seed": 5}))
+    by_flag, by_config = tmp_path / "flag.edges", tmp_path / "config.edges"
+    assert run_cli("graph", "--regular", "8", "3", "--seed", "1", "--out", str(by_flag)) == 0
+    assert run_cli("graph", "--config", str(cfg), "--out", str(by_config)) == 0
+    assert by_config.read_bytes() == by_flag.read_bytes()
+    out = tmp_path / "run"
+    assert run_cli("run", "--config", str(cfg), "--depth", "2", "--out", str(out)) == 0
+    assert json.loads((out / "summary.json").read_text())["graph"]["seed"] == 1
+    # a graph entry that names two sources is refused, not resolved by precedence
+    bad = tmp_path / "bad"
+    cfg.write_text(json.dumps({"graph": {"path": str(by_flag), "regular": [8, 3]}}))
+    for command in ("graph", "run"):
+        capsys.readouterr()
+        assert run_cli(command, "--config", str(cfg), "--out", str(bad)) == 2
+        assert "give one instance source" in capsys.readouterr().err
+    assert not bad.exists()
+    # an instance flag beats every source of the config entry
+    cfg.write_text(json.dumps({"graph": {"path": str(tmp_path / "missing.edges")}}))
+    assert run_cli("run", "--regular", "4", "3", "--config", str(cfg), "--depth", "2",
+                   "--out", str(out)) == 0
+    assert json.loads((out / "summary.json").read_text())["graph"]["source"] == "regular"
 
 
 @pytest.mark.parametrize("text, want", [
@@ -356,7 +422,7 @@ def test_bound_from_trace_file(tmp_path):
     assert row[4] == "10"
 
 
-def test_bound_trace_takes_delta_t_from_its_run(tmp_path):
+def test_bound_trace_takes_delta_t_from_its_run(tmp_path, capsys):
     out_run = tmp_path / "run"
     assert run_cli("run", "--regular", "4", "3", "--depth", "12", "--delta-t", "0.1",
                    "--out", str(out_run)) == 0
@@ -386,7 +452,19 @@ def test_bound_trace_takes_delta_t_from_its_run(tmp_path):
     heavy.write_text("nodes 4\n0 1 2\n0 2\n0 3\n1 2\n1 3\n2 3\n")
     assert run_cli("bound", "--graph", str(heavy), "--epsilon-bars", "0.1", "--draws", "2",
                    "--trace", str(trace), "--out", str(bad)) == 2
+    # the trace fixes depth, lambda and w, so flags for them are refused, while
+    # config entries for them stay legal: a config is shared between commands
+    for flag, value in (("--depth", "5"), ("--lambda", "3"), ("--w", "2")):
+        capsys.readouterr()
+        assert run_cli(*bound, "--trace", str(trace), flag, value, "--out", str(bad)) == 2
+        assert f"{flag} does not apply with --trace" in capsys.readouterr().err
     assert not bad.exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"depth": 5, "lambda": 3, "w": 2}))
+    shared = tmp_path / "shared"
+    assert run_cli(*bound, "--trace", str(trace), "--config", str(cfg),
+                   "--out", str(shared)) == 0
+    assert (shared / "bound.csv").read_bytes() == (out / "bound.csv").read_bytes()
     assert run_cli(*bound, "--trace", str(lone), "--delta-t", "0.1", "--out", str(bad)) == 0
     assert (bad / "bound.csv").read_bytes() == (out / "bound.csv").read_bytes()
 
@@ -445,3 +523,20 @@ def test_parser_flags_match_settings_table(command):
     flags = [flag for action in sub.choices[command]._actions
              for flag in action.option_strings if flag not in ("-h", "--help")]
     assert sorted(flags) == sorted(row.flag for row in SETTINGS if command in row.commands)
+
+
+def test_readme_settings_table_matches_settings():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| Flag | Config key | Subcommands | Type | Default |")
+    table = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        flag, key, commands = (cell.strip().strip("`") for cell in line.split("|")[1:4])
+        for command in (("graph", "run", "sweep", "bound") if commands == "all"
+                        else commands.split(", ")):
+            table.append((flag.split()[0], key or None, command))
+    assert sorted(table) == sorted(
+        (row.flag, row.key, command) for row in SETTINGS for command in row.commands
+    )
