@@ -11,16 +11,18 @@ Four subcommands:
          With --trace it bounds a recorded run of the same instance, at
          the delta_t recorded in the summary.json beside the trace.
 
-Every flag and config value is a row of one table, SETTINGS; flags override
-the optional JSON config file, both go through the row's parser, and a config
-entry that no row reads is refused. Every subcommand takes its instance from
-exactly one source: one of --graph/--regular/--er or, failing those, one of
-the config's graph.path/graph.regular/graph.er. A sweep builds and checks
-every cell's run settings before any cell runs. All real numbers in output
-files carry 17 significant digits and every file is written with LF endings,
-so reruns of a fixed configuration are byte-identical. Output files are
-staged and moved into place only once all exist, so a failing command
-neither leaves partial output nor touches the results of an earlier one.
+Every setting is one row of one table, SETTINGS: a flag or config key names
+one setting in every subcommand (graph's --out file has no key, so the key
+out is always a directory). Flags override the optional JSON config file,
+both go through the row's parser, and every subcommand parses the whole
+config, so all four refuse the same entries. The instance comes from exactly
+one source: one of --graph/--regular/--er or, failing those, one of the
+config's graph.path/graph.regular/graph.er. A sweep builds and checks every
+cell's run settings before any cell runs. All real numbers in output files
+carry 17 significant digits and every file is written with LF endings, so
+reruns of a fixed configuration are byte-identical. Output files are staged
+and moved into place only once all exist, so a failing command neither
+leaves partial output nor touches the results of an earlier one.
 
 Exit codes: 0 on success, 1 for runtime failures (generator retry exhaustion,
 I/O), 2 for bad flags, bad config or invalid parameter combinations.
@@ -34,6 +36,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -164,13 +167,15 @@ def _reals(value, name: str) -> list[float]:
 
 
 def _seed_list(value, name: str) -> list[int]:
-    """Seeds as a list, comma string, or 'a:b' half-open ranges."""
+    """Distinct seeds as a list, comma string, or non-empty 'a:b' half-open ranges."""
     if isinstance(value, str):
         out: list[int] = []
         for tok in value.split(","):
             if ":" in tok:
                 a, b = tok.split(":", 1)
-                out.extend(range(_integer(a, name), _integer(b, name)))
+                if not (span := range(_integer(a, name), _integer(b, name))):
+                    raise UsageError(f"{name} range {tok.strip()} is empty")
+                out.extend(span)
             elif tok.strip():
                 out.append(_integer(tok, name))
     elif isinstance(value, list):
@@ -179,6 +184,8 @@ def _seed_list(value, name: str) -> list[int]:
         raise UsageError(f"could not parse {name} from {value!r}")
     if not out:
         raise UsageError(f"{name} must be non-empty")
+    if repeated := [seed for seed, n in Counter(out).items() if n > 1]:
+        raise UsageError(f"{name} lists seed {repeated[0]} more than once")
     return out
 
 
@@ -226,17 +233,16 @@ class Setting(NamedTuple):
 
 _ALL = ("graph", "run", "sweep", "bound")
 _RUNS = ("run", "sweep", "bound")
-_KIND_HELP = "error model kind: none, systematic or independent"
 
-#: Every flag of every subcommand. A row's flag sets ``dest`` on the command
-#: line and its key in the config file (dotted inside a section; None when
-#: only the flag sets it). ``parse`` turns a flag string or a config value
-#: into the typed value, or refuses it with a UsageError naming the setting.
-#: The default is parsed like a given value; None leaves the setting unset.
+#: Every setting of every subcommand, one row each: its flag sets ``dest``
+#: on the command line and its key in the config file (dotted inside a
+#: section; None when only the flag sets it). ``parse`` turns a flag string
+#: or a config value into the typed value, or refuses it with a UsageError
+#: naming the setting. Defaults are parsed too; None leaves a setting unset.
 SETTINGS = (
     Setting("config", "--config", None, _path, None, _ALL,
             "JSON config file; flags override its entries"),
-    Setting("out", "--out", "out", _path, None, ("graph",),
+    Setting("edges", "--out", None, _path, None, ("graph",),
             "output edge-list file; without it graph.edges in $FALQON_OUT, else in '.'"),
     Setting("out", "--out", "out", _path, None, _RUNS,
             "output directory; without it $FALQON_OUT, else '.'"),
@@ -245,77 +251,70 @@ SETTINGS = (
             "random D-regular graph on N nodes", ("N", "D")),
     Setting("er", "--er", "graph.er", _er, None, _ALL,
             "Erdos-Renyi graph on N nodes with edge probability P", ("N", "P")),
-    Setting("graph_seed", "--seed", "graph.seed", _integer, 0, ("graph",), "generator seed"),
-    Setting("graph_seed", "--graph-seed", "graph.seed", _integer, 0, _RUNS,
+    Setting("graph_seed", "--graph-seed", "graph.seed", _integer, 0, _ALL,
             "generator seed of an inline instance"),
     Setting("delta_t", "--delta-t", "delta_t", _real, 0.05, _RUNS, "layer time step"),
     Setting("depth", "--depth", "depth", _integer, 200, _RUNS, "number of layers"),
     Setting("lam", "--lambda", "lambda", _real, 0.5, _RUNS, "feedback regularization weight"),
     Setting("w", "--w", "w", _real, 1.0, _RUNS, "feedback gain"),
-    Setting("noise", "--noise", "noise.kind", _kind, "none", ("run",), _KIND_HELP),
-    Setting("noise", "--noise", "noise.kind", _kind, "systematic", ("sweep",), _KIND_HELP),
+    Setting("noise", "--noise", "noise.kind", _kind, "none", ("run", "sweep"),
+            "error model kind: none, systematic or independent (a sweep needs a noisy one)"),
     Setting("epsilon_bar", "--epsilon-bar", "noise.epsilon_bar", _real, 0.0, ("run",),
             "error magnitude bound"),
-    Setting("noise_seed", "--seed", "noise.seed", _integer, 0, ("run",), "noise seed"),
+    Setting("noise_seed", "--seed", "noise.seed", _integer, 0, ("run", "bound"),
+            "noise seed; bound draws its independent errors from it"),
     Setting("epsilon_bars", "--epsilon-bars", "epsilon_bars", _reals, _REQUIRED,
             ("sweep", "bound"), "comma list of error bounds, e.g. 0.1,0.25"),
     Setting("lambdas", "--lambdas", "lambdas", _reals, None, ("sweep",),
             "comma list of regularization weights; without it the --lambda value"),
     Setting("seeds", "--seeds", "seeds", _seed_list, _REQUIRED, ("sweep",),
-            "noise seeds: comma list and/or a:b ranges, e.g. 0:50"),
+            "distinct noise seeds: comma list and/or a:b ranges, e.g. 0:50"),
     Setting("jobs", "--jobs", "jobs", _count, 1, ("sweep",), "worker processes for sweep cells"),
     Setting("trace", "--trace", None, _path, None, ("bound",),
             "trace.csv to take the control sequence from"),
     Setting("draws", "--draws", "draws", _count, 100, ("bound",),
             "independent error draws per bound row"),
-    Setting("seed", "--seed", "seed", _integer, 0, ("bound",), "error-draw seed"),
     Setting("svg", "--svg", None, _switch, None, _RUNS, "also write SVG plots"),
 )
 
-
-def _section(cfg: dict, key: str) -> dict:
-    value = cfg.get(key, {})
-    if not isinstance(value, dict):
-        raise UsageError(f"config {key!r} must be a JSON object, got {value!r}")
-    return value
+#: The row of each config entry, by its path: (key,) or (section, key).
+_BY_PATH = {tuple(row.key.split(".")): row for row in SETTINGS if row.key}
+_SECTIONS = {path[0] for path in _BY_PATH if len(path) == 2}
 
 
 def _settings(args) -> argparse.Namespace:
     """The settings of ``args.command``.
 
-    A flag beats the config entry, which beats the row's default. A config
-    entry is parsed even when a flag overrides it, so a config value of the
-    wrong type is always refused, and an entry that no row of any subcommand
-    reads is refused too. ``given`` maps each setting that a flag or the
-    config set to "flag" or "config".
+    Every config entry goes through its row's parser whichever subcommand
+    runs, so all four refuse the same entries; the command's flags override
+    them, and its rows' defaults fill in the rest. ``given`` maps each
+    setting that a flag or the config set to "flag" or "config".
     """
     path = args.config
     cfg = {} if path is _MISSING else json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(cfg, dict):
         raise UsageError(f"config {path} must hold a JSON object")
-    keys = {row.key for row in SETTINGS if row.key}
-    sections = {key.partition(".")[0] for key in keys if "." in key}
-    named = {*cfg, *(f"{k}.{leaf}" for k in sections if isinstance(cfg.get(k), dict)
-                     for leaf in cfg[k])}
-    if unknown := sorted(named - keys - sections):
+    entries = {}
+    for name, value in cfg.items():
+        if name not in _SECTIONS:
+            entries[(name,)] = value
+        elif isinstance(value, dict):
+            entries.update(((name, leaf), v) for leaf, v in value.items())
+        else:
+            raise UsageError(f"config {name!r} must be a JSON object, got {value!r}")
+    if unknown := sorted(".".join(p) for p in entries if p not in _BY_PATH):
         raise UsageError(f"unknown config entries: {', '.join(unknown)}")
-    values, given = {}, {}
+    values, given = dict.fromkeys(row.dest for row in SETTINGS), {}
+    for p, raw in entries.items():
+        row = _BY_PATH[p]
+        values[row.dest], given[row.dest] = row.parse(raw, row.key), "config"
     for row in (r for r in SETTINGS if args.command in r.commands):
-        raws = []
-        if row.key is not None:
-            *names, leaf = row.key.split(".")
-            section = functools.reduce(_section, names, cfg)
-            if leaf in section:
-                raws, given[row.dest] = [(section[leaf], row.key)], "config"
-        if getattr(args, row.dest) is not _MISSING:
-            raws.append((getattr(args, row.dest), row.flag))  # after the config entry, so it wins
-            given[row.dest] = "flag"
-        if not raws and row.default is _REQUIRED:
+        if (raw := getattr(args, row.dest)) is not _MISSING:
+            values[row.dest], given[row.dest] = row.parse(raw, row.flag), "flag"
+        elif row.dest not in given and row.default is _REQUIRED:
             raise UsageError(f"missing {row.key} (flag {row.flag} or config)")
-        if not raws and row.default is not None:
-            raws = [(row.default, row.key or row.flag)]
-        parsed = [row.parse(raw, name) for raw, name in raws]
-        values[row.dest] = parsed[-1] if parsed else None
+        elif row.dest not in given and row.default is not None:
+            values[row.dest] = row.parse(row.default, row.flag)
     return argparse.Namespace(given=given, **values)
 
 
@@ -344,8 +343,8 @@ def _resolve_graph(s) -> tuple[Graph, dict]:
 def cmd_graph(args) -> int:
     s = _settings(args)
     graph, _ = _resolve_graph(s)
-    out = Path("graph.edges" if s.out is None else s.out)
-    with _OutputSink(None if s.out is None else out.parent) as sink:
+    out = Path("graph.edges" if s.edges is None else s.edges)
+    with _OutputSink(None if s.edges is None else out.parent) as sink:
         out = sink.write_text(out.name, format_edge_list(graph))
     print(f"nodes {graph.n_nodes} edges {len(graph.edges)} -> {out}")
     if graph.n_nodes <= BRUTE_FORCE_MAX_NODES:
@@ -446,9 +445,8 @@ def cmd_sweep(args) -> int:
         for lv in lambdas
     ]
     names = [f"cell_eps{eb:g}_lam{lv:g}.csv" for eb, lv, _ in cells]
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise UsageError(f"two sweep cells would both write {name}")
+    if repeated := [name for name, n in Counter(names).items() if n > 1]:
+        raise UsageError(f"two sweep cells would both write {repeated[0]}")
     results = []
     with (ProcessPoolExecutor(max_workers=s.jobs) if s.jobs > 1
           else contextlib.nullcontext()) as pool:
@@ -556,7 +554,7 @@ def cmd_bound(args) -> int:
     else:
         config = RunConfig(graph, delta_t, depth, FeedbackLaw(s.lam, s.w), NoiseModel())
         betas = engine.run_nominal(config).betas
-    models = [NoiseModel(NoiseKind.INDEPENDENT, eb, s.seed) for eb in s.epsilon_bars]
+    models = [NoiseModel(NoiseKind.INDEPENDENT, eb, s.noise_seed) for eb in s.epsilon_bars]
     base = analysis.lipschitz_from_betas(betas, delta_t, diag, driver, 0.0)
     l_value = base.l_value
     ideal = engine.replay(betas, np.zeros_like(betas), delta_t, diag, driver)

@@ -1,5 +1,6 @@
 import argparse
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ def run_cli(*argv):
 
 def test_graph_regular_writes_instance(tmp_path, capsys):
     out = tmp_path / "inst.edges"
-    assert run_cli("graph", "--regular", "8", "3", "--seed", "42", "--out", str(out)) == 0
+    assert run_cli("graph", "--regular", "8", "3", "--graph-seed", "42", "--out", str(out)) == 0
     g = load_edge_list(out)
     assert g == random_regular(8, 3, seed=42)
     captured = capsys.readouterr().out
@@ -36,7 +37,8 @@ def test_graph_regular_writes_instance(tmp_path, capsys):
     assert out2.read_bytes() == out.read_bytes()
     # a missing parent directory is created, and only the instance lands there
     nested = tmp_path / "sub" / "g.edges"
-    assert run_cli("graph", "--regular", "8", "3", "--seed", "42", "--out", str(nested)) == 0
+    assert run_cli("graph", "--regular", "8", "3", "--graph-seed", "42",
+                   "--out", str(nested)) == 0
     assert nested.read_bytes() == out.read_bytes()
     assert [p.name for p in nested.parent.iterdir()] == ["g.edges"]
 
@@ -44,8 +46,8 @@ def test_graph_regular_writes_instance(tmp_path, capsys):
 def test_graph_er_deterministic(tmp_path):
     a = tmp_path / "a.edges"
     b = tmp_path / "b.edges"
-    assert run_cli("graph", "--er", "6", "0.5", "--seed", "3", "--out", str(a)) == 0
-    assert run_cli("graph", "--er", "6", "0.5", "--seed", "3", "--out", str(b)) == 0
+    assert run_cli("graph", "--er", "6", "0.5", "--graph-seed", "3", "--out", str(a)) == 0
+    assert run_cli("graph", "--er", "6", "0.5", "--graph-seed", "3", "--out", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -54,9 +56,9 @@ def test_graph_rejects_impossible_parameters(tmp_path):
     assert run_cli("graph", "--regular", "5", "3", "--out", str(out)) == 2
     assert not out.exists()
     assert run_cli("graph", "--out", str(out)) == 2
-    # the generator seed of 'graph' is --seed; --graph-seed is not accepted,
-    # and 'graph' writes no plot
-    for flags in (("--graph-seed", "5"), ("--svg",)):
+    # the generator seed of 'graph' is --graph-seed; --seed is the noise seed,
+    # which 'graph' does not take, and 'graph' writes no plot
+    for flags in (("--seed", "5"), ("--svg",)):
         with pytest.raises(SystemExit) as info:
             run_cli("graph", "--regular", "8", "3", *flags, "--out", str(out))
         assert info.value.code == 2
@@ -175,7 +177,7 @@ def test_run_invalid_parameters_exit_2(tmp_path, capsys):
     for command, entries in (
         ("run", {"depth": 2.7}), ("run", {"depth": True}),
         ("run", {"noise": {"seed": 1.5}}), ("run", {"graph": {"seed": 0.5}}),
-        ("bound", {"draws": 2.5}), ("bound", {"seed": False}),
+        ("bound", {"draws": 2.5}), ("bound", {"noise": {"seed": False}}),
         # a noise entry that is not an object is refused, not run as nominal
         ("run", {"noise": 5}), ("run", {"noise": "systematic"}),
         # real and path settings of the wrong JSON type are refused, not a traceback
@@ -188,6 +190,16 @@ def test_run_invalid_parameters_exit_2(tmp_path, capsys):
         cfg.write_text(json.dumps({"depth": 2, "epsilon_bars": [0.1], **entries}))
         assert run_cli(command, "--regular", "4", "3", "--config", str(cfg),
                        "--out", str(out)) == 2, entries
+    # every subcommand parses the whole config, so a shared config fails alike
+    for entries, message in (({"noise": 5}, "config 'noise' must be a JSON object"),
+                             ({"draws": 2.5}, "draws must be an integer")):
+        cfg.write_text(json.dumps({"graph": {"regular": [4, 3]}, "depth": 2, "seeds": [0],
+                                   "epsilon_bars": [0.1], "noise": {"kind": "systematic"},
+                                   **entries}))
+        for command in ("graph", "run", "sweep", "bound"):
+            capsys.readouterr()
+            assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2, command
+            assert message in capsys.readouterr().err, command
     # a malformed config graph entry is a usage error, not a traceback
     for entries, message in (
         ({"graph": 5}, "config 'graph' must be a JSON object"),
@@ -216,7 +228,7 @@ def test_run_invalid_parameters_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_one_config_drives_every_command(tmp_path):
+def test_one_config_drives_every_command(tmp_path, monkeypatch):
     # a key that one subcommand does not read is still legal there
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -224,7 +236,7 @@ def test_one_config_drives_every_command(tmp_path):
         "lambda": 1.0, "w": 1.0,
         "noise": {"kind": "independent", "epsilon_bar": 0.1, "seed": 2},
         "epsilon_bars": [0.1], "lambdas": [0.5], "seeds": [0, 1], "jobs": 1,
-        "draws": 2, "seed": 3,
+        "draws": 2, "out": str(tmp_path / "shared"),
     }))
     for command, out, names in (
         ("graph", tmp_path / "g.edges", None),
@@ -236,14 +248,42 @@ def test_one_config_drives_every_command(tmp_path):
         if names:
             assert sorted(p.name for p in out.iterdir()) == names
     assert load_edge_list(tmp_path / "g.edges") == random_regular(6, 3, seed=1)
+    # without --out, the config's out is the directory of run, sweep and bound,
+    # while graph writes graph.edges in '.'
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FALQON_OUT", raising=False)
+    for command in ("graph", "run", "sweep", "bound"):
+        assert run_cli(command, "--config", str(cfg)) == 0, command
+    assert (tmp_path / "graph.edges").read_bytes() == (tmp_path / "g.edges").read_bytes()
+    assert sorted(p.name for p in (tmp_path / "shared").iterdir()) == [
+        "aggregate.csv", "bound.csv", "cell_eps0.1_lam0.5.csv", "summary.json", "trace.csv"]
+    assert (tmp_path / "shared" / "bound.csv").read_bytes() == (
+        tmp_path / "bound" / "bound.csv").read_bytes()
+
+
+def test_bound_draws_from_the_noise_seed(tmp_path):
+    # bound's error draws take the same seed as run's noise: flag --seed,
+    # config noise.seed
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"noise": {"seed": 3}}))
+    bound = ("bound", "--regular", "4", "3", "--depth", "6", "--epsilon-bars", "0.3",
+             "--draws", "3")
+    for name, flags in (("flag", ("--seed", "3")), ("config", ("--config", str(cfg))),
+                        ("default", ())):
+        assert run_cli(*bound, *flags, "--out", str(tmp_path / name)) == 0
+    by_flag, by_config, by_default = (
+        (tmp_path / name / "bound.csv").read_bytes() for name in ("flag", "config", "default"))
+    assert by_config == by_flag
+    assert by_default != by_flag
 
 
 def test_config_names_one_instance(tmp_path, capsys):
-    # graph.seed is the generator seed; the top-level seed is bound's draw seed
+    # graph.seed is the generator seed; noise.seed is the noise and draw seed
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"graph": {"regular": [8, 3], "seed": 1}, "seed": 5}))
+    cfg.write_text(json.dumps({"graph": {"regular": [8, 3], "seed": 1}, "noise": {"seed": 5}}))
     by_flag, by_config = tmp_path / "flag.edges", tmp_path / "config.edges"
-    assert run_cli("graph", "--regular", "8", "3", "--seed", "1", "--out", str(by_flag)) == 0
+    assert run_cli("graph", "--regular", "8", "3", "--graph-seed", "1",
+                   "--out", str(by_flag)) == 0
     assert run_cli("graph", "--config", str(cfg), "--out", str(by_config)) == 0
     assert by_config.read_bytes() == by_flag.read_bytes()
     out = tmp_path / "run"
@@ -362,24 +402,37 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert (out1 / "aggregate.csv").read_bytes() == (out2 / "aggregate.csv").read_bytes()
 
 
-def test_sweep_requires_noisy_kind_and_lists(tmp_path):
+def test_sweep_requires_noisy_kind_and_lists(tmp_path, capsys):
     out = tmp_path / "sweep"
     assert run_cli("sweep", "--regular", "4", "3", "--noise", "none",
                    "--epsilon-bars", "0.1", "--seeds", "0", "--out", str(out)) == 2
+    # the noise kind defaults to none for a sweep too, so it must be given
+    capsys.readouterr()
+    assert run_cli("sweep", "--regular", "4", "3",
+                   "--epsilon-bars", "0.1", "--seeds", "0", "--out", str(out)) == 2
+    assert "sweep needs a noisy kind" in capsys.readouterr().err
     assert run_cli("sweep", "--regular", "4", "3", "--noise", "systematic",
                    "--seeds", "0", "--out", str(out)) == 2
     assert run_cli("sweep", "--regular", "4", "3", "--noise", "systematic",
                    "--epsilon-bars", "0.1", "--out", str(out)) == 2
     # grid values whose cell files would share a name
-    assert run_cli("sweep", "--regular", "4", "3", "--seeds", "0",
+    assert run_cli("sweep", "--regular", "4", "3", "--noise", "systematic", "--seeds", "0",
                    "--epsilon-bars", "0.1,0.1000000001", "--out", str(out)) == 2
-    assert run_cli("sweep", "--regular", "4", "3", "--seeds", "0", "--epsilon-bars", "0.1",
-                   "--lambdas", "0.5,0.5", "--out", str(out)) == 2
+    assert run_cli("sweep", "--regular", "4", "3", "--noise", "systematic", "--seeds", "0",
+                   "--epsilon-bars", "0.1", "--lambdas", "0.5,0.5", "--out", str(out)) == 2
     # a sweep needs at least one worker, and integral seeds and jobs
-    assert run_cli("sweep", "--regular", "4", "3", "--seeds", "0", "--epsilon-bars", "0.1",
-                   "--jobs", "0", "--out", str(out)) == 2
+    assert run_cli("sweep", "--regular", "4", "3", "--noise", "systematic", "--seeds", "0",
+                   "--epsilon-bars", "0.1", "--jobs", "0", "--out", str(out)) == 2
+    # each seed runs once: a repeated seed or an empty range is refused and named
+    for seeds, message in (("0:3,1", "--seeds lists seed 1 more than once"),
+                           ("5:2", "--seeds range 5:2 is empty")):
+        capsys.readouterr()
+        assert run_cli("sweep", "--regular", "4", "3", "--noise", "systematic",
+                       "--epsilon-bars", "0.1", "--seeds", seeds, "--out", str(out)) == 2
+        assert message in capsys.readouterr().err, seeds
     cfg = tmp_path / "cfg.json"
-    for entries in ({"jobs": 1.5}, {"jobs": 0}, {"seeds": [0, 1.5]}, {"seeds": [True]}):
+    for entries in ({"jobs": 1.5}, {"jobs": 0}, {"seeds": [0, 1.5]}, {"seeds": [True]},
+                    {"seeds": [2, 2]}):
         cfg.write_text(json.dumps({"depth": 2, "seeds": [0], "epsilon_bars": [0.1], **entries}))
         assert run_cli("sweep", "--regular", "4", "3", "--config", str(cfg),
                        "--out", str(out)) == 2, entries
@@ -525,6 +578,15 @@ def test_parser_flags_match_settings_table(command):
     assert sorted(flags) == sorted(row.flag for row in SETTINGS if command in row.commands)
 
 
+def test_settings_rows_name_one_setting_each():
+    # _settings maps each config entry to one row, and argparse each flag to one dest
+    for names in ([row.key for row in SETTINGS if row.key], [row.dest for row in SETTINGS]):
+        assert [n for n, count in Counter(names).items() if count > 1] == []
+    for command in ("graph", "run", "sweep", "bound"):
+        flags = [row.flag for row in SETTINGS if command in row.commands]
+        assert [f for f, count in Counter(flags).items() if count > 1] == [], command
+
+
 def test_readme_settings_table_matches_settings():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     lines = readme.read_text(encoding="utf-8").splitlines()
@@ -537,6 +599,7 @@ def test_readme_settings_table_matches_settings():
         for command in (("graph", "run", "sweep", "bound") if commands == "all"
                         else commands.split(", ")):
             table.append((flag.split()[0], key or None, command))
-    assert sorted(table) == sorted(
+    # compared as multisets: graph's --out has no key, which does not sort against a key
+    assert Counter(table) == Counter(
         (row.flag, row.key, command) for row in SETTINGS for command in row.commands
     )
