@@ -12,6 +12,19 @@ For errors bounded by epsilon_bar it yields the worst-case fidelity bound
 which is clamped to [0, 1] and flagged vacuous once the raw value drops
 below zero (deep circuits make L grow linearly, so the bound is a
 short-horizon tool).
+
+Each norm is a Perron root (`hamiltonian.spectral_norm`): flipping the sign
+of some basis states turns H_p + beta*H_d into minus a matrix
+N = -H_p + |beta| sum_q |w_q| X_q with nonnegative off-diagonal entries, and
+||H_p + beta*H_d|| = lambda_max(N) when H_p <= 0. For any positive vector x,
+the Collatz-Wielandt maximum max_i (Nx)_i / x_i bounds lambda_max(N) from
+above; once it is within 1e-10 of the top Lanczos value it is returned,
+padded by its rounding error, so L never undershoots. When it does not
+close, the norm falls back to the Ritz value padded by its residual. The
+control moves little from layer to layer, so `lipschitz_from_betas` starts
+each layer's solve from the previous layer's Perron vector. Layer t depends
+only on beta_0..beta_t, so the norms of a prefix of a control sequence are
+bit-identical to the first norms of the whole sequence.
 """
 from __future__ import annotations
 
@@ -71,7 +84,8 @@ def lipschitz_from_betas(betas, delta_t: float, diag: DiagonalHamiltonian,
     eb = float(epsilon_bar)
     if eb < 0.0:
         raise ValueError(f"epsilon_bar must be nonnegative, got {eb}")
-    norms = np.array([spectral_norm(diag, driver, float(b)) for b in betas])
+    warm: dict = {}  # each layer's Perron vectors start the next layer's solve
+    norms = np.array([spectral_norm(diag, driver, float(b), warm) for b in betas])
     l_value = float(delta_t) * float(norms.sum())
     floor, vacuous = fidelity_floor(l_value, eb)
     return LipschitzReport(

@@ -282,6 +282,25 @@ _BY_PATH = {tuple(row.key.split(".")): row for row in SETTINGS if row.key}
 _SECTIONS = {path[0] for path in _BY_PATH if len(path) == 2}
 
 
+def _unique_keys(pairs: list) -> dict:
+    """JSON object hook that refuses a key set twice in one object."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise UsageError(f"config sets {key!r} more than once")
+        obj[key] = value
+    return obj
+
+
+def _read_config(path: str):
+    """The parsed --config file; an unreadable file is a usage error."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read config {path}: {exc.strerror or exc}") from None
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
 def _settings(args) -> argparse.Namespace:
     """The settings of ``args.command``.
 
@@ -291,7 +310,7 @@ def _settings(args) -> argparse.Namespace:
     setting that a flag or the config set to "flag" or "config".
     """
     path = args.config
-    cfg = {} if path is _MISSING else json.loads(Path(path).read_text(encoding="utf-8"))
+    cfg = {} if path is _MISSING else _read_config(path)
     if not isinstance(cfg, dict):
         raise UsageError(f"config {path} must hold a JSON object")
     entries = {}

@@ -23,13 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .rng import SplitMix64, derive_key
 from .statevector import MAX_QUBITS, driver_matvec
 
 #: Eigenvalues closer than this count as degenerate.
 DEGENERACY_TOL = 1e-12
 
-_STREAM_POWER_ITERATION = 21
+#: A norm counts as certified once its Collatz-Wielandt upper bound is within
+#: this fraction of the top Ritz value.
+CERTIFY_GAP = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +58,12 @@ class DiagonalHamiltonian:
         its value among them (``values[index] == diag``); computed once. A
         MaxCut diagonal has at most |E|+1, so phases are evaluated per level."""
         return np.unique(self.diag, return_inverse=True)
+
+    @property
+    def peak(self) -> float:
+        """max|diag|, the operator's norm, read from the two ends of ``levels``."""
+        values = self.levels[0]
+        return max(-float(values[0]), float(values[-1]))
 
 
 @dataclass(frozen=True)
@@ -113,50 +120,132 @@ def ground_energy(diag: DiagonalHamiltonian) -> tuple[float, list[int]]:
     return lo, [int(i) for i in idxs]
 
 
-@functools.cache
-def _start_vector(dim: int) -> np.ndarray:
-    """Seeded unit vector; random entries overlap every symmetry sector."""
-    rng = SplitMix64(derive_key(dim, _STREAM_POWER_ITERATION))
-    v = np.fromiter((rng.random() - 0.5 for _ in range(dim)), np.float64, count=dim)
-    return v / np.linalg.norm(v)
-
-
 def spectral_norm(diag: DiagonalHamiltonian, driver: DriverHamiltonian,
-                  beta: float) -> float:
-    """2-norm of M = H_p + beta*H_d by Lanczos with full reorthogonalisation.
+                  beta: float, warm: dict | None = None) -> float:
+    """2-norm of M = H_p + beta*H_d as a certified Perron root.
 
-    M is real symmetric, so for any weight sign ||M||_2 is the larger of
-    |theta_min|, |theta_max| once those extreme Ritz values converge: both
-    residuals at most 1e-12 times the estimate, or a Krylov space that
-    stops growing (within 2^n steps). Ritz values sit inside the spectrum,
-    so the result is padded by its residual and capped at the triangle
-    ceiling max|diag| + |beta|*sum|w|, by which M is scaled throughout.
+    Conjugating by Z on the qubits where beta*w_q < 0 turns beta*H_d into
+    A = |beta| sum_q |w_q| X_q, and conjugating by Z on the others turns it
+    into -A, so the spectrum of M is that of D + A and minus that of -D + A
+    (D the cost diagonal). Hence ||M|| = max(lambda_max(N-), lambda_max(N+))
+    with N-/+ = -/+D + A, matrices with nonnegative off-diagonal entries.
+    When no diagonal entry is positive (every MaxCut instance with
+    nonnegative weights) N- dominates N+ entrywise and is the only problem
+    solved; no negative entry leaves N+ alone; mixed signs solve both.
+
+    Each top eigenvalue comes from Lanczos with full reorthogonalisation.
+    Once the top Ritz pair (theta, x) is close, x is made positive and
+    certified: for any positive x the Collatz-Wielandt maximum
+    max_i (Nx)_i / x_i is an upper bound on lambda_max(N). When it is within
+    CERTIFY_GAP of theta, it is returned padded by the rounding bound on Nx
+    (`_collatz_wielandt`), so the value is never below the norm. When the
+    gap does not close by the time the Ritz residual is at most 1e-12 of
+    theta, or the Krylov space stops growing, the result falls back to
+    theta padded by that residual. That fallback covers near-degenerate
+    tops as beta -> 0, Perron vectors with zero entries, and drivers that
+    leave a qubit out.
+
+    ``warm`` carries start vectors between calls on the same operators: a
+    dict, initially empty, whose entries this call reads as the start of
+    each problem and replaces with its Perron vector. Warm starts are used
+    only when every qubit has a nonzero driver weight, which makes N
+    irreducible, so its positive Perron vector overlaps any positive start;
+    otherwise every call starts from the uniform vector. At beta = 0 the
+    norm is max|diag| exactly, read from the ends of ``diag.levels``. The
+    operator is scaled by a power of two near the triangle ceiling
+    max|diag| + |beta|*sum|w|, which also caps the result, so tiny and
+    subnormal inputs lose no digits.
     """
     if diag.n_qubits != driver.n_qubits:
         raise ValueError(
             f"operator widths differ: {diag.n_qubits} vs {driver.n_qubits} qubits"
         )
-    ceiling = float(np.max(np.abs(diag.diag))) + abs(float(beta)) * driver.abs_weight_sum
-    if ceiling == 0.0:
-        return 0.0
-    # M / ceiling has its spectrum in [-1, 1], so tiny or subnormal inputs lose no digits
-    d, b = diag.diag / ceiling, float(beta) / ceiling
+    ceiling = diag.peak + abs(float(beta)) * driver.abs_weight_sum
+    exp = math.frexp(ceiling)[1]  # scaling by 2^-exp is exact and puts the ceiling in [1/2, 1)
+    coupling = math.ldexp(abs(float(beta)), -exp)
+    terms = tuple((q, c) for q, w in driver.terms if (c := coupling * abs(w)) > 0.0)
+    if not terms:  # beta = 0, or couplings that vanish beside the diagonal
+        return diag.peak
+    if len(terms) < diag.n_qubits:
+        warm = None  # N is reducible: a warm vector may miss the block that holds the top
+    values = diag.levels[0]
+    ends = (-1,) if values[-1] <= 0.0 else (1,) if values[0] >= 0.0 else (-1, 1)
+    norm = 0.0
+    for sign in ends:
+        start = None if warm is None else warm.get(sign)
+        root, x = _perron_root(np.ldexp(sign * diag.diag, -exp), terms, start)
+        if warm is not None:
+            warm[sign] = x
+        norm = max(norm, math.ldexp(root, exp))
+    return min(norm, ceiling)
+
+
+def _perron_root(d: np.ndarray, terms: tuple[tuple[int, float], ...],
+                 start: np.ndarray | None) -> tuple[float, np.ndarray]:
+    """Upper bound on lambda_max(N) for N = diag(d) + sum_q c_q X_q, all
+    c_q > 0 and |d| < 1, with the unit Perron vector estimate it came from.
+
+    Lanczos with full reorthogonalisation (classical Gram-Schmidt, twice)
+    from ``start``, or from the uniform vector. The Collatz-Wielandt bound
+    is tried every other step once the top Ritz residual is at most 1e-9 of
+    theta, and with up to one refinement per driver term once the residual
+    is at most 1e-12 or the Krylov space stops growing (within 2^n steps).
+    """
     dim = d.size
     basis = np.empty((dim, dim))  # one row per Krylov vector; unused rows stay untouched
-    basis[0] = _start_vector(dim)
+    basis[0] = np.full(dim, dim ** -0.5) if start is None else start
     alpha, off = np.zeros(dim), np.zeros(dim)
     for k in range(dim):
-        w = d * basis[k]
-        if b != 0.0:
-            w += b * driver_matvec(basis[k], driver.terms)
+        w = d * basis[k] + driver_matvec(basis[k], terms)
         alpha[k] = basis[k] @ w
         for _ in range(2):  # classical Gram-Schmidt, twice
             w -= basis[:k + 1].T @ (basis[:k + 1] @ w)
         off[k] = np.linalg.norm(w)
         # eigh reads only the lower triangle of the tridiagonal matrix
         theta, s = np.linalg.eigh(np.diag(alpha[:k + 1]) + np.diag(off[:k], -1))
-        resid = off[k] * np.abs(s[-1, [0, -1]])
-        if k + 1 == dim or resid.max() <= 1e-12 * max(-theta[0], theta[-1]):
-            break
+        top, resid = float(theta[-1]), float(off[k] * abs(s[-1, -1]))
+        converged = k + 1 == dim or resid <= 1e-12 * top
+        if converged or (resid <= 1e-9 * top and k % 2 == 0):
+            x = np.abs(basis[:k + 1].T @ s[:, -1])
+            bound, x = _collatz_wielandt(d, terms, x, top, len(terms) if converged else 1)
+            if bound is not None:
+                return bound, x / np.linalg.norm(x)
+            if converged:
+                return top + resid, x / np.linalg.norm(x)
         basis[k + 1] = w / off[k]
-    return ceiling * float(min(max(abs(theta[0]) + resid[0], abs(theta[-1]) + resid[1]), 1.0))
+    raise AssertionError("unreachable: the Krylov space is exhausted within 2^n steps")
+
+
+def _collatz_wielandt(d: np.ndarray, terms: tuple[tuple[int, float], ...],
+                      x: np.ndarray, top: float,
+                      rounds: int) -> tuple[float | None, np.ndarray]:
+    """Collatz-Wielandt certificate for lambda_max(N) near the Ritz value
+    ``top``, and the vector it was last tried on.
+
+    Each round forms a = Ax with A = sum_q c_q X_q and, when x > 0, the
+    bound max_i (d_i + a_i/x_i). All terms of a_i are nonnegative, so the
+    computed a_i is below the exact one by at most gamma_m * a_i with
+    gamma_m = m*u/(1 - m*u) for m terms and unit roundoff u; with one more
+    rounding each for the quotient and the sum, and at most u*||A|| <= u
+    from rounding c_q, lambda_max(N) exceeds the computed maximum by at most
+    gamma_{m+6} * (2 + max_i a_i/x_i), the pad added. A bound within
+    CERTIFY_GAP of ``top`` is returned; otherwise the round refines x to
+    a / (top - d), the fixed-point form of N x = lambda x, which rebuilds
+    small entries from their larger neighbours to full relative accuracy.
+    The result is None when no round certifies.
+    """
+    eps = (len(terms) + 6) * 2.0 ** -53
+    gamma = eps / (1.0 - eps)
+    shift = top - d
+    for _ in range(rounds):
+        a = driver_matvec(x, terms)
+        if x.min() > 0.0:
+            ratio = a / x
+            bound = float((d + ratio).max()) + gamma * (2.0 + float(ratio.max()))
+            if bound - top <= CERTIFY_GAP * bound:
+                return bound, x
+        if not shift.min() > 2.0 ** -52 * top:  # a shift at rounding level says nothing
+            break
+        x = a / shift
+        x /= x.max()
+    return None, x

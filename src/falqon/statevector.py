@@ -31,8 +31,8 @@ if TYPE_CHECKING:
     from .hamiltonian import DiagonalHamiltonian, DriverHamiltonian
 
 #: Register cap for the whole package. Closed-loop cost grows with 2^n (and
-#: with depth^2 for independent errors), and the norm's Krylov basis may hold
-#: up to 2^n vectors of 2^n entries: 134 MB at 12 qubits.
+#: with depth^2 for independent errors), and the norm reserves room for 2^n
+#: Krylov vectors of 2^n entries: 134 MB at 12 qubits, touched row by row.
 MAX_QUBITS = 12
 
 #: Accepted deviation of |amplitudes| from 1 when wrapping a StateVector.
@@ -156,8 +156,7 @@ def a_value(state: StateVector, diag: "DiagonalHamiltonian",
     amps = state.amplitudes
     z = np.vdot(amps, driver_matvec(diag.diag * amps, driver.terms))
     val = -2.0 * float(z.imag)
-    values = diag.levels[0]  # sorted, so max|diag| sits at one of the two ends
-    limit = 2.0 * max(abs(float(values[0])), abs(float(values[-1]))) * driver.abs_weight_sum
+    limit = 2.0 * diag.peak * driver.abs_weight_sum
     if not abs(val) <= limit * (1.0 + 1e-12) + 1e-12:
         raise AssertionError(f"commutator expectation {val} exceeds operator bound {limit}")
     return val

@@ -84,6 +84,22 @@ def weighted_graphs(draw, max_nodes: int = 6):
     return Graph.from_edges(n, edges)
 
 
+@st.composite
+def beta_paths(draw, max_len: int = 10):
+    """Control sequences as the feedback law makes them: slow drifts from a
+    start in [-3, 3], with sign flips and exact zeros mixed in."""
+    beta = draw(st.floats(-3.0, 3.0))
+    path = []
+    for step in draw(st.lists(st.sampled_from(("drift", "flip", "zero")),
+                              min_size=1, max_size=max_len)):
+        if step == "drift":
+            beta += draw(st.floats(-0.05, 0.05))
+        elif step == "flip":
+            beta = -beta
+        path.append(0.0 if step == "zero" else beta)
+    return path
+
+
 def reference_x_rotations(amplitudes: np.ndarray, terms, angle: float) -> np.ndarray:
     """e^{-i*angle*sum_q w_q X_q}, one qubit at a time on the (lo, hi) halves."""
     amps = np.array(amplitudes, dtype=complex)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from falqon.analysis import (
     aggregate,
@@ -15,7 +16,13 @@ from falqon.hamiltonian import driver_x, ground_energy, maxcut_hamiltonian
 from falqon.noise import ErrorTrajectory, NoiseKind, NoiseModel, trajectory
 from falqon.statevector import StateVector, uniform_state
 
-from oracles import dense_layer_unitary
+from oracles import (
+    beta_paths,
+    dense_driver,
+    dense_layer_unitary,
+    dense_spectral_norm,
+    weighted_graphs,
+)
 
 K2 = Graph.from_edges(2, [(0, 1)])
 K2_DIAG = maxcut_hamiltonian(K2)
@@ -51,6 +58,42 @@ def test_lipschitz_monotone_in_depth():
     l_short = lipschitz_from_betas(trace.betas[:10], 0.05, diag, driver, 0.1).l_value
     l_long = lipschitz_from_betas(trace.betas, 0.05, diag, driver, 0.1).l_value
     assert l_long > l_short
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(graph=weighted_graphs(), betas=beta_paths())
+def test_per_layer_norms_property_against_dense(graph, betas):
+    # warm-started along the path, negative weights included
+    n = graph.n_nodes
+    diag, driver = maxcut_hamiltonian(graph), driver_x(n)
+    norms = lipschitz_from_betas(betas, 0.05, diag, driver, 0.1).per_layer_norms
+    for beta, got in zip(betas, norms):
+        want = dense_spectral_norm(diag.diag, driver.terms, n, beta)
+        assert abs(got - want) <= 1e-10 * max(1.0, want), beta
+        assert got >= want - 1e-12 * max(1.0, want), beta
+
+
+def test_per_layer_norms_never_below_dense_on_the_reference_run():
+    graph = reference_instance()
+    diag, driver = maxcut_hamiltonian(graph), driver_x(8)
+    betas = run_nominal(RunConfig(graph, 0.05, 200)).betas
+    norms = lipschitz_from_betas(betas, 0.05, diag, driver, 0.1).per_layer_norms
+    h_p, h_d = np.diag(diag.diag), dense_driver(driver.terms, 8).real
+    for beta, got in zip(betas, norms):
+        want = float(np.max(np.abs(np.linalg.eigvalsh(h_p + beta * h_d))))
+        assert got >= want, beta
+        assert got - want <= 1e-10 * want, beta
+
+
+def test_per_layer_norms_are_prefix_consistent():
+    # the warm start carries only earlier layers, so a prefix is bit-identical
+    graph = reference_instance()
+    diag, driver = maxcut_hamiltonian(graph), driver_x(8)
+    betas = run_nominal(RunConfig(graph, 0.05, 60)).betas
+    full = lipschitz_from_betas(betas, 0.05, diag, driver, 0.1).per_layer_norms
+    for k in (1, 2, 17, 59):
+        prefix = lipschitz_from_betas(betas[:k], 0.05, diag, driver, 0.1).per_layer_norms
+        assert np.array_equal(prefix, full[:k]), k
 
 
 def test_lipschitz_from_betas_validates_input():

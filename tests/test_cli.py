@@ -225,6 +225,30 @@ def test_run_invalid_parameters_exit_2(tmp_path, capsys):
             capsys.readouterr()
             assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2, entries
             assert f"unknown config entries: {names}" in capsys.readouterr().err, entries
+    # a config path that cannot be read is a bad flag, named in the message
+    for path in (tmp_path / "nosuch.json", tmp_path):
+        capsys.readouterr()
+        assert run_cli("run", "--regular", "4", "3", "--depth", "2", "--config", str(path),
+                       "--out", str(out)) == 2, path
+        assert f"cannot read config {path}" in capsys.readouterr().err, path
+    assert not out.exists()
+
+
+def test_config_refuses_repeated_keys(tmp_path, capsys):
+    # JSON keeps the last of repeated keys; a config that sets one twice is refused
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "results"
+    for text, key in (
+        ('{"depth": 2, "depth": 3}', "depth"),
+        ('{"depth": 2, "graph": {"regular": [4, 3], "regular": [6, 3]}}', "regular"),
+        ('{"depth": 2, "noise": {"kind": "systematic", "kind": "none"}}', "kind"),
+    ):
+        cfg.write_text(text)
+        for command in ("graph", "run"):
+            capsys.readouterr()
+            assert run_cli(command, "--regular", "4", "3", "--config", str(cfg),
+                           "--out", str(out)) == 2, text
+            assert f"config sets {key!r} more than once" in capsys.readouterr().err, text
     assert not out.exists()
 
 

@@ -144,6 +144,40 @@ def test_spectral_norm_exact_on_the_diagonal():
     assert 10.0 <= norm <= 10.0 + 1e-12
 
 
+def test_spectral_norm_with_a_missing_driver_term_matches_dense():
+    # a driver that leaves a qubit out splits N into blocks; the warm dict
+    # is then left alone and every norm still matches the oracle
+    rng = np.random.default_rng(41)
+    for n in (2, 3, 5):
+        for missing in (0, n - 1):
+            driver = DriverHamiltonian(n, tuple((q, rng.uniform(-2, 2))
+                                                for q in range(n) if q != missing))
+            edges = [(u, v, rng.normal()) for u in range(n) for v in range(u + 1, n)]
+            for diag in (maxcut_hamiltonian(Graph.from_edges(n, edges)),
+                         DiagonalHamiltonian(n, rng.normal(size=1 << n))):
+                warm = {}
+                for beta in (0.7, 0.71, -0.71, 0.0, 0.05, 2.5):
+                    want = dense_spectral_norm(diag.diag, driver.terms, n, beta)
+                    got = spectral_norm(diag, driver, beta, warm)
+                    assert abs(got - want) <= 1e-10 * max(1.0, want), (n, missing, beta)
+                    assert got >= want - 1e-12 * max(1.0, want), (n, missing, beta)
+                assert warm == {}
+
+
+def test_spectral_norm_warm_start_keeps_the_value():
+    # a warm start changes the work, not the answer beyond the certified gap
+    diag, driver = maxcut_hamiltonian(reference_instance()), driver_x(8)
+    warm = {}
+    for beta in (1.3, 1.25, -1.2, 0.4):
+        cold = spectral_norm(diag, driver, beta)
+        hot = spectral_norm(diag, driver, beta, warm)
+        want = dense_spectral_norm(diag.diag, driver.terms, 8, beta)
+        assert min(cold, hot) >= want
+        assert abs(hot - cold) <= 1e-10 * want
+    assert set(warm) == {-1}
+    assert np.all(warm[-1] > 0.0) and abs(np.linalg.norm(warm[-1]) - 1.0) <= 1e-12
+
+
 def test_maxcut_spectral_flags_are_fixed_by_width():
     # summary.json states these flags instead of computing them; check the
     # claims by brute force on random weighted graphs, negative weights too
