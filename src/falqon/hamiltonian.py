@@ -91,6 +91,24 @@ class DriverHamiltonian:
         """Sum of |weight|, which is exactly the spectral norm of the driver."""
         return float(sum(abs(w) for _, w in self.terms))
 
+    @functools.cached_property
+    def abs_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """sum_q |w_q| X_q as two read-only blocks, (lo, hi), built once.
+
+        The register splits at k = n // 2, so sum_q |w_q| X_q = I (x) lo +
+        hi (x) I: ``lo`` (2^k square) holds |w_q| at (i, i ^ 2^q) for the
+        qubits q < k, ``hi`` (2^(n-k) square) the same for q >= k with the
+        bit shifted down by k. At 12 qubits both take 64 KiB together.
+        """
+        k = self.n_qubits // 2
+        lo, hi = np.zeros((1 << k, 1 << k)), np.zeros((1 << (self.n_qubits - k),) * 2)
+        for q, w in self.terms:
+            block, bit = (lo, q) if q < k else (hi, q - k)
+            i = np.arange(block.shape[0])
+            block[i, i ^ (1 << bit)] = abs(w)
+        lo.flags.writeable = hi.flags.writeable = False
+        return lo, hi
+
 
 def maxcut_hamiltonian(graph: Graph) -> DiagonalHamiltonian:
     """Cost Hamiltonian whose diagonal entry at x is minus the cut value of x."""
@@ -133,17 +151,20 @@ def spectral_norm(diag: DiagonalHamiltonian, driver: DriverHamiltonian,
     nonnegative weights) N- dominates N+ entrywise and is the only problem
     solved; no negative entry leaves N+ alone; mixed signs solve both.
 
-    Each top eigenvalue comes from Lanczos with full reorthogonalisation.
-    Once the top Ritz pair (theta, x) is close, x is made positive and
-    certified: for any positive x the Collatz-Wielandt maximum
-    max_i (Nx)_i / x_i is an upper bound on lambda_max(N). When it is within
-    CERTIFY_GAP of theta, it is returned padded by the rounding bound on Nx
-    (`_collatz_wielandt`), so the value is never below the norm. When the
-    gap does not close by the time the Ritz residual is at most 1e-12 of
-    theta, or the Krylov space stops growing, the result falls back to
-    theta padded by that residual. That fallback covers near-degenerate
-    tops as beta -> 0, Perron vectors with zero entries, and drivers that
-    leave a qubit out.
+    Each top eigenvalue comes from Lanczos with full reorthogonalisation,
+    whose steps form A x as two small GEMMs on the |w_q| blocks the driver
+    caches (`DriverHamiltonian.abs_blocks`), scaled by the coupling once per
+    call, and look at the Ritz values on every other step. Once the top
+    Ritz pair (theta, x) is close, x is made positive and certified: for any
+    positive x the Collatz-Wielandt maximum max_i (Nx)_i / x_i is an upper
+    bound on lambda_max(N). When it is within CERTIFY_GAP of theta, it is
+    returned padded by the rounding bound on Nx (`_collatz_wielandt`, whose
+    products go through `driver_matvec`), so the value is never below the
+    norm. When the gap does not close by the time the Ritz residual is at
+    most 1e-12 of theta, or the Krylov space stops growing, the result falls
+    back to theta padded by that residual. That fallback covers
+    near-degenerate tops as beta -> 0, Perron vectors with zero entries, and
+    drivers that leave a qubit out.
 
     ``warm`` carries start vectors between calls on the same operators: a
     dict, initially empty, whose entries this call reads as the start of
@@ -170,49 +191,76 @@ def spectral_norm(diag: DiagonalHamiltonian, driver: DriverHamiltonian,
         warm = None  # N is reducible: a warm vector may miss the block that holds the top
     values = diag.levels[0]
     ends = (-1,) if values[-1] <= 0.0 else (1,) if values[0] >= 0.0 else (-1, 1)
+    blocks = tuple(coupling * b for b in driver.abs_blocks)  # c_q = coupling*|w_q|, as in terms
     norm = 0.0
     for sign in ends:
         start = None if warm is None else warm.get(sign)
-        root, x = _perron_root(np.ldexp(sign * diag.diag, -exp), terms, start)
+        root, x = _perron_root(np.ldexp(sign * diag.diag, -exp), terms, blocks, start)
         if warm is not None:
             warm[sign] = x
         norm = max(norm, math.ldexp(root, exp))
     return min(norm, ceiling)
 
 
+def _block_matvec(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(I (x) lo + hi (x) I) x: two GEMMs on x viewed as a
+    (2^(n-k), 2^k) matrix, whose rows index the high qubits."""
+    v = x.reshape(hi.shape[0], lo.shape[0])
+    out = v @ lo
+    out += hi @ v
+    return out.ravel()
+
+
 def _perron_root(d: np.ndarray, terms: tuple[tuple[int, float], ...],
+                 blocks: tuple[np.ndarray, np.ndarray],
                  start: np.ndarray | None) -> tuple[float, np.ndarray]:
     """Upper bound on lambda_max(N) for N = diag(d) + sum_q c_q X_q, all
     c_q > 0 and |d| < 1, with the unit Perron vector estimate it came from.
+    ``terms`` lists the (q, c_q); ``blocks`` holds the same sum as the two
+    blocks of `_block_matvec`.
 
     Lanczos with full reorthogonalisation (classical Gram-Schmidt, twice)
-    from ``start``, or from the uniform vector. The Collatz-Wielandt bound
-    is tried every other step once the top Ritz residual is at most 1e-9 of
-    theta, and with up to one refinement per driver term once the residual
-    is at most 1e-12 or the Krylov space stops growing (within 2^n steps).
+    from ``start``, or from the uniform vector, each step forming N x with
+    the block product. The tridiagonal eigh runs on even steps, where the
+    Collatz-Wielandt bound is tried once the top Ritz residual is at most
+    1e-9 of theta. It runs on an odd step only when that step is the last or
+    its off-diagonal entry is at most 1e-9, which may mean the Krylov space
+    stopped growing; any other stop an odd step would find is found one step
+    later. Once the residual is at most 1e-12 or the Krylov space stops
+    growing (within 2^n steps), the bound is tried with up to one refinement
+    per driver term. The certificate forms its products with `driver_matvec`
+    over ``terms``, the per-qubit sums its rounding pad is derived for.
     """
     dim = d.size
     basis = np.empty((dim, dim))  # one row per Krylov vector; unused rows stay untouched
     basis[0] = np.full(dim, dim ** -0.5) if start is None else start
     alpha, off = np.zeros(dim), np.zeros(dim)
     for k in range(dim):
-        w = d * basis[k] + driver_matvec(basis[k], terms)
+        w = _block_matvec(basis[k], *blocks)
+        w += d * basis[k]
         alpha[k] = basis[k] @ w
+        span = basis[:k + 1]
         for _ in range(2):  # classical Gram-Schmidt, twice
-            w -= basis[:k + 1].T @ (basis[:k + 1] @ w)
-        off[k] = np.linalg.norm(w)
-        # eigh reads only the lower triangle of the tridiagonal matrix
-        theta, s = np.linalg.eigh(np.diag(alpha[:k + 1]) + np.diag(off[:k], -1))
-        top, resid = float(theta[-1]), float(off[k] * abs(s[-1, -1]))
-        converged = k + 1 == dim or resid <= 1e-12 * top
-        if converged or (resid <= 1e-9 * top and k % 2 == 0):
-            x = np.abs(basis[:k + 1].T @ s[:, -1])
-            bound, x = _collatz_wielandt(d, terms, x, top, len(terms) if converged else 1)
-            if bound is not None:
-                return bound, x / np.linalg.norm(x)
-            if converged:
-                return top + resid, x / np.linalg.norm(x)
-        basis[k + 1] = w / off[k]
+            w -= span.T @ (span @ w)
+        off[k] = math.sqrt(w @ w)  # the value np.linalg.norm computes, without its overhead
+        last = k + 1 == dim
+        # An odd step is skipped only while off[k] is clearly nonzero (N has
+        # norm below 1), so that dividing by it below is safe.
+        if k % 2 == 0 or last or off[k] <= 1e-9:
+            # eigh reads only the lower triangle of the tridiagonal matrix
+            tri = np.diag(alpha[:k + 1])
+            tri.flat[k + 1::k + 2] = off[:k]  # the subdiagonal
+            theta, s = np.linalg.eigh(tri)
+            top, resid = float(theta[-1]), float(off[k] * abs(s[-1, -1]))
+            converged = last or resid <= 1e-12 * top
+            if converged or (resid <= 1e-9 * top and k % 2 == 0):
+                x = np.abs(span.T @ s[:, -1])
+                bound, x = _collatz_wielandt(d, terms, x, top, len(terms) if converged else 1)
+                if bound is not None:
+                    return bound, x / np.linalg.norm(x)
+                if converged:
+                    return top + resid, x / np.linalg.norm(x)
+        np.divide(w, off[k], out=basis[k + 1])
     raise AssertionError("unreachable: the Krylov space is exhausted within 2^n steps")
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from falqon.graphs import Graph
+from falqon.hamiltonian import DriverHamiltonian
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -75,13 +76,24 @@ def assert_equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, atol: float) -
 
 
 @st.composite
-def weighted_graphs(draw, max_nodes: int = 6):
-    """Random graphs on 1..max_nodes nodes, weights in [-3, 3] (zero included)."""
+def weighted_graphs(draw, max_nodes: int = 6, weights=st.floats(-3.0, 3.0)):
+    """Random graphs on 1..max_nodes nodes, weights drawn from ``weights``
+    (by default [-3, 3], zero included)."""
     n = draw(st.integers(1, max_nodes))
-    weight = st.one_of(st.none(), st.floats(-3.0, 3.0))
+    weight = st.one_of(st.none(), weights)
     edges = [(u, v, w) for u in range(n) for v in range(u + 1, n)
              if (w := draw(weight)) is not None]
     return Graph.from_edges(n, edges)
+
+
+@st.composite
+def drivers(draw, max_qubits: int = 8):
+    """X drivers on 1..max_qubits qubits with weights in [-3, 3] (zero
+    included); each qubit's term may be left out."""
+    n = draw(st.integers(1, max_qubits))
+    weight = st.one_of(st.none(), st.floats(-3.0, 3.0))
+    return DriverHamiltonian(n, tuple((q, w) for q in range(n)
+                                      if (w := draw(weight)) is not None))
 
 
 @st.composite

@@ -1,5 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from falqon.graphs import (
     GenerationError,
@@ -13,6 +17,16 @@ from falqon.graphs import (
     random_regular,
     reference_instance,
     save_edge_list,
+)
+
+from oracles import weighted_graphs
+
+#: Edge weights whose text form is easy to get wrong: signed zeros, the
+#: omitted unit weight, and subnormals down to the smallest one.
+AWKWARD_WEIGHTS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1.0, -1.0, 5e-324, -5e-324, sys.float_info.min / 3]),
+    st.floats(-3.0, 3.0),
+    st.floats(-sys.float_info.min, sys.float_info.min),
 )
 
 
@@ -131,6 +145,16 @@ def test_format_parse_round_trip():
         4, [(0, 1, rng.uniform(-2, 2)), (1, 3, 1.0), (2, 3, 1 / 3)]
     )
     assert parse_edge_list(format_edge_list(weighted)) == weighted
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(graph=weighted_graphs(max_nodes=7, weights=AWKWARD_WEIGHTS))
+def test_format_parse_round_trip_property(graph):
+    back = parse_edge_list(format_edge_list(graph))
+    assert back == graph
+    # bit for bit, so -0.0 stays -0.0 where == would accept 0.0
+    assert [(u, v, w.hex()) for u, v, w in back.edges] == \
+        [(u, v, w.hex()) for u, v, w in graph.edges]
 
 
 def test_format_is_canonical_lf():

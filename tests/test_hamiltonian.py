@@ -1,19 +1,26 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from falqon.graphs import Graph, erdos_renyi, max_cut_brute_force, reference_instance
 from falqon.hamiltonian import (
     DiagonalHamiltonian,
     DriverHamiltonian,
+    _block_matvec,
     driver_x,
     ground_energy,
     maxcut_hamiltonian,
     spectral_norm,
 )
 
-from oracles import dense_driver, dense_spectral_norm, weighted_graphs
+from oracles import (
+    dense_driver,
+    dense_spectral_norm,
+    drivers,
+    reference_driver_matvec,
+    weighted_graphs,
+)
 
 K2 = Graph.from_edges(2, [(0, 1)])
 K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
@@ -176,6 +183,79 @@ def test_spectral_norm_warm_start_keeps_the_value():
         assert abs(hot - cold) <= 1e-10 * want
     assert set(warm) == {-1}
     assert np.all(warm[-1] > 0.0) and abs(np.linalg.norm(warm[-1]) - 1.0) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(driver=drivers(), coupling=st.floats(2.0 ** -10, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+@example(driver=DriverHamiltonian(1, ((0, -2.0),)), coupling=0.5, seed=1)  # empty low block
+@example(driver=DriverHamiltonian(5, ((0, 1.5), (2, -0.25), (4, 3.0))), coupling=0.75, seed=2)
+@example(driver=DriverHamiltonian(8, tuple((q, (-1.0) ** q * (q + 1)) for q in range(8))),
+         coupling=2.0 ** -3, seed=3)
+def test_block_matvec_matches_per_qubit_reference(driver, coupling, seed):
+    # the Lanczos product sum_q c_q X_q with c_q = coupling*|w_q|, on the
+    # nonnegative vectors the Perron solver feeds it, against the per-pair sums
+    n = driver.n_qubits
+    rng = np.random.default_rng(seed)
+    x = rng.random(1 << n) * (rng.random(1 << n) < 0.8)  # some entries exactly zero
+    blocks = tuple(coupling * b for b in driver.abs_blocks)
+    got = _block_matvec(x, *blocks)
+    want = reference_driver_matvec(x, [(q, coupling * abs(w)) for q, w in driver.terms])
+    assert got.shape == x.shape
+    assert np.all(np.abs(got - want) <= 2 * n * 2.0 ** -53 * want)
+
+
+def test_abs_blocks_are_cached_read_only_and_small():
+    driver = DriverHamiltonian(3, ((0, -2.0), (2, 0.5)))
+    lo, hi = driver.abs_blocks
+    assert driver.abs_blocks[0] is lo
+    np.testing.assert_array_equal(lo, [[0.0, 2.0], [2.0, 0.0]])  # qubit 0
+    np.testing.assert_array_equal(hi, np.kron([[0.0, 0.5], [0.5, 0.0]], np.eye(2)))  # qubits 1, 2
+    with pytest.raises(ValueError):
+        lo[0, 1] = 1.0
+    assert sum(b.nbytes for b in driver_x(12).abs_blocks) <= 64 * 1024
+
+
+def _krylov_dimension(m, v, tol=1e-9):
+    """Dimension of span{v, Mv, M^2 v, ...}, by dense Gram-Schmidt, twice."""
+    basis = []
+    while len(basis) < v.size:
+        for _ in range(2):
+            v = v - sum(((b @ v) * b for b in basis), np.zeros_like(v))
+        if np.linalg.norm(v) <= tol:
+            break
+        basis.append(v / np.linalg.norm(v))
+        v = m @ basis[-1]
+    return len(basis)
+
+
+K2_DIAG = maxcut_hamiltonian(K2)
+K3_DIAG = maxcut_hamiltonian(K3)
+
+
+@pytest.mark.parametrize("diag, driver", [
+    (K2_DIAG, driver_x(2)),
+    (K3_DIAG, driver_x(3)),
+    (K2_DIAG, DriverHamiltonian(2, ((0, 1.0),))),
+    (K2_DIAG, DriverHamiltonian(2, ((1, -0.6),))),
+    (maxcut_hamiltonian(Graph.from_edges(3, [(0, 2, 1.5)])),
+     DriverHamiltonian(3, ((0, 1.0), (2, 1.0)))),
+    (DiagonalHamiltonian(2, np.array([-1.0, 0.5, 0.5, -1.0])), driver_x(2)),
+    (DiagonalHamiltonian(1, np.array([-1.0, 0.5])), driver_x(1)),
+])
+def test_spectral_norm_when_the_krylov_space_ends_on_an_odd_step(diag, driver):
+    # symmetric instances whose Krylov space from the uniform start has even
+    # dimension, so the last Lanczos step is odd and its off-diagonal entry
+    # is at rounding level: that step must still be checked, not divided by
+    n, dim = diag.n_qubits, 1 << diag.n_qubits
+    coupling = dense_driver([(q, abs(w)) for q, w in driver.terms], n).real
+    for beta in (0.3, -1.1, 2.0):
+        for sign in (-1, 1):  # both spectrum ends, whichever the solver needs
+            size = _krylov_dimension(sign * np.diag(diag.diag) + abs(beta) * coupling,
+                                     np.full(dim, dim ** -0.5))
+            assert size % 2 == 0 and (size < dim or n == 1), (sign, size)
+        want = dense_spectral_norm(diag.diag, driver.terms, n, beta)
+        got = spectral_norm(diag, driver, beta)
+        assert want <= got <= want + 1e-10 * max(1.0, want), beta
 
 
 def test_maxcut_spectral_flags_are_fixed_by_width():
