@@ -15,7 +15,7 @@ short-horizon tool).
 
 Each norm is a Perron root (`hamiltonian.spectral_norm`): flipping the sign
 of some basis states turns H_p + beta*H_d into minus a matrix
-N = -H_p + |beta| sum_q |w_q| X_q with nonnegative off-diagonal entries, and
+N = -H_p + |beta| sum_q X_q with nonnegative off-diagonal entries, and
 ||H_p + beta*H_d|| = lambda_max(N) when H_p <= 0. For any positive vector x,
 the Collatz-Wielandt maximum max_i (Nx)_i / x_i bounds lambda_max(N) from
 above; once it is within 1e-10 of the top Lanczos value it is returned,
@@ -24,9 +24,9 @@ forms the driver product as two small matrix products, one per half of the
 register, and the Ritz values are read on every other step; the
 certificate's products go through the per-qubit `driver_matvec`, whose
 rounding its pad is derived for. When it does not close, the norm falls
-back to the Ritz value padded by its residual. The
-control moves little from layer to layer, so `lipschitz_from_betas` starts
-each layer's solve from the previous layer's Perron vector. Layer t depends
+back to the Ritz value padded by its residual. The control moves little
+from layer to layer, so `lipschitz_from_betas` starts each layer's solve
+from the previous layer's Perron vector. Layer t depends
 only on beta_0..beta_t, so the norms of a prefix of a control sequence are
 bit-identical to the first norms of the whole sequence.
 """

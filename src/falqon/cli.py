@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import analysis, engine, plotting
+from . import analysis, engine
 from .engine import FeedbackLaw, RunConfig
 from .graphs import (
     BRUTE_FORCE_MAX_NODES,
@@ -209,11 +209,6 @@ def _path(value, name: str) -> str:
     return value
 
 
-def _switch(value, name: str) -> bool:
-    """A flag that takes no value: set when given."""
-    return value is True
-
-
 _regular = functools.partial(_pair, second=_integer)
 _er = functools.partial(_pair, second=_real)
 
@@ -274,7 +269,6 @@ SETTINGS = (
             "trace.csv to take the control sequence from"),
     Setting("draws", "--draws", "draws", _count, 100, ("bound",),
             "independent error draws per bound row"),
-    Setting("svg", "--svg", None, _switch, None, _RUNS, "also write SVG plots"),
 )
 
 #: The row of each config entry, by its path: (key,) or (section, key).
@@ -425,13 +419,6 @@ def cmd_run(args) -> int:
             },
         }
         sink.write_text("summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        if s.svg:
-            xs = list(range(1, s.depth + 1))
-            svg = plotting.line_plot_svg(
-                [("cost_error", xs, list(errors)), ("beta", xs, list(trace.betas))],
-                title="closed-loop trace", x_label="layer", y_label="value",
-            )
-            sink.write_text("trace.svg", svg)
     print(f"wrote {', '.join(str(p) for p in sink.written)}")
     print(
         f"final cost {_fmt(trace.costs[-1])} "
@@ -467,7 +454,8 @@ def cmd_sweep(args) -> int:
     if repeated := [name for name, n in Counter(names).items() if n > 1]:
         raise UsageError(f"two sweep cells would both write {repeated[0]}")
     results = []
-    with (ProcessPoolExecutor(max_workers=s.jobs) if s.jobs > 1
+    jobs = min(s.jobs, len(cells))  # the pool starts every worker at once, busy or not
+    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1
           else contextlib.nullcontext()) as pool:
         outcomes = (pool.map if pool else map)(_sweep_cell, [c for _, _, c in cells])
         for eb, lv, _ in cells:
@@ -487,19 +475,6 @@ def cmd_sweep(args) -> int:
             [[c.epsilon_bar, c.lam, c.n_seeds, c.mean_final_cost_error, c.std_final_cost_error]
              for c, _ in results],
         )
-        if s.svg:
-            series = []
-            for lv in lambdas:
-                picked = [c for c, _ in results if c.lam == lv]
-                series.append((f"lambda={lv:g}", [c.epsilon_bar for c in picked],
-                               [c.mean_final_cost_error for c in picked]))
-            sink.write_text(
-                "sweep.svg",
-                plotting.line_plot_svg(
-                    series, title="final cost error vs error bound",
-                    x_label="epsilon_bar", y_label="mean final cost error",
-                ),
-            )
     print(f"wrote {', '.join(str(p) for p in sink.written)}")
     for c, _ in results:
         print(
@@ -596,16 +571,6 @@ def cmd_bound(args) -> int:
              "empirical_min_fidelity", "draws", "vacuous"],
             rows,
         )
-        if s.svg:
-            xs = [r[0] for r in rows]
-            sink.write_text(
-                "bound.svg",
-                plotting.line_plot_svg(
-                    [("lower bound", xs, [r[2] for r in rows]),
-                     ("empirical min", xs, [r[3] for r in rows])],
-                    title="fidelity bound", x_label="epsilon_bar", y_label="fidelity",
-                ),
-            )
     print(f"wrote {', '.join(str(p) for p in sink.written)}")
     print(f"l_value {_fmt(l_value)} over {depth} layers")
     return EXIT_OK
@@ -630,10 +595,7 @@ def _build_parser() -> argparse.ArgumentParser:
         for row in SETTINGS:
             if command not in row.commands:
                 continue
-            if row.parse is _switch:
-                shape: dict = {"action": "store_true"}
-            else:
-                shape = {"nargs": 2, "metavar": row.metavar} if row.metavar else {}
+            shape = {"nargs": 2, "metavar": row.metavar} if row.metavar else {}
             note = ("" if row.default is None else " (required)" if row.default is _REQUIRED
                     else f" (default {row.default})")
             sp.add_argument(row.flag, dest=row.dest, default=_MISSING, help=row.help + note,

@@ -1,10 +1,10 @@
 """MaxCut cost Hamiltonian, transverse-field driver, ground space and norm.
 
 Both operators are kept in structured form. The cost Hamiltonian is diagonal
-in the computational basis and stored as its diagonal vector; the driver is a
-sum of weighted single-qubit X terms stored as (qubit, weight) pairs.
-Everything in this module works through matrix-vector products on those
-structures; no operator is ever built as a 2^n x 2^n matrix.
+in the computational basis and stored as its diagonal vector; the driver is
+the transverse field sum_q X_q, stored as its width. Everything in this
+module works through matrix-vector products on those structures; no operator
+is ever built as a 2^n x 2^n matrix.
 
 Encoding: for an edge (u, v, w) and partition bitstring x, the cost diagonal
 picks up w*(z_u*z_v - 1)/2 where z_q = +1 when bit q of x is 0 and -1 when it
@@ -68,44 +68,34 @@ class DiagonalHamiltonian:
 
 @dataclass(frozen=True)
 class DriverHamiltonian:
-    """Sum of weighted single-qubit X terms, stored as (qubit, weight) pairs."""
+    """The transverse field sum_q X_q on ``n_qubits`` qubits."""
 
     n_qubits: int
-    terms: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
-        seen = set()
-        for q, w in self.terms:
-            if not 0 <= q < self.n_qubits:
-                raise ValueError(f"term qubit {q} out of range for {self.n_qubits} qubits")
-            if q in seen:
-                raise ValueError(f"duplicate term on qubit {q}")
-            if not math.isfinite(w):
-                raise ValueError(f"term on qubit {q} has non-finite weight {w}")
-            seen.add(q)
 
     @property
-    def abs_weight_sum(self) -> float:
-        """Sum of |weight|, which is exactly the spectral norm of the driver."""
-        return float(sum(abs(w) for _, w in self.terms))
+    def terms(self) -> tuple[tuple[int, float], ...]:
+        """(qubit, weight) pairs, every weight 1.0, as the dense oracles take them."""
+        return tuple((q, 1.0) for q in range(self.n_qubits))
 
     @functools.cached_property
     def abs_blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """sum_q |w_q| X_q as two read-only blocks, (lo, hi), built once.
+        """sum_q X_q as two read-only blocks, (lo, hi), built once.
 
-        The register splits at k = n // 2, so sum_q |w_q| X_q = I (x) lo +
-        hi (x) I: ``lo`` (2^k square) holds |w_q| at (i, i ^ 2^q) for the
-        qubits q < k, ``hi`` (2^(n-k) square) the same for q >= k with the
-        bit shifted down by k. At 12 qubits both take 64 KiB together.
+        The register splits at k = n // 2, so sum_q X_q = I (x) lo + hi (x) I:
+        ``lo`` (2^k square) holds 1.0 at (i, i ^ 2^q) for the qubits q < k,
+        ``hi`` (2^(n-k) square) the same for q >= k with the bit shifted down
+        by k. At 12 qubits both take 64 KiB together.
         """
         k = self.n_qubits // 2
         lo, hi = np.zeros((1 << k, 1 << k)), np.zeros((1 << (self.n_qubits - k),) * 2)
-        for q, w in self.terms:
+        for q in range(self.n_qubits):
             block, bit = (lo, q) if q < k else (hi, q - k)
             i = np.arange(block.shape[0])
-            block[i, i ^ (1 << bit)] = abs(w)
+            block[i, i ^ (1 << bit)] = 1.0
         lo.flags.writeable = hi.flags.writeable = False
         return lo, hi
 
@@ -125,10 +115,8 @@ def maxcut_hamiltonian(graph: Graph) -> DiagonalHamiltonian:
 
 
 def driver_x(n: int) -> DriverHamiltonian:
-    """Transverse-field driver sum_q X_q with unit weights."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"n must be in [1, {MAX_QUBITS}], got {n}")
-    return DriverHamiltonian(n, tuple((q, 1.0) for q in range(n)))
+    """Transverse-field driver sum_q X_q on n qubits."""
+    return DriverHamiltonian(n)
 
 
 def ground_energy(diag: DiagonalHamiltonian) -> tuple[float, list[int]]:
@@ -142,60 +130,54 @@ def spectral_norm(diag: DiagonalHamiltonian, driver: DriverHamiltonian,
                   beta: float, warm: dict | None = None) -> float:
     """2-norm of M = H_p + beta*H_d as a certified Perron root.
 
-    Conjugating by Z on the qubits where beta*w_q < 0 turns beta*H_d into
-    A = |beta| sum_q |w_q| X_q, and conjugating by Z on the others turns it
-    into -A, so the spectrum of M is that of D + A and minus that of -D + A
-    (D the cost diagonal). Hence ||M|| = max(lambda_max(N-), lambda_max(N+))
-    with N-/+ = -/+D + A, matrices with nonnegative off-diagonal entries.
-    When no diagonal entry is positive (every MaxCut instance with
-    nonnegative weights) N- dominates N+ entrywise and is the only problem
-    solved; no negative entry leaves N+ alone; mixed signs solve both.
+    Conjugating by Z on every qubit flips the sign of H_d, so beta*H_d is
+    similar to both A = |beta| sum_q X_q and -A, and the spectrum of M is
+    that of D + A and minus that of -D + A (D the cost diagonal). Hence
+    ||M|| = max(lambda_max(N-), lambda_max(N+)) with N-/+ = -/+D + A,
+    matrices with nonnegative off-diagonal entries. When no diagonal entry
+    is positive (every MaxCut instance with nonnegative weights) N-
+    dominates N+ entrywise and is the only problem solved; no negative
+    entry leaves N+ alone; mixed signs solve both.
 
     Each top eigenvalue comes from Lanczos with full reorthogonalisation,
-    whose steps form A x as two small GEMMs on the |w_q| blocks the driver
-    caches (`DriverHamiltonian.abs_blocks`), scaled by the coupling once per
-    call, and look at the Ritz values on every other step. Once the top
-    Ritz pair (theta, x) is close, x is made positive and certified: for any
-    positive x the Collatz-Wielandt maximum max_i (Nx)_i / x_i is an upper
-    bound on lambda_max(N). When it is within CERTIFY_GAP of theta, it is
-    returned padded by the rounding bound on Nx (`_collatz_wielandt`, whose
-    products go through `driver_matvec`), so the value is never below the
-    norm. When the gap does not close by the time the Ritz residual is at
-    most 1e-12 of theta, or the Krylov space stops growing, the result falls
-    back to theta padded by that residual. That fallback covers
-    near-degenerate tops as beta -> 0, Perron vectors with zero entries, and
-    drivers that leave a qubit out.
+    whose steps form A x as two small GEMMs on the blocks the driver caches
+    (`DriverHamiltonian.abs_blocks`), scaled by the coupling once per call,
+    and look at the Ritz values on every other step. Once the top Ritz pair
+    (theta, x) is close, x is made positive and certified: for any positive
+    x the Collatz-Wielandt maximum max_i (Nx)_i / x_i is an upper bound on
+    lambda_max(N). When it is within CERTIFY_GAP of theta, it is returned
+    padded by the rounding bound on Nx (`_collatz_wielandt`, whose products
+    go through `driver_matvec`), so the value is never below the norm. When
+    the gap does not close by the time the Ritz residual is at most 1e-12
+    of theta, or the Krylov space stops growing, the result falls back to
+    theta padded by that residual. That fallback covers near-degenerate
+    tops as beta -> 0 and Perron vectors with entries at rounding level.
 
     ``warm`` carries start vectors between calls on the same operators: a
     dict, initially empty, whose entries this call reads as the start of
-    each problem and replaces with its Perron vector. Warm starts are used
-    only when every qubit has a nonzero driver weight, which makes N
-    irreducible, so its positive Perron vector overlaps any positive start;
-    otherwise every call starts from the uniform vector. At beta = 0 the
-    norm is max|diag| exactly, read from the ends of ``diag.levels``. The
-    operator is scaled by a power of two near the triangle ceiling
-    max|diag| + |beta|*sum|w|, which also caps the result, so tiny and
-    subnormal inputs lose no digits.
+    each problem and replaces with its Perron vector. The X terms connect
+    every basis state, so N is irreducible and its positive Perron vector
+    overlaps any positive start. At beta = 0 the norm is max|diag| exactly,
+    read from the ends of ``diag.levels``. The operator is scaled by a power
+    of two near the triangle ceiling max|diag| + n*|beta|, which also caps
+    the result, so tiny and subnormal inputs lose no digits.
     """
     if diag.n_qubits != driver.n_qubits:
         raise ValueError(
             f"operator widths differ: {diag.n_qubits} vs {driver.n_qubits} qubits"
         )
-    ceiling = diag.peak + abs(float(beta)) * driver.abs_weight_sum
+    ceiling = diag.peak + abs(float(beta)) * driver.n_qubits
     exp = math.frexp(ceiling)[1]  # scaling by 2^-exp is exact and puts the ceiling in [1/2, 1)
     coupling = math.ldexp(abs(float(beta)), -exp)
-    terms = tuple((q, c) for q, w in driver.terms if (c := coupling * abs(w)) > 0.0)
-    if not terms:  # beta = 0, or couplings that vanish beside the diagonal
+    if coupling == 0.0:  # beta = 0, or a coupling that vanishes beside the diagonal
         return diag.peak
-    if len(terms) < diag.n_qubits:
-        warm = None  # N is reducible: a warm vector may miss the block that holds the top
     values = diag.levels[0]
     ends = (-1,) if values[-1] <= 0.0 else (1,) if values[0] >= 0.0 else (-1, 1)
-    blocks = tuple(coupling * b for b in driver.abs_blocks)  # c_q = coupling*|w_q|, as in terms
+    blocks = tuple(coupling * b for b in driver.abs_blocks)
     norm = 0.0
     for sign in ends:
         start = None if warm is None else warm.get(sign)
-        root, x = _perron_root(np.ldexp(sign * diag.diag, -exp), terms, blocks, start)
+        root, x = _perron_root(np.ldexp(sign * diag.diag, -exp), coupling, blocks, start)
         if warm is not None:
             warm[sign] = x
         norm = max(norm, math.ldexp(root, exp))
@@ -211,13 +193,12 @@ def _block_matvec(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return out.ravel()
 
 
-def _perron_root(d: np.ndarray, terms: tuple[tuple[int, float], ...],
+def _perron_root(d: np.ndarray, coupling: float,
                  blocks: tuple[np.ndarray, np.ndarray],
                  start: np.ndarray | None) -> tuple[float, np.ndarray]:
-    """Upper bound on lambda_max(N) for N = diag(d) + sum_q c_q X_q, all
-    c_q > 0 and |d| < 1, with the unit Perron vector estimate it came from.
-    ``terms`` lists the (q, c_q); ``blocks`` holds the same sum as the two
-    blocks of `_block_matvec`.
+    """Upper bound on lambda_max(N) for N = diag(d) + c sum_q X_q, with the
+    coupling c > 0 and |d| < 1, and the unit Perron vector estimate it came
+    from. ``blocks`` holds c sum_q X_q as the two blocks of `_block_matvec`.
 
     Lanczos with full reorthogonalisation (classical Gram-Schmidt, twice)
     from ``start``, or from the uniform vector, each step forming N x with
@@ -227,9 +208,9 @@ def _perron_root(d: np.ndarray, terms: tuple[tuple[int, float], ...],
     its off-diagonal entry is at most 1e-9, which may mean the Krylov space
     stopped growing; any other stop an odd step would find is found one step
     later. Once the residual is at most 1e-12 or the Krylov space stops
-    growing (within 2^n steps), the bound is tried with up to one refinement
-    per driver term. The certificate forms its products with `driver_matvec`
-    over ``terms``, the per-qubit sums its rounding pad is derived for.
+    growing (within 2^n steps), the bound is tried with up to n refinements.
+    The certificate forms its products with `driver_matvec`, the per-qubit
+    sums its rounding pad is derived for.
     """
     dim = d.size
     basis = np.empty((dim, dim))  # one row per Krylov vector; unused rows stay untouched
@@ -255,7 +236,8 @@ def _perron_root(d: np.ndarray, terms: tuple[tuple[int, float], ...],
             converged = last or resid <= 1e-12 * top
             if converged or (resid <= 1e-9 * top and k % 2 == 0):
                 x = np.abs(span.T @ s[:, -1])
-                bound, x = _collatz_wielandt(d, terms, x, top, len(terms) if converged else 1)
+                rounds = dim.bit_length() - 1 if converged else 1
+                bound, x = _collatz_wielandt(d, coupling, x, top, rounds)
                 if bound is not None:
                     return bound, x / np.linalg.norm(x)
                 if converged:
@@ -264,29 +246,28 @@ def _perron_root(d: np.ndarray, terms: tuple[tuple[int, float], ...],
     raise AssertionError("unreachable: the Krylov space is exhausted within 2^n steps")
 
 
-def _collatz_wielandt(d: np.ndarray, terms: tuple[tuple[int, float], ...],
-                      x: np.ndarray, top: float,
+def _collatz_wielandt(d: np.ndarray, coupling: float, x: np.ndarray, top: float,
                       rounds: int) -> tuple[float | None, np.ndarray]:
     """Collatz-Wielandt certificate for lambda_max(N) near the Ritz value
     ``top``, and the vector it was last tried on.
 
-    Each round forms a = Ax with A = sum_q c_q X_q and, when x > 0, the
-    bound max_i (d_i + a_i/x_i). All terms of a_i are nonnegative, so the
-    computed a_i is below the exact one by at most gamma_m * a_i with
-    gamma_m = m*u/(1 - m*u) for m terms and unit roundoff u; with one more
-    rounding each for the quotient and the sum, and at most u*||A|| <= u
-    from rounding c_q, lambda_max(N) exceeds the computed maximum by at most
-    gamma_{m+6} * (2 + max_i a_i/x_i), the pad added. A bound within
+    Each round forms a = Ax with A = c sum_q X_q and, when x > 0, the bound
+    max_i (d_i + a_i/x_i). All n terms of a_i are nonnegative, so the
+    computed a_i is below the exact one by at most gamma_n * a_i with
+    gamma_n = n*u/(1 - n*u) and unit roundoff u; with one more rounding each
+    for the quotient and the sum, and at most u*||A|| <= u from rounding c,
+    lambda_max(N) exceeds the computed maximum by at most
+    gamma_{n+6} * (2 + max_i a_i/x_i), the pad added. A bound within
     CERTIFY_GAP of ``top`` is returned; otherwise the round refines x to
     a / (top - d), the fixed-point form of N x = lambda x, which rebuilds
     small entries from their larger neighbours to full relative accuracy.
     The result is None when no round certifies.
     """
-    eps = (len(terms) + 6) * 2.0 ** -53
+    eps = (d.size.bit_length() - 1 + 6) * 2.0 ** -53
     gamma = eps / (1.0 - eps)
     shift = top - d
     for _ in range(rounds):
-        a = driver_matvec(x, terms)
+        a = driver_matvec(x, coupling)
         if x.min() > 0.0:
             ratio = a / x
             bound = float((d + ratio).max()) + gamma * (2.0 + float(ratio.max()))

@@ -1,12 +1,11 @@
 """Seedable, platform-stable random primitives.
 
-Every stochastic component in this package (graph generation, error
-sampling, the start vector of the norm recurrence) draws from the SplitMix64
-generator implemented here instead of a library RNG, so that a fixed
-(seed, stream) pair reproduces bit-identical values across platforms and
-interpreter versions. SplitMix64 is the 64-bit mixing generator from
-SplittableRandom (Steele, Lea and Flood); it needs only integer add,
-multiply, xor and shift.
+Every stochastic component in this package (graph generation and error
+sampling) draws from the SplitMix64 generator implemented here instead of a
+library RNG, so that a fixed (seed, stream) pair reproduces bit-identical
+values across platforms and interpreter versions. SplitMix64 is the 64-bit
+mixing generator from SplittableRandom (Steele, Lea and Flood); it needs
+only integer add, multiply, xor and shift.
 """
 from __future__ import annotations
 

@@ -2,14 +2,14 @@
 
 This is deliberately not a general gate simulator. The closed-loop optimizer
 only ever applies two unitaries, a diagonal phase e^{-i*scale*H_p} and a
-product of single-qubit X rotations e^{-i*angle*sum_q w_q X_q}, and only ever
+product of single-qubit X rotations e^{-i*angle*sum_q X_q}, and only ever
 reads three scalars back out of the state (a diagonal expectation, the
 driver/problem commutator expectation, an inner product). Those are the
 operations provided, each costing O(2^n) per single-qubit factor.
 
 Per qubit, the X rotation makes three numpy calls on the bit-flipped view
 ``view[:, ::-1, :]`` (``cross = s*flipped``, ``view *= c``, ``view += cross``)
-and the driver matvec one (``out += w*flipped``); the phase takes ``exp``
+and the driver matvec one (``out += weight*flipped``); the phase takes ``exp``
 once per distinct diagonal value (`DiagonalHamiltonian.levels`, at most
 |E|+1 for MaxCut) and gathers. Each amplitude gets the same floating-point
 operations as the per-pair form c*lo + s*hi, s*lo + c*hi with one exp per
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -99,19 +99,18 @@ def apply_diagonal_phase(state: StateVector, diag: "DiagonalHamiltonian",
 
 def apply_x_rotations(state: StateVector, driver: "DriverHamiltonian",
                       angle: float) -> StateVector:
-    """Apply e^{-i * angle * sum_q w_q X_q}.
+    """Apply e^{-i * angle * sum_q X_q}.
 
     The terms commute, so the exponential factorizes exactly into one
-    rotation per qubit: cos(angle*w_q) on the diagonal and -i*sin(angle*w_q)
+    rotation per qubit: cos(angle) on the diagonal and -i*sin(angle)
     between the bit-flipped pairs. No Trotter error is introduced here.
     """
     _check_width(driver.n_qubits, state, "driver Hamiltonian")
     amps = state.amplitudes.copy()
     tmp = np.empty_like(amps)
-    for q, w in driver.terms:
-        theta = float(angle) * w
-        c = math.cos(theta)
-        s = -1j * math.sin(theta)
+    c = math.cos(float(angle))
+    s = -1j * math.sin(float(angle))
+    for q in range(driver.n_qubits):
         view = amps.reshape(-1, 2, 1 << q)
         cross = np.multiply(view[:, ::-1, :], s, out=tmp.reshape(view.shape))  # s*hi | s*lo
         view *= c
@@ -119,17 +118,16 @@ def apply_x_rotations(state: StateVector, driver: "DriverHamiltonian",
     return StateVector(state.n_qubits, amps)
 
 
-def driver_matvec(amplitudes: np.ndarray,
-                  terms: Sequence[tuple[int, float]]) -> np.ndarray:
-    """Apply sum_q w_q X_q to a raw amplitude buffer.
+def driver_matvec(amplitudes: np.ndarray, weight: float) -> np.ndarray:
+    """Apply weight * sum_q X_q to a raw amplitude buffer of 2^n entries.
 
-    Works on real or complex buffers (the norm recurrence uses real ones) and
-    performs no normalization, so it is a plain matrix-vector product.
+    Works on real or complex buffers (the norm certificate uses real ones)
+    and performs no normalization, so it is a plain matrix-vector product.
     """
     out = np.zeros_like(amplitudes)
-    for q, w in terms:
+    for q in range(amplitudes.size.bit_length() - 1):
         o = out.reshape(-1, 2, 1 << q)
-        o += w * amplitudes.reshape(o.shape)[:, ::-1, :]
+        o += weight * amplitudes.reshape(o.shape)[:, ::-1, :]
     return out
 
 
@@ -154,9 +152,9 @@ def a_value(state: StateVector, diag: "DiagonalHamiltonian",
     _check_width(diag.n_qubits, state, "diagonal Hamiltonian")
     _check_width(driver.n_qubits, state, "driver Hamiltonian")
     amps = state.amplitudes
-    z = np.vdot(amps, driver_matvec(diag.diag * amps, driver.terms))
+    z = np.vdot(amps, driver_matvec(diag.diag * amps, 1.0))
     val = -2.0 * float(z.imag)
-    limit = 2.0 * diag.peak * driver.abs_weight_sum
+    limit = 2.0 * diag.peak * driver.n_qubits
     if not abs(val) <= limit * (1.0 + 1e-12) + 1e-12:
         raise AssertionError(f"commutator expectation {val} exceeds operator bound {limit}")
     return val

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from falqon.graphs import Graph
-from falqon.hamiltonian import DriverHamiltonian
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -84,16 +83,6 @@ def weighted_graphs(draw, max_nodes: int = 6, weights=st.floats(-3.0, 3.0)):
     edges = [(u, v, w) for u in range(n) for v in range(u + 1, n)
              if (w := draw(weight)) is not None]
     return Graph.from_edges(n, edges)
-
-
-@st.composite
-def drivers(draw, max_qubits: int = 8):
-    """X drivers on 1..max_qubits qubits with weights in [-3, 3] (zero
-    included); each qubit's term may be left out."""
-    n = draw(st.integers(1, max_qubits))
-    weight = st.one_of(st.none(), st.floats(-3.0, 3.0))
-    return DriverHamiltonian(n, tuple((q, w) for q in range(n)
-                                      if (w := draw(weight)) is not None))
 
 
 @st.composite

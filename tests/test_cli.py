@@ -1,12 +1,13 @@
 import argparse
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from falqon import plotting
+from falqon import cli
 from falqon.cli import SETTINGS, _build_parser, main
 from falqon.graphs import (
     load_edge_list,
@@ -57,11 +58,10 @@ def test_graph_rejects_impossible_parameters(tmp_path):
     assert not out.exists()
     assert run_cli("graph", "--out", str(out)) == 2
     # the generator seed of 'graph' is --graph-seed; --seed is the noise seed,
-    # which 'graph' does not take, and 'graph' writes no plot
-    for flags in (("--seed", "5"), ("--svg",)):
-        with pytest.raises(SystemExit) as info:
-            run_cli("graph", "--regular", "8", "3", *flags, "--out", str(out))
-        assert info.value.code == 2
+    # which 'graph' does not take
+    with pytest.raises(SystemExit) as info:
+        run_cli("graph", "--regular", "8", "3", "--seed", "5", "--out", str(out))
+    assert info.value.code == 2
     assert not out.exists()
 
 
@@ -88,7 +88,7 @@ def test_run_writes_trace_and_summary(tmp_path):
     assert 0.0 <= summary["success_probability"] <= 1.0
     assert summary["l_value"] > 0.0
     assert summary["assumptions"]["degenerate_eigenvalues"] is True
-    assert not (out / "trace.svg").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json", "trace.csv"]
 
 
 def test_run_trace_floats_round_trip(tmp_path):
@@ -106,10 +106,10 @@ def test_run_rerun_is_byte_identical(tmp_path):
     out1 = tmp_path / "r1"
     out2 = tmp_path / "r2"
     args = ("run", "--regular", "8", "3", "--graph-seed", "42", "--depth", "30",
-            "--noise", "systematic", "--epsilon-bar", "0.3", "--seed", "5", "--svg")
+            "--noise", "systematic", "--epsilon-bar", "0.3", "--seed", "5")
     assert run_cli(*args, "--out", str(out1)) == 0
     assert run_cli(*args, "--out", str(out2)) == 0
-    for name in ("trace.csv", "summary.json", "trace.svg"):
+    for name in ("trace.csv", "summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
@@ -355,15 +355,19 @@ def test_run_summary_assumptions(tmp_path, text, want):
 
 def test_failed_rerun_keeps_earlier_results(tmp_path, monkeypatch):
     out = tmp_path / "results"
-    args = ("run", "--regular", "4", "3", "--svg", "--out", str(out))
+    args = ("run", "--regular", "4", "3", "--out", str(out))
     assert run_cli(*args, "--depth", "5") == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert sorted(before) == ["summary.json", "trace.csv", "trace.svg"]
+    assert sorted(before) == ["summary.json", "trace.csv"]
+    write_text = cli._OutputSink.write_text
 
-    def broken_plot(*_, **__):
-        raise RuntimeError("plot failed")
+    def fail_after_the_first(sink, name, text):
+        # trace.csv is staged by then; writing summary.json fails
+        if sink.written:
+            raise OSError("disk full")
+        return write_text(sink, name, text)
 
-    monkeypatch.setattr(plotting, "line_plot_svg", broken_plot)
+    monkeypatch.setattr(cli._OutputSink, "write_text", fail_after_the_first)
     assert run_cli(*args, "--depth", "8") == 1
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
@@ -424,6 +428,38 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert run_cli(*args, "--out", str(out1)) == 0
     assert run_cli(*args, "--jobs", "2", "--out", str(out2)) == 0
     assert (out1 / "aggregate.csv").read_bytes() == (out2 / "aggregate.csv").read_bytes()
+
+
+def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
+    # a pool starts all of its workers at once, so --jobs is capped at the
+    # cell count; a stand-in pool records the size and maps in this process
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    args = ("sweep", "--regular", "4", "3", "--depth", "3", "--noise", "systematic",
+            "--seeds", "0")
+    assert run_cli(*args, "--epsilon-bars", "0.1,0.2", "--jobs", "64",
+                   "--out", str(tmp_path / "two")) == 0
+    assert pools == [2]
+    assert run_cli(*args, "--epsilon-bars", "0.1", "--jobs", "64",
+                   "--out", str(tmp_path / "one")) == 0
+    assert pools == [2]  # a single cell runs serially, without a pool
+    assert run_cli(*args, "--epsilon-bars", "0.1,0.2", "--out", str(tmp_path / "serial")) == 0
+    for name in ("aggregate.csv", "cell_eps0.1_lam0.5.csv", "cell_eps0.2_lam0.5.csv"):
+        assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
 
 def test_sweep_requires_noisy_kind_and_lists(tmp_path, capsys):
@@ -575,18 +611,14 @@ def test_bound_flags_vacuous_rows(tmp_path):
     assert row[5] == "true"
 
 
-def test_svg_outputs(tmp_path):
-    out = tmp_path / "results"
-    assert run_cli("run", "--regular", "4", "3", "--depth", "10", "--svg",
-                   "--out", str(out)) == 0
-    svg = (out / "trace.svg").read_text()
-    assert svg.startswith("<svg")
-    assert "polyline" in svg
-    out2 = tmp_path / "sweep"
-    assert run_cli("sweep", "--regular", "4", "3", "--depth", "8",
-                   "--noise", "independent", "--epsilon-bars", "0.1,0.2",
-                   "--seeds", "0", "--svg", "--out", str(out2)) == 0
-    assert (out2 / "sweep.svg").exists()
+@pytest.mark.parametrize("command", ["graph", "run", "sweep", "bound"])
+def test_svg_flag_is_refused(tmp_path, command):
+    # no subcommand writes plots; asking for one is a usage error
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        run_cli(command, "--regular", "4", "3", "--svg", "--out", str(out))
+    assert info.value.code == 2
+    assert not out.exists()
 
 
 def test_no_subcommand_prints_usage():
@@ -627,3 +659,12 @@ def test_readme_settings_table_matches_settings():
     assert Counter(table) == Counter(
         (row.flag, row.key, command) for row in SETTINGS for command in row.commands
     )
+
+
+def test_readme_command_line_section_names_only_settings_flags():
+    # the prose and examples must not name a flag that no setting has, so a
+    # removed row cannot linger there either
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("## Command line"):text.index("## Edge-list format")]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    assert named and named <= {row.flag for row in SETTINGS}

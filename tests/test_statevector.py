@@ -13,7 +13,6 @@ import falqon
 from falqon.graphs import random_regular
 from falqon.hamiltonian import (
     DiagonalHamiltonian,
-    DriverHamiltonian,
     driver_x,
     maxcut_hamiltonian,
 )
@@ -130,17 +129,6 @@ def test_x_rotations_match_dense_exponential():
             np.testing.assert_allclose(out.amplitudes, u @ s.amplitudes, atol=1e-12)
 
 
-def test_x_rotations_weighted_terms():
-    rng = np.random.default_rng(6)
-    terms = ((0, 0.7), (2, -1.3))
-    driver = DriverHamiltonian(3, terms)
-    s = StateVector(3, random_unit_state(rng, 3))
-    angle = 0.4
-    u = dense_layer_unitary(np.zeros(8), terms, 3, 1.0, angle)
-    out = apply_x_rotations(s, driver, angle)
-    np.testing.assert_allclose(out.amplitudes, u @ s.amplitudes, atol=1e-12)
-
-
 def test_unitaries_preserve_norm():
     rng = np.random.default_rng(7)
     driver = driver_x(4)
@@ -173,11 +161,10 @@ def test_expectation_constant_diagonal():
 def test_driver_matvec_matches_dense():
     rng = np.random.default_rng(9)
     from oracles import dense_driver
-    terms = ((0, 1.0), (1, -0.5), (2, 2.0))
-    h = dense_driver(terms, 3)
-    for _ in range(10):
+    h = dense_driver(driver_x(3).terms, 3)
+    for weight in (1.0, -0.5, 2.0):
         v = random_unit_state(rng, 3)
-        np.testing.assert_allclose(driver_matvec(v, terms), h @ v, atol=1e-12)
+        np.testing.assert_allclose(driver_matvec(v, weight), weight * (h @ v), atol=1e-12)
 
 
 def test_a_value_zero_in_uniform_and_basis_states():
@@ -247,9 +234,9 @@ def assert_kernels_match_references(state, diag, driver, angle):
                      reference_x_rotations(amps, driver.terms, angle))
     assert_same_bits(apply_diagonal_phase(state, diag, angle).amplitudes,
                      reference_diagonal_phase(amps, diag.diag, angle))
-    # the norm recurrence feeds real buffers, a_value complex ones
+    # the norm certificate feeds real buffers, a_value complex ones
     for buf in (amps, amps.real.copy(), diag.diag * amps):
-        assert_same_bits(driver_matvec(buf, driver.terms),
+        assert_same_bits(driver_matvec(buf, 1.0),
                          reference_driver_matvec(buf, driver.terms))
 
 
@@ -257,14 +244,12 @@ def assert_kernels_match_references(state, diag, driver, angle):
 def kernel_cases(draw):
     graph = draw(weighted_graphs())
     n = graph.n_nodes
-    weight = st.one_of(st.none(), st.just(1.0), st.floats(-3.0, 3.0))
-    terms = tuple((q, w) for q in range(n) if (w := draw(weight)) is not None)
     # None starts from the uniform state, whose imaginary parts are exact zeros
     seed = draw(st.one_of(st.none(), st.integers(0, 2**32 - 1)))
     state = (uniform_state(n) if seed is None
              else StateVector(n, random_unit_state(np.random.default_rng(seed), n)))
     angle = draw(st.floats(-10.0, 10.0))
-    return state, maxcut_hamiltonian(graph), DriverHamiltonian(n, terms), angle
+    return state, maxcut_hamiltonian(graph), driver_x(n), angle
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -279,13 +264,10 @@ def test_kernels_bit_identical_at_twelve_qubits():
     values, index = diag.levels
     assert values.size <= len(graph.edges) + 1
     assert_same_bits(values[index], diag.diag)
-    rng = np.random.default_rng(12)
-    weighted = DriverHamiltonian(12, tuple((q, rng.uniform(-2, 2)) for q in range(0, 12, 2)))
-    state = uniform_state(12)
-    for driver in (driver_x(12), weighted):
-        for angle in (0.05, -0.7, 2.3):
-            assert_kernels_match_references(state, diag, driver, angle)
-            state = apply_x_rotations(apply_diagonal_phase(state, diag, angle), driver, angle)
+    driver, state = driver_x(12), uniform_state(12)
+    for angle in (0.05, -0.7, 2.3):
+        assert_kernels_match_references(state, diag, driver, angle)
+        state = apply_x_rotations(apply_diagonal_phase(state, diag, angle), driver, angle)
 
 
 def test_invariant_checks_hold_under_optimize_flag():
