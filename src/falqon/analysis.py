@@ -102,21 +102,25 @@ def lipschitz_from_betas(betas, delta_t: float, diag: DiagonalHamiltonian,
 
 
 def replay_fidelity(betas, epsilons, delta_t: float, diag: DiagonalHamiltonian,
-                    driver: DriverHamiltonian) -> float:
-    """|<ideal|noisy>| for one control sequence under one error sequence.
+                    driver: DriverHamiltonian) -> float | np.ndarray:
+    """|<ideal|noisy>| for one control sequence under error sequences.
 
     Both states are open-loop replays of the same inputs, one error-free and
-    one under ``epsilons`` (an ErrorTrajectory or plain array).
+    one under the errors. ``epsilons`` is one sequence (an ErrorTrajectory or
+    plain array), which gives one float, or a (draws, depth) stack of them,
+    which gives one fidelity per row, each bit-identical to the call on that
+    row alone; the ideal state is replayed once per call.
     """
     eps = epsilons.values if isinstance(epsilons, ErrorTrajectory) else np.asarray(epsilons)
     betas = np.asarray(betas, dtype=np.float64)
-    if betas.shape != eps.shape:
+    if eps.ndim not in (1, 2) or eps.shape[-1:] != betas.shape:
         raise ValueError(
             f"betas and epsilons disagree on depth: {betas.shape} vs {eps.shape}"
         )
     ideal = replay(betas, np.zeros_like(betas), delta_t, diag, driver)
-    noisy = replay(betas, eps, delta_t, diag, driver)
-    return abs(inner_product(ideal, noisy))
+    fids = [abs(inner_product(ideal, replay(betas, row, delta_t, diag, driver)))
+            for row in np.atleast_2d(eps)]
+    return fids[0] if eps.ndim == 1 else np.array(fids)
 
 
 def ideal_fidelity(trace: RunTrace, diag: DiagonalHamiltonian,

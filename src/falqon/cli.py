@@ -8,8 +8,9 @@ Four subcommands:
          one CSV per cell plus aggregate.csv.
 * bound: worst-case fidelity bound for a control sequence next to the
          empirical minimum over independent error draws; writes bound.csv.
-         With --trace it bounds a recorded run of the same instance, at
-         the delta_t recorded in the summary.json beside the trace.
+         With --trace it bounds a recorded run at the delta_t of the
+         summary.json beside the trace, once that summary's edge-list
+         digest shows the run was on the same instance.
 
 Every setting is one row of one table, SETTINGS: a flag or config key names
 one setting in every subcommand (graph's --out file has no key, so the key
@@ -32,6 +33,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import hashlib
 import json
 import math
 import os
@@ -57,7 +59,6 @@ from .graphs import (
 )
 from .hamiltonian import DEGENERACY_TOL, driver_x, ground_energy, maxcut_hamiltonian
 from .noise import NoiseKind, NoiseModel, trajectory
-from .statevector import inner_product
 
 #: Output directory used when neither --out nor the config gives one.
 ENV_OUT_DIR = "FALQON_OUT"
@@ -286,13 +287,21 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def _read_config(path: str):
-    """The parsed --config file; an unreadable file is a usage error."""
+def _read_config(path: str | Path) -> dict:
+    """The JSON object in the --config file, or in the summary.json where a
+    run recorded its settings; an unreadable, malformed or non-object file
+    is a usage error that names it."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc.strerror or exc}") from None
-    return json.loads(text, object_pairs_hook=_unique_keys)
+    try:
+        cfg = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise UsageError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise UsageError(f"config {path} must hold a JSON object")
+    return cfg
 
 
 def _settings(args) -> argparse.Namespace:
@@ -303,10 +312,7 @@ def _settings(args) -> argparse.Namespace:
     them, and its rows' defaults fill in the rest. ``given`` maps each
     setting that a flag or the config set to "flag" or "config".
     """
-    path = args.config
-    cfg = {} if path is _MISSING else _read_config(path)
-    if not isinstance(cfg, dict):
-        raise UsageError(f"config {path} must hold a JSON object")
+    cfg = {} if args.config is _MISSING else _read_config(args.config)
     entries = {}
     for name, value in cfg.items():
         if name not in _SECTIONS:
@@ -333,7 +339,8 @@ def _settings(args) -> argparse.Namespace:
 
 def _resolve_graph(s) -> tuple[Graph, dict]:
     """Build the instance from its one source, a flag before any config
-    entry; returns the graph and a config echo."""
+    entry; returns the graph and a config echo whose edges_sha256, the
+    SHA-256 of the canonical edge list, identifies the instance."""
     picked = ([k for k in ("graph", "regular", "er") if s.given.get(k) == "flag"]
               or [k for k in ("graph", "regular", "er") if k in s.given])
     if len(picked) != 1:
@@ -350,7 +357,9 @@ def _resolve_graph(s) -> tuple[Graph, dict]:
         n, p = s.er
         graph = erdos_renyi(n, p, s.graph_seed)
         echo = {"source": "er", "n": n, "p": p, "seed": s.graph_seed}
-    return graph, {**echo, "n_nodes": graph.n_nodes, "n_edges": len(graph.edges)}
+    digest = hashlib.sha256(format_edge_list(graph).encode()).hexdigest()
+    return graph, {**echo, "n_nodes": graph.n_nodes, "n_edges": len(graph.edges),
+                   "edges_sha256": digest}
 
 
 def cmd_graph(args) -> int:
@@ -504,65 +513,50 @@ def _read_trace_betas(path: Path) -> np.ndarray:
     return np.array(betas)
 
 
-def _trace_delta_t(trace: Path, given, graph: Graph, ground: float) -> float:
+def _trace_delta_t(trace: Path, digest: str) -> float:
     """delta_t of the run that wrote ``trace``, from the summary.json beside
-    it, once that summary shows the run was on this instance (node and edge
-    counts, ground energy); a flag or config delta_t must agree, and stands
-    in when there is no summary."""
+    it, once that summary's edges_sha256 shows the run was on the instance
+    with this edge-list digest."""
     path = trace.with_name("summary.json")
-    if not path.exists():
-        if given is None:
-            raise UsageError(f"no {path} to take delta_t from; give --delta-t")
-        return given
-    summary = json.loads(path.read_text(encoding="utf-8"))
-    run_graph = summary.get("graph") if isinstance(summary, dict) else None
-    if not isinstance(run_graph, dict):
-        raise UsageError(f"{path} records no instance")
-    there = (run_graph.get("n_nodes"), run_graph.get("n_edges"), summary.get("ground_energy"))
-    here = (graph.n_nodes, len(graph.edges), ground)
-    if there != here:
-        raise UsageError(f"{path} records a run on another instance: (nodes, edges, "
-                         f"ground energy) {there}, here {here}")
-    delta_t = _real(summary.get("delta_t"), f"delta_t in {path}")
-    if given is not None and given != delta_t:
-        raise UsageError(f"delta_t {given} disagrees with {delta_t} in {path}")
-    return delta_t
+    summary = _read_config(path)
+    run_graph = summary.get("graph")
+    recorded = run_graph.get("edges_sha256") if isinstance(run_graph, dict) else None
+    if recorded is None:
+        raise UsageError(f"{path} cannot name its run's instance: the digest "
+                         "graph.edges_sha256 is missing")
+    if recorded != digest:
+        raise UsageError(f"{path} records a run on another instance: edges_sha256 "
+                         f"{recorded}, here {digest}")
+    return _real(summary.get("delta_t"), f"delta_t in {path}")
 
 
 def cmd_bound(args) -> int:
     s = _settings(args)
-    graph, _ = _resolve_graph(s)
+    graph, graph_echo = _resolve_graph(s)
     delta_t, depth, draws = s.delta_t, s.depth, s.draws
     diag = maxcut_hamiltonian(graph)
     driver = driver_x(graph.n_nodes)
     if s.trace is not None:
-        # the trace fixes the control sequence, which these settings would make
-        for dest, flag in (("depth", "--depth"), ("lam", "--lambda"), ("w", "--w")):
+        # the trace and its run's summary fix the control sequence and the
+        # time step, which these settings would make
+        for dest, flag in (("delta_t", "--delta-t"), ("depth", "--depth"),
+                           ("lam", "--lambda"), ("w", "--w")):
             if s.given.get(dest) == "flag":
                 raise UsageError(f"{flag} does not apply with --trace")
         betas = _read_trace_betas(Path(s.trace))
         depth = betas.size
-        # without a given delta_t the run's own applies, not the default
-        delta_t = _trace_delta_t(Path(s.trace), delta_t if "delta_t" in s.given else None,
-                                 graph, ground_energy(diag)[0])
+        delta_t = _trace_delta_t(Path(s.trace), graph_echo["edges_sha256"])
     else:
         config = RunConfig(graph, delta_t, depth, FeedbackLaw(s.lam, s.w), NoiseModel())
         betas = engine.run_nominal(config).betas
     models = [NoiseModel(NoiseKind.INDEPENDENT, eb, s.noise_seed) for eb in s.epsilon_bars]
-    base = analysis.lipschitz_from_betas(betas, delta_t, diag, driver, 0.0)
-    l_value = base.l_value
-    ideal = engine.replay(betas, np.zeros_like(betas), delta_t, diag, driver)
+    l_value = analysis.lipschitz_from_betas(betas, delta_t, diag, driver, 0.0).l_value
     rows = []
     for model in models:
         eb = model.epsilon_bar
         floor, vacuous = analysis.fidelity_floor(l_value, eb)
-        empirical = min(
-            abs(inner_product(ideal, engine.replay(
-                betas, trajectory(model, depth, rebuild_index=i + 1).values,
-                delta_t, diag, driver,
-            )))
-            for i in range(draws)
-        )
+        errors = [trajectory(model, depth, rebuild_index=i + 1).values for i in range(draws)]
+        empirical = analysis.replay_fidelity(betas, errors, delta_t, diag, driver).min()
         rows.append([eb, l_value, floor, empirical, draws, vacuous])
     with _OutputSink(s.out) as sink:
         sink.write_csv(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from falqon import analysis
 from falqon.analysis import (
     aggregate,
     fidelity_floor,
@@ -124,7 +125,7 @@ def test_replay_fidelity_single_layer_direct_computation():
     assert abs(f - want) < 1e-12
 
 
-def test_replay_fidelity_accepts_trajectory_objects():
+def test_replay_fidelity_accepts_trajectory_objects(monkeypatch):
     model = NoiseModel(NoiseKind.INDEPENDENT, 0.2, 3)
     traj = trajectory(model, 10, rebuild_index=1)
     betas = run_nominal(RunConfig(K2, 0.05, 10)).betas
@@ -134,6 +135,27 @@ def test_replay_fidelity_accepts_trajectory_objects():
     assert 0.0 <= f1 <= 1.0 + 1e-10
     with pytest.raises(ValueError):
         replay_fidelity(betas, np.zeros(9), 0.05, K2_DIAG, K2_DRIVER)
+    # a (draws, depth) stack gives one fidelity per row, each bit-identical
+    # to the call on that row alone, from one ideal replay per call
+    stack = np.array([trajectory(model, 10, rebuild_index=i + 1).values for i in range(5)])
+    singles = [replay_fidelity(betas, row, 0.05, K2_DIAG, K2_DRIVER) for row in stack]
+    calls = {"n": 0}
+    real_replay = analysis.replay
+
+    def counting_replay(*args, **kwargs):
+        calls["n"] += 1
+        return real_replay(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "replay", counting_replay)
+    fids = replay_fidelity(betas, stack, 0.05, K2_DIAG, K2_DRIVER)
+    assert calls["n"] == 1 + len(stack)
+    assert isinstance(fids, np.ndarray) and fids.shape == (5,)
+    assert fids.tolist() == singles
+    one = replay_fidelity(betas, stack[:1], 0.05, K2_DIAG, K2_DRIVER)
+    assert isinstance(one, np.ndarray) and one.tolist() == singles[:1]
+    for bad in (np.zeros((3, 9)), np.zeros((2, 3, 10)), np.zeros(())):
+        with pytest.raises(ValueError):
+            replay_fidelity(betas, bad, 0.05, K2_DIAG, K2_DRIVER)
 
 
 def test_ideal_fidelity_against_replays():

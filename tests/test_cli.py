@@ -143,10 +143,13 @@ def test_run_defaults_out_dir_to_env(tmp_path, monkeypatch, capsys):
     assert f"-> {tmp_path / 'envout' / 'graph.edges'}" in capsys.readouterr().out
 
 
-def test_run_bad_config_json_is_usage_error(tmp_path):
+def test_run_bad_config_json_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert run_cli("run", "--regular", "4", "3", "--config", str(bad)) == 2
+    for text in (b"{not json", b'{"depth": }', b'{"depth": 2\xff}'):
+        bad.write_bytes(text)
+        capsys.readouterr()
+        assert run_cli("run", "--regular", "4", "3", "--config", str(bad)) == 2
+        assert f"config {bad} is not valid JSON" in capsys.readouterr().err
 
 
 def test_run_invalid_parameters_exit_2(tmp_path, capsys):
@@ -546,40 +549,76 @@ def test_bound_trace_takes_delta_t_from_its_run(tmp_path, capsys):
     assert run_cli(*bound, "--trace", str(trace), "--out", str(out)) == 0
     row = (out / "bound.csv").read_text().splitlines()[1].split(",")
     assert float(row[1]) == summary["l_value"]
-    assert run_cli(*bound, "--trace", str(trace), "--delta-t", "0.1",
-                   "--out", str(out)) == 0
-    # a delta_t that disagrees with the run's is refused
+    # the run's summary alone gives delta_t, so a flag for it is refused, also
+    # one that agrees with the run's
     bad = tmp_path / "bad"
+    capsys.readouterr()
+    assert run_cli(*bound, "--trace", str(trace), "--delta-t", "0.1",
+                   "--out", str(out)) == 2
+    assert "--delta-t does not apply with --trace" in capsys.readouterr().err
     assert run_cli(*bound, "--trace", str(trace), "--delta-t", "0.05",
                    "--out", str(bad)) == 2
-    # without a summary.json beside the trace, delta_t must be given
+    # without a readable summary.json beside the trace, the run's instance and
+    # delta_t are unknown; the error names the file
     lone = tmp_path / "lone" / "trace.csv"
     lone.parent.mkdir()
     lone.write_bytes(trace.read_bytes())
+    lone_summary = lone.with_name("summary.json")
+    for make in (lambda: None, lambda: lone_summary.write_text("{oops"),
+                 lambda: (lone_summary.unlink(), lone_summary.mkdir())):
+        make()
+        capsys.readouterr()
+        assert run_cli(*bound, "--trace", str(lone), "--out", str(bad)) == 2
+        assert str(lone_summary) in capsys.readouterr().err
+    lone_summary.rmdir()
+    # a summary without the instance digest cannot name its instance
+    del summary["graph"]["edges_sha256"]
+    lone_summary.write_text(json.dumps(summary))
+    capsys.readouterr()
     assert run_cli(*bound, "--trace", str(lone), "--out", str(bad)) == 2
-    # a trace from another instance is refused: another size, or the same
-    # size with another weight, where only the ground energy tells them apart
+    assert "graph.edges_sha256 is missing" in capsys.readouterr().err
+    # a trace from another instance is refused: another size, the same size
+    # with another weight, or another graph of the same family and size
     assert run_cli("bound", "--regular", "6", "3", "--epsilon-bars", "0.1", "--draws", "2",
                    "--trace", str(trace), "--out", str(bad)) == 2
     heavy = tmp_path / "heavy.edges"
     heavy.write_text("nodes 4\n0 1 2\n0 2\n0 3\n1 2\n1 3\n2 3\n")
     assert run_cli("bound", "--graph", str(heavy), "--epsilon-bars", "0.1", "--draws", "2",
                    "--trace", str(trace), "--out", str(bad)) == 2
+    seed1 = tmp_path / "seed1"
+    assert run_cli("run", "--regular", "8", "3", "--graph-seed", "1", "--depth", "30",
+                   "--out", str(seed1)) == 0
+    capsys.readouterr()
+    assert run_cli("bound", "--regular", "8", "3", "--graph-seed", "2", "--epsilon-bars",
+                   "0.1", "--draws", "5", "--trace", str(seed1 / "trace.csv"),
+                   "--out", str(bad)) == 2
+    assert "records a run on another instance" in capsys.readouterr().err
+    # the instance is its edge list, whichever source gave it: a file that
+    # graph wrote names the instance that its generator arguments name
+    seed42, edges = tmp_path / "seed42", tmp_path / "g42.edges"
+    assert run_cli("run", "--regular", "8", "3", "--graph-seed", "42", "--depth", "5",
+                   "--out", str(seed42)) == 0
+    assert run_cli("graph", "--regular", "8", "3", "--graph-seed", "42",
+                   "--out", str(edges)) == 0
+    assert run_cli("bound", "--graph", str(edges), "--epsilon-bars", "0.1", "--draws", "2",
+                   "--trace", str(seed42 / "trace.csv"), "--out", str(tmp_path / "g42")) == 0
     # the trace fixes depth, lambda and w, so flags for them are refused, while
-    # config entries for them stay legal: a config is shared between commands
+    # config entries for them and for delta_t stay legal and have no effect: a
+    # config is shared between commands
     for flag, value in (("--depth", "5"), ("--lambda", "3"), ("--w", "2")):
         capsys.readouterr()
         assert run_cli(*bound, "--trace", str(trace), flag, value, "--out", str(bad)) == 2
         assert f"{flag} does not apply with --trace" in capsys.readouterr().err
+    capsys.readouterr()
+    assert run_cli(*bound, "--trace", str(lone), "--delta-t", "0.1", "--out", str(bad)) == 2
+    assert "--delta-t does not apply with --trace" in capsys.readouterr().err
     assert not bad.exists()
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"depth": 5, "lambda": 3, "w": 2}))
+    cfg.write_text(json.dumps({"delta_t": 0.05, "depth": 5, "lambda": 3, "w": 2}))
     shared = tmp_path / "shared"
     assert run_cli(*bound, "--trace", str(trace), "--config", str(cfg),
                    "--out", str(shared)) == 0
     assert (shared / "bound.csv").read_bytes() == (out / "bound.csv").read_bytes()
-    assert run_cli(*bound, "--trace", str(lone), "--delta-t", "0.1", "--out", str(bad)) == 0
-    assert (bad / "bound.csv").read_bytes() == (out / "bound.csv").read_bytes()
 
 
 def test_bound_trace_rejects_non_finite_betas(tmp_path, capsys):
