@@ -18,17 +18,18 @@ of some basis states turns H_p + beta*H_d into minus a matrix
 N = -H_p + |beta| sum_q X_q with nonnegative off-diagonal entries, and
 ||H_p + beta*H_d|| = lambda_max(N) when H_p <= 0. For any positive vector x,
 the Collatz-Wielandt maximum max_i (Nx)_i / x_i bounds lambda_max(N) from
-above; once it is within 1e-10 of the top Lanczos value it is returned,
-padded by its rounding error, so L never undershoots. Each Lanczos step
-forms the driver product as two small matrix products, one per half of the
-register, and the Ritz values are read on every other step; the
-certificate's products go through the per-qubit `driver_matvec`, whose
-rounding its pad is derived for. When it does not close, the norm falls
-back to the Ritz value padded by its residual. The control moves little
-from layer to layer, so `lipschitz_from_betas` starts each layer's solve
-from the previous layer's Perron vector. Layer t depends
-only on beta_0..beta_t, so the norms of a prefix of a control sequence are
-bit-identical to the first norms of the whole sequence.
+above; each norm is the smallest such bound found, padded by its rounding
+error, so L never undershoots, and a solve stops once one is within 1e-10
+of the top Lanczos value. Each Lanczos step forms the driver product as two
+small matrix products, one per half of the register, and the Ritz values
+are read on every other step; the certificate's products go through the
+per-qubit `driver_matvec`, whose rounding its pad is derived for, and at
+controls near zero it first rebuilds the Perron vector's tiny entries from
+their neighbours. The control moves little from layer to layer, so
+`lipschitz_from_betas` starts each layer's solve from the previous layer's
+Perron vector. Layer t depends only on beta_0..beta_t, so the norms of a
+prefix of a control sequence are bit-identical to the first norms of the
+whole sequence.
 """
 from __future__ import annotations
 

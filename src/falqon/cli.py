@@ -53,8 +53,8 @@ from .graphs import (
     Graph,
     erdos_renyi,
     format_edge_list,
-    load_edge_list,
     max_cut_brute_force,
+    parse_edge_list,
     random_regular,
 )
 from .hamiltonian import DEGENERACY_TOL, driver_x, ground_energy, maxcut_hamiltonian
@@ -108,9 +108,7 @@ class _OutputSink:
         return path
 
     def write_csv(self, name: str, header: list[str], rows) -> Path:
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(cell) for cell in row))
+        lines = [",".join(header), *(",".join(map(_fmt, row)) for row in rows)]
         return self.write_text(name, "\n".join(lines) + "\n")
 
     def __enter__(self) -> "_OutputSink":
@@ -287,20 +285,27 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def _read_config(path: str | Path) -> dict:
+def _read_text(path: str | Path, what: str, form: str = "UTF-8 text") -> str:
+    """The text of a file that the user named, as ``what``; a file that
+    cannot be read or decoded is a usage error that names it."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{what} {path} is not valid {form}: {exc}") from None
+
+
+def _read_config(path: str | Path, what: str = "config") -> dict:
     """The JSON object in the --config file, or in the summary.json where a
     run recorded its settings; an unreadable, malformed or non-object file
     is a usage error that names it."""
     try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc.strerror or exc}") from None
-    try:
-        cfg = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise UsageError(f"config {path} is not valid JSON: {exc}") from None
+        cfg = json.loads(_read_text(path, what, "JSON"), object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{what} {path} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
-        raise UsageError(f"config {path} must hold a JSON object")
+        raise UsageError(f"{what} {path} must hold a JSON object")
     return cfg
 
 
@@ -347,7 +352,11 @@ def _resolve_graph(s) -> tuple[Graph, dict]:
         raise UsageError("give one instance source: one of --graph, --regular, --er, "
                          "else one of the config's graph.path, graph.regular, graph.er")
     if picked == ["graph"]:
-        graph = load_edge_list(s.graph)
+        text = _read_text(s.graph, "graph")
+        try:
+            graph = parse_edge_list(text)
+        except ValueError as exc:  # the format, or a graph that cannot exist
+            raise UsageError(f"graph {s.graph}: {exc}") from None
         echo: dict = {"source": "file", "path": s.graph}
     elif picked == ["regular"]:
         n, d = s.regular
@@ -378,11 +387,8 @@ def cmd_graph(args) -> int:
 def cmd_run(args) -> int:
     s = _settings(args)
     graph, graph_echo = _resolve_graph(s)
-    config = RunConfig(
-        graph, s.delta_t, s.depth,
-        FeedbackLaw(s.lam, s.w),
-        NoiseModel(s.noise, s.epsilon_bar, s.noise_seed),
-    )
+    config = RunConfig(graph, s.delta_t, s.depth, FeedbackLaw(s.lam, s.w),
+                       NoiseModel(s.noise, s.epsilon_bar, s.noise_seed))
     with _OutputSink(s.out) as sink:
         trace = engine.run(config)
         diag = maxcut_hamiltonian(graph)
@@ -429,10 +435,8 @@ def cmd_run(args) -> int:
         }
         sink.write_text("summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"wrote {', '.join(str(p) for p in sink.written)}")
-    print(
-        f"final cost {_fmt(trace.costs[-1])} "
-        f"error {_fmt(trace.final_cost_error)} success {_fmt(succ)}"
-    )
+    print(f"final cost {_fmt(trace.costs[-1])} "
+          f"error {_fmt(trace.final_cost_error)} success {_fmt(succ)}")
     return EXIT_OK
 
 
@@ -471,9 +475,7 @@ def cmd_sweep(args) -> int:
             try:
                 results.append(next(outcomes))
             except (ValueError, RuntimeError) as exc:
-                raise RuntimeError(
-                    f"cell epsilon_bar={eb:g} lambda={lv:g} failed: {exc}"
-                ) from exc
+                raise RuntimeError(f"cell epsilon_bar={eb:g} lambda={lv:g} failed: {exc}") from exc
     with _OutputSink(s.out) as sink:
         for name, (_, rows) in zip(names, results):
             sink.write_csv(name, ["seed", "final_cost", "final_cost_error", "fidelity"], rows)
@@ -486,16 +488,14 @@ def cmd_sweep(args) -> int:
         )
     print(f"wrote {', '.join(str(p) for p in sink.written)}")
     for c, _ in results:
-        print(
-            f"epsilon_bar {c.epsilon_bar:g} lambda {c.lam:g}: "
-            f"mean error {_fmt(c.mean_final_cost_error)} "
-            f"(std {_fmt(c.std_final_cost_error)}, n={c.n_seeds})"
-        )
+        print(f"epsilon_bar {c.epsilon_bar:g} lambda {c.lam:g}: "
+              f"mean error {_fmt(c.mean_final_cost_error)} "
+              f"(std {_fmt(c.std_final_cost_error)}, n={c.n_seeds})")
     return EXIT_OK
 
 
 def _read_trace_betas(path: Path) -> np.ndarray:
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = _read_text(path, "trace").splitlines()
     if not lines:
         raise UsageError(f"{path} is empty")
     header = lines[0].split(",")
@@ -518,7 +518,7 @@ def _trace_delta_t(trace: Path, digest: str) -> float:
     it, once that summary's edges_sha256 shows the run was on the instance
     with this edge-list digest."""
     path = trace.with_name("summary.json")
-    summary = _read_config(path)
+    summary = _read_config(path, "run summary")
     run_graph = summary.get("graph")
     recorded = run_graph.get("edges_sha256") if isinstance(run_graph, dict) else None
     if recorded is None:

@@ -28,8 +28,8 @@ from .statevector import MAX_QUBITS, driver_matvec
 #: Eigenvalues closer than this count as degenerate.
 DEGENERACY_TOL = 1e-12
 
-#: A norm counts as certified once its Collatz-Wielandt upper bound is within
-#: this fraction of the top Ritz value.
+#: A norm solve stops once its Collatz-Wielandt upper bound is within this
+#: fraction of the top Ritz value.
 CERTIFY_GAP = 1e-10
 
 
@@ -141,17 +141,14 @@ def spectral_norm(diag: DiagonalHamiltonian, driver: DriverHamiltonian,
 
     Each top eigenvalue comes from Lanczos with full reorthogonalisation,
     whose steps form A x as two small GEMMs on the blocks the driver caches
-    (`DriverHamiltonian.abs_blocks`), scaled by the coupling once per call,
-    and look at the Ritz values on every other step. Once the top Ritz pair
-    (theta, x) is close, x is made positive and certified: for any positive
-    x the Collatz-Wielandt maximum max_i (Nx)_i / x_i is an upper bound on
-    lambda_max(N). When it is within CERTIFY_GAP of theta, it is returned
-    padded by the rounding bound on Nx (`_collatz_wielandt`, whose products
-    go through `driver_matvec`), so the value is never below the norm. When
-    the gap does not close by the time the Ritz residual is at most 1e-12
-    of theta, or the Krylov space stops growing, the result falls back to
-    theta padded by that residual. That fallback covers near-degenerate
-    tops as beta -> 0 and Perron vectors with entries at rounding level.
+    (`DriverHamiltonian.abs_blocks`), scaled by the coupling once per call.
+    Its top Ritz vector, made positive, is certified: for any positive x
+    the Collatz-Wielandt maximum max_i (Nx)_i / x_i, padded for rounding
+    (`_collatz_wielandt`), bounds lambda_max(N) from above, and the smallest
+    such bound is the only value a solve returns. At small |beta| the
+    certificate first rebuilds the tiny entries that Lanczos gets wrong. A
+    solve that never sees a positive vector bounds by +inf, which the
+    triangle ceiling below replaces, so no result is below the norm.
 
     ``warm`` carries start vectors between calls on the same operators: a
     dict, initially empty, whose entries this call reads as the start of
@@ -174,12 +171,10 @@ def spectral_norm(diag: DiagonalHamiltonian, driver: DriverHamiltonian,
     values = diag.levels[0]
     ends = (-1,) if values[-1] <= 0.0 else (1,) if values[0] >= 0.0 else (-1, 1)
     blocks = tuple(coupling * b for b in driver.abs_blocks)
-    norm = 0.0
+    norm, warm = 0.0, {} if warm is None else warm
     for sign in ends:
-        start = None if warm is None else warm.get(sign)
-        root, x = _perron_root(np.ldexp(sign * diag.diag, -exp), coupling, blocks, start)
-        if warm is not None:
-            warm[sign] = x
+        root, warm[sign] = _perron_root(np.ldexp(sign * diag.diag, -exp), coupling, blocks,
+                                        warm.get(sign))
         norm = max(norm, math.ldexp(root, exp))
     return min(norm, ceiling)
 
@@ -196,21 +191,20 @@ def _block_matvec(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def _perron_root(d: np.ndarray, coupling: float,
                  blocks: tuple[np.ndarray, np.ndarray],
                  start: np.ndarray | None) -> tuple[float, np.ndarray]:
-    """Upper bound on lambda_max(N) for N = diag(d) + c sum_q X_q, with the
-    coupling c > 0 and |d| < 1, and the unit Perron vector estimate it came
-    from. ``blocks`` holds c sum_q X_q as the two blocks of `_block_matvec`.
+    """Collatz-Wielandt upper bound on lambda_max(N) for N = diag(d) +
+    c sum_q X_q (c > 0, |d| < 1, c sum_q X_q in ``blocks`` as
+    `_block_matvec` takes it), and the unit Perron vector it came from.
 
     Lanczos with full reorthogonalisation (classical Gram-Schmidt, twice)
-    from ``start``, or from the uniform vector, each step forming N x with
-    the block product. The tridiagonal eigh runs on even steps, where the
-    Collatz-Wielandt bound is tried once the top Ritz residual is at most
-    1e-9 of theta. It runs on an odd step only when that step is the last or
+    from ``start``, or from the uniform vector. The tridiagonal eigh runs
+    on even steps, where one certificate round is tried once the top Ritz
+    residual is at most 1e-9 of theta; a bound within CERTIFY_GAP of theta
+    is returned. It runs on an odd step only when that step is the last or
     its off-diagonal entry is at most 1e-9, which may mean the Krylov space
-    stopped growing; any other stop an odd step would find is found one step
-    later. Once the residual is at most 1e-12 or the Krylov space stops
-    growing (within 2^n steps), the bound is tried with up to n refinements.
-    The certificate forms its products with `driver_matvec`, the per-qubit
-    sums its rounding pad is derived for.
+    stopped growing; any other stop an odd step would find is found one
+    step later. Once the residual is at most 1e-12 or the Krylov space
+    stops growing (within 2^n steps), n rounds run and their smallest bound
+    is returned.
     """
     dim = d.size
     basis = np.empty((dim, dim))  # one row per Krylov vector; unused rows stay untouched
@@ -238,18 +232,17 @@ def _perron_root(d: np.ndarray, coupling: float,
                 x = np.abs(span.T @ s[:, -1])
                 rounds = dim.bit_length() - 1 if converged else 1
                 bound, x = _collatz_wielandt(d, coupling, x, top, rounds)
-                if bound is not None:
+                if converged or bound - top <= CERTIFY_GAP * top:
                     return bound, x / np.linalg.norm(x)
-                if converged:
-                    return top + resid, x / np.linalg.norm(x)
         np.divide(w, off[k], out=basis[k + 1])
     raise AssertionError("unreachable: the Krylov space is exhausted within 2^n steps")
 
 
 def _collatz_wielandt(d: np.ndarray, coupling: float, x: np.ndarray, top: float,
-                      rounds: int) -> tuple[float | None, np.ndarray]:
-    """Collatz-Wielandt certificate for lambda_max(N) near the Ritz value
-    ``top``, and the vector it was last tried on.
+                      rounds: int) -> tuple[float, np.ndarray]:
+    """Smallest Collatz-Wielandt bound on lambda_max(N) over ``rounds``
+    rounds from x, +inf when no round's vector is positive, and the vector
+    that gave it.
 
     Each round forms a = Ax with A = c sum_q X_q and, when x > 0, the bound
     max_i (d_i + a_i/x_i). All n terms of a_i are nonnegative, so the
@@ -257,24 +250,30 @@ def _collatz_wielandt(d: np.ndarray, coupling: float, x: np.ndarray, top: float,
     gamma_n = n*u/(1 - n*u) and unit roundoff u; with one more rounding each
     for the quotient and the sum, and at most u*||A|| <= u from rounding c,
     lambda_max(N) exceeds the computed maximum by at most
-    gamma_{n+6} * (2 + max_i a_i/x_i), the pad added. A bound within
-    CERTIFY_GAP of ``top`` is returned; otherwise the round refines x to
-    a / (top - d), the fixed-point form of N x = lambda x, which rebuilds
-    small entries from their larger neighbours to full relative accuracy.
-    The result is None when no round certifies.
+    gamma_{n+6} * (2 + max_i a_i/x_i), the pad added. The rounds stop at a
+    bound within CERTIFY_GAP of the Ritz value ``top``; otherwise x_i
+    becomes a_i / (top - d_i), the fixed-point form of N x = lambda x, which
+    rebuilds small entries from their larger neighbours to full relative
+    accuracy. Only entries whose shift top - d_i exceeds half the gap
+    between the two highest distinct values of d are rebuilt (none when d
+    is constant): the top level's shifts may be near zero, and its entries
+    are the large ones as c -> 0.
     """
     eps = (d.size.bit_length() - 1 + 6) * 2.0 ** -53
     gamma = eps / (1.0 - eps)
     shift = top - d
+    below = d[d < d.max()]
+    refine = shift > ((d.max() - below.max()) / 2 if below.size else math.inf)
+    best, best_x = math.inf, x
     for _ in range(rounds):
-        a = driver_matvec(x, coupling)
+        a = driver_matvec(coupling * x)
         if x.min() > 0.0:
             ratio = a / x
             bound = float((d + ratio).max()) + gamma * (2.0 + float(ratio.max()))
-            if bound - top <= CERTIFY_GAP * bound:
-                return bound, x
-        if not shift.min() > 2.0 ** -52 * top:  # a shift at rounding level says nothing
-            break
-        x = a / shift
+            if bound < best:
+                best, best_x = bound, x
+            if bound - top <= CERTIFY_GAP * top:
+                break
+        x = np.divide(a, shift, out=x.copy(), where=refine)
         x /= x.max()
-    return None, x
+    return best, best_x

@@ -9,7 +9,7 @@ operations provided, each costing O(2^n) per single-qubit factor.
 
 Per qubit, the X rotation makes three numpy calls on the bit-flipped view
 ``view[:, ::-1, :]`` (``cross = s*flipped``, ``view *= c``, ``view += cross``)
-and the driver matvec one (``out += weight*flipped``); the phase takes ``exp``
+and the driver matvec one (``out += flipped``); the phase takes ``exp``
 once per distinct diagonal value (`DiagonalHamiltonian.levels`, at most
 |E|+1 for MaxCut) and gathers. Each amplitude gets the same floating-point
 operations as the per-pair form c*lo + s*hi, s*lo + c*hi with one exp per
@@ -118,8 +118,8 @@ def apply_x_rotations(state: StateVector, driver: "DriverHamiltonian",
     return StateVector(state.n_qubits, amps)
 
 
-def driver_matvec(amplitudes: np.ndarray, weight: float) -> np.ndarray:
-    """Apply weight * sum_q X_q to a raw amplitude buffer of 2^n entries.
+def driver_matvec(amplitudes: np.ndarray) -> np.ndarray:
+    """Apply sum_q X_q to a raw amplitude buffer of 2^n entries.
 
     Works on real or complex buffers (the norm certificate uses real ones)
     and performs no normalization, so it is a plain matrix-vector product.
@@ -127,7 +127,7 @@ def driver_matvec(amplitudes: np.ndarray, weight: float) -> np.ndarray:
     out = np.zeros_like(amplitudes)
     for q in range(amplitudes.size.bit_length() - 1):
         o = out.reshape(-1, 2, 1 << q)
-        o += weight * amplitudes.reshape(o.shape)[:, ::-1, :]
+        o += amplitudes.reshape(o.shape)[:, ::-1, :]
     return out
 
 
@@ -152,7 +152,7 @@ def a_value(state: StateVector, diag: "DiagonalHamiltonian",
     _check_width(diag.n_qubits, state, "diagonal Hamiltonian")
     _check_width(driver.n_qubits, state, "driver Hamiltonian")
     amps = state.amplitudes
-    z = np.vdot(amps, driver_matvec(diag.diag * amps, 1.0))
+    z = np.vdot(amps, driver_matvec(diag.diag * amps))
     val = -2.0 * float(z.imag)
     limit = 2.0 * diag.peak * driver.n_qubits
     if not abs(val) <= limit * (1.0 + 1e-12) + 1e-12:

@@ -234,6 +234,23 @@ def test_run_invalid_parameters_exit_2(tmp_path, capsys):
         assert run_cli("run", "--regular", "4", "3", "--depth", "2", "--config", str(path),
                        "--out", str(out)) == 2, path
         assert f"cannot read config {path}" in capsys.readouterr().err, path
+    # so is a graph or trace file that is missing, not UTF-8 or not an edge list
+    trace, garbled = tmp_path / "run" / "trace.csv", tmp_path / "garbled"
+    assert run_cli("run", "--regular", "4", "3", "--depth", "2", "--out", str(trace.parent)) == 0
+    garbled.write_bytes(b"nodes 2\n0 1\xff\n")
+    nosuch = tmp_path / "nosuch"
+    bound = ("bound", "--regular", "4", "3", "--epsilon-bars", "0.1", "--draws", "1", "--trace")
+    run = ("run", "--depth", "2", "--graph")
+    for argv, message in (
+        ((*run, str(nosuch)), f"cannot read graph {nosuch}"),
+        ((*run, str(garbled)), f"graph {garbled} is not valid UTF-8 text"),
+        ((*run, str(trace)), f"graph {trace}: line 1"),
+        ((*bound, str(nosuch)), f"cannot read trace {nosuch}"),
+        ((*bound, str(garbled)), f"trace {garbled} is not valid UTF-8 text"),
+    ):
+        capsys.readouterr()
+        assert run_cli(*argv, "--out", str(out)) == 2, argv
+        assert message in capsys.readouterr().err, argv
     assert not out.exists()
 
 

@@ -7,6 +7,7 @@ from falqon.graphs import Graph, erdos_renyi, max_cut_brute_force, reference_ins
 from falqon.hamiltonian import (
     DiagonalHamiltonian,
     _block_matvec,
+    driver_matvec,
     driver_x,
     ground_energy,
     maxcut_hamiltonian,
@@ -173,6 +174,17 @@ def test_block_matvec_matches_per_qubit_reference(n, coupling, seed):
     assert np.all(np.abs(got - want) <= 2 * n * 2.0 ** -53 * want)
 
 
+def test_certificate_product_is_the_per_qubit_sum_bit_for_bit():
+    # the certificate scales x once and sums: the same fl(c*x_j) terms, in the
+    # same order, as sum_q c X_q applied qubit by qubit, which its pad covers
+    rng = np.random.default_rng(5)
+    for n in range(1, 9):
+        x, coupling = rng.random(1 << n), rng.uniform(2.0 ** -10, 1.0)
+        got = driver_matvec(coupling * x)
+        want = reference_driver_matvec(x, [(q, coupling) for q in range(n)])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+
+
 def test_abs_blocks_are_cached_read_only_and_small():
     driver = driver_x(3)
     lo, hi = driver.abs_blocks
@@ -226,6 +238,35 @@ def test_spectral_norm_when_the_krylov_space_ends_on_an_odd_step(diag, driver):
         want = dense_spectral_norm(diag.diag, driver.terms, n, beta)
         got = spectral_norm(diag, driver, beta)
         assert want <= got <= want + 1e-10 * max(1.0, want), beta
+
+
+def _assert_bounds_the_norm(diag, driver, beta, got):
+    want = dense_spectral_norm(diag.diag, driver.terms, diag.n_qubits, beta)
+    assert abs(got - want) <= 1e-10 * max(1.0, want), beta
+    assert got >= want - 1e-12 * max(1.0, want), beta
+
+
+def test_spectral_norm_bounds_k2_at_small_beta():
+    # near beta = 0 the Perron vector's entries off the top diagonal level are
+    # tiny and Lanczos gets them wrong; the certificate must still close
+    driver = driver_x(2)
+    for beta in np.logspace(-10, -1, 400):
+        _assert_bounds_the_norm(K2_DIAG, driver, beta, spectral_norm(K2_DIAG, driver, beta))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(graph=weighted_graphs(), exponent=st.floats(-12.0, 1.0), sign=st.sampled_from((-1, 1)))
+@example(graph=K2, exponent=-10.0, sign=1)
+@example(graph=Graph.from_edges(2, [(0, 1, 0.125)]), exponent=-10.0, sign=1)
+@example(graph=Graph.from_edges(3, [(0, 1, 2.0), (1, 2, -1.5)]), exponent=-12.0, sign=-1)
+def test_spectral_norm_small_beta_property_cold_and_warm(graph, exponent, sign):
+    # mixed-sign weights and |beta| down to 1e-12, each solve cold and warm
+    # from the previous one, as a run's layers take them
+    diag, driver = maxcut_hamiltonian(graph), driver_x(graph.n_nodes)
+    warm = {}
+    for beta in sign * 10.0 ** exponent * np.array([1.0, 1.01, 0.5, -0.5]):
+        _assert_bounds_the_norm(diag, driver, beta, spectral_norm(diag, driver, beta))
+        _assert_bounds_the_norm(diag, driver, beta, spectral_norm(diag, driver, beta, warm))
 
 
 def test_maxcut_spectral_flags_are_fixed_by_width():

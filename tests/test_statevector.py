@@ -163,8 +163,8 @@ def test_driver_matvec_matches_dense():
     from oracles import dense_driver
     h = dense_driver(driver_x(3).terms, 3)
     for weight in (1.0, -0.5, 2.0):
-        v = random_unit_state(rng, 3)
-        np.testing.assert_allclose(driver_matvec(v, weight), weight * (h @ v), atol=1e-12)
+        v = weight * random_unit_state(rng, 3)
+        np.testing.assert_allclose(driver_matvec(v), h @ v, atol=1e-12)
 
 
 def test_a_value_zero_in_uniform_and_basis_states():
@@ -236,7 +236,7 @@ def assert_kernels_match_references(state, diag, driver, angle):
                      reference_diagonal_phase(amps, diag.diag, angle))
     # the norm certificate feeds real buffers, a_value complex ones
     for buf in (amps, amps.real.copy(), diag.diag * amps):
-        assert_same_bits(driver_matvec(buf, 1.0),
+        assert_same_bits(driver_matvec(buf),
                          reference_driver_matvec(buf, driver.terms))
 
 
