@@ -6,6 +6,8 @@ primitives (statevector), multiplicative control-error models (noise), the
 closed-loop optimizer (engine), robustness bounds and sweep statistics
 (analysis), and a config-driven command line (cli).
 """
+import types
+
 from .analysis import (
     LipschitzReport,
     SweepSummary,
@@ -61,50 +63,6 @@ from .statevector import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DiagonalHamiltonian",
-    "DriverHamiltonian",
-    "ErrorTrajectory",
-    "FeedbackLaw",
-    "GenerationError",
-    "Graph",
-    "GraphFormatError",
-    "LipschitzReport",
-    "NoiseKind",
-    "NoiseModel",
-    "RunConfig",
-    "RunTrace",
-    "StateVector",
-    "SweepSummary",
-    "a_value",
-    "aggregate",
-    "apply_diagonal_phase",
-    "apply_x_rotations",
-    "driver_x",
-    "erdos_renyi",
-    "expectation_diagonal",
-    "feedback",
-    "format_edge_list",
-    "ground_energy",
-    "ideal_fidelity",
-    "inner_product",
-    "layer",
-    "lipschitz_from_betas",
-    "load_edge_list",
-    "max_cut_brute_force",
-    "maxcut_hamiltonian",
-    "parse_edge_list",
-    "random_regular",
-    "reference_instance",
-    "replay",
-    "replay_fidelity",
-    "run",
-    "run_independent",
-    "run_nominal",
-    "run_systematic",
-    "save_edge_list",
-    "spectral_norm",
-    "success_probability",
-    "trajectory",
-    "uniform_state",
-]
+#: The public API: every name imported above, listed once.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

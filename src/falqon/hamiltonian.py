@@ -59,6 +59,14 @@ class DiagonalHamiltonian:
         MaxCut diagonal has at most |E|+1, so phases are evaluated per level."""
         return np.unique(self.diag, return_inverse=True)
 
+    @functools.cached_property
+    def complement_invariant(self) -> bool:
+        """Whether diag[x] and diag[2^n-1-x] have equal bits for every x, as
+        complementing x reverses the index; bits, not values, because
+        0.0 == -0.0. Every MaxCut diagonal has it (see `statevector`)."""
+        bits = self.diag.view(np.uint64)
+        return bool(np.array_equal(bits, bits[::-1]))
+
     @property
     def peak(self) -> float:
         """max|diag|, the operator's norm, read from the two ends of ``levels``."""

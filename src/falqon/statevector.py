@@ -16,13 +16,30 @@ operations as the per-pair form c*lo + s*hi, s*lo + c*hi with one exp per
 entry, up to the operand order of commutative IEEE products and sums, so
 the results are bit-identical to it.
 
+Half register. Complementing every bit of x maps index x to 2^n-1-x. The
+uniform state and every MaxCut diagonal are invariant under it, and the
+driver commutes with it, so every state the feedback loop prepares has
+psi(x) == psi(2^n-1-x). `StateVector.symmetric` marks the states this module
+built with that property bit for bit: `uniform_state` sets it, the rotation
+keeps it and the phase keeps it when the diagonal is
+`DiagonalHamiltonian.complement_invariant`. On such a state the rotation
+and the driver product of `a_value` (which also needs an invariant
+diagonal) run on the lower half h = psi[:2^(n-1)]: qubits 0..n-2 pair
+entries inside h as above, and the top qubit pairs h with ``h[::-1]``,
+since x + 2^(n-1) is the complement of 2^(n-1)-1-x. The result is mirrored
+into the upper half. This is bit-identical to the full kernel: given an
+input with mirrored bits, the full kernel computes entry 2^n-1-x with the
+same operations on the mirrored operands of entry x, so its upper half is
+its lower half reversed. `a_value` rebuilds the full vector before its one
+``vdot``, so the reduction is the full path's too.
+
 Basis convention: basis index i encodes the bitstring whose qubit-q bit is
 (i >> q) & 1, so qubit 0 is the least significant bit of the index.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,11 +61,13 @@ class StateVector:
     """Unit-norm complex amplitude vector over ``n_qubits`` qubits.
 
     Instances are immutable; every operation below returns a fresh state and
-    never aliases the input buffer.
+    never aliases the input buffer. ``symmetric``, set only by this module,
+    records that amplitudes[x] and amplitudes[2^n-1-x] have equal bits.
     """
 
     n_qubits: int
     amplitudes: np.ndarray
+    symmetric: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
         n = self.n_qubits
@@ -60,8 +79,8 @@ class StateVector:
                 f"expected {1 << n} amplitudes for {n} qubits, got shape {amps.shape}"
             )
         object.__setattr__(self, "amplitudes", amps)
-        nrm = float(np.linalg.norm(amps))
-        if abs(nrm - 1.0) > NORM_TOL:
+        nrm = math.sqrt(np.vdot(amps, amps).real)
+        if not abs(nrm - 1.0) <= NORM_TOL:  # NaN fails too
             raise ValueError(f"amplitudes have norm {nrm!r}, not a unit state")
 
     @property
@@ -76,12 +95,18 @@ def _check_width(n_op: int, state: StateVector, what: str) -> None:
         )
 
 
+def _state(n: int, amps: np.ndarray, symmetric: bool) -> StateVector:
+    state = StateVector(n, amps)
+    object.__setattr__(state, "symmetric", symmetric)
+    return state
+
+
 def uniform_state(n: int) -> StateVector:
     """Equal superposition of all 2^n basis states, amplitude 2^(-n/2)."""
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"n must be in [1, {MAX_QUBITS}], got {n}")
     dim = 1 << n
-    return StateVector(n, np.full(dim, dim ** -0.5, dtype=np.complex128))
+    return _state(n, np.full(dim, dim ** -0.5, dtype=np.complex128), True)
 
 
 def apply_diagonal_phase(state: StateVector, diag: "DiagonalHamiltonian",
@@ -94,7 +119,18 @@ def apply_diagonal_phase(state: StateVector, diag: "DiagonalHamiltonian",
     _check_width(diag.n_qubits, state, "diagonal Hamiltonian")
     values, index = diag.levels
     phases = np.exp((-1j * float(scale)) * values)[index]
-    return StateVector(state.n_qubits, state.amplitudes * phases)
+    return _state(state.n_qubits, state.amplitudes * phases,
+                  state.symmetric and diag.complement_invariant)
+
+
+def _flips(buf: np.ndarray, half: bool):
+    """Per qubit, ``buf`` as (-1, 2, 2^q) and its bit-flipped view. On a half
+    register the top qubit comes last and pairs ``buf`` with ``buf[::-1]``."""
+    for q in range(buf.size.bit_length() - 1):
+        view = buf.reshape(-1, 2, 1 << q)
+        yield view, view[:, ::-1, :]
+    if half:
+        yield buf, buf[::-1]
 
 
 def apply_x_rotations(state: StateVector, driver: "DriverHamiltonian",
@@ -104,18 +140,22 @@ def apply_x_rotations(state: StateVector, driver: "DriverHamiltonian",
     The terms commute, so the exponential factorizes exactly into one
     rotation per qubit: cos(angle) on the diagonal and -i*sin(angle)
     between the bit-flipped pairs. No Trotter error is introduced here.
+    A symmetric state is rotated on its lower half and mirrored.
     """
     _check_width(driver.n_qubits, state, "driver Hamiltonian")
+    half = state.symmetric
     amps = state.amplitudes.copy()
-    tmp = np.empty_like(amps)
+    h = amps[:state.dim >> half]
+    tmp = np.empty_like(h)
     c = math.cos(float(angle))
     s = -1j * math.sin(float(angle))
-    for q in range(driver.n_qubits):
-        view = amps.reshape(-1, 2, 1 << q)
-        cross = np.multiply(view[:, ::-1, :], s, out=tmp.reshape(view.shape))  # s*hi | s*lo
+    for view, flipped in _flips(h, half):
+        cross = np.multiply(flipped, s, out=tmp.reshape(view.shape))  # s*hi | s*lo
         view *= c
         view += cross  # c*lo + s*hi | c*hi + s*lo
-    return StateVector(state.n_qubits, amps)
+    if half:
+        amps[h.size:] = h[::-1]
+    return _state(state.n_qubits, amps, half)
 
 
 def driver_matvec(amplitudes: np.ndarray) -> np.ndarray:
@@ -125,9 +165,9 @@ def driver_matvec(amplitudes: np.ndarray) -> np.ndarray:
     and performs no normalization, so it is a plain matrix-vector product.
     """
     out = np.zeros_like(amplitudes)
-    for q in range(amplitudes.size.bit_length() - 1):
-        o = out.reshape(-1, 2, 1 << q)
-        o += amplitudes.reshape(o.shape)[:, ::-1, :]
+    for view, flipped in _flips(amplitudes, False):
+        o = out.reshape(view.shape)
+        o += flipped
     return out
 
 
@@ -147,12 +187,19 @@ def a_value(state: StateVector, diag: "DiagonalHamiltonian",
 
     With z = <psi| H_d H_p |psi>, Hermiticity of both operators gives
     <psi| i[H_d, H_p] |psi> = i(z - conj(z)) = -2*Im(z), which is real by
-    construction, so only one structured matvec chain is needed.
+    construction, so only one structured matvec chain is needed; on a
+    symmetric state and an invariant diagonal it runs on the lower half.
     """
     _check_width(diag.n_qubits, state, "diagonal Hamiltonian")
     _check_width(driver.n_qubits, state, "driver Hamiltonian")
     amps = state.amplitudes
-    z = np.vdot(amps, driver_matvec(diag.diag * amps))
+    size = amps.size >> (state.symmetric and diag.complement_invariant)
+    y = diag.diag[:size] * amps[:size]
+    hy = driver_matvec(y)
+    if size < amps.size:
+        hy += y[::-1]  # the top qubit, added last as in the full sum
+        hy = np.concatenate((hy, hy[::-1]))
+    z = np.vdot(amps, hy)
     val = -2.0 * float(z.imag)
     limit = 2.0 * diag.peak * driver.n_qubits
     if not abs(val) <= limit * (1.0 + 1e-12) + 1e-12:

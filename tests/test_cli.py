@@ -447,7 +447,11 @@ def test_sweep_parallel_matches_serial(tmp_path):
             "--seeds", "0:2")
     assert run_cli(*args, "--out", str(out1)) == 0
     assert run_cli(*args, "--jobs", "2", "--out", str(out2)) == 0
-    assert (out1 / "aggregate.csv").read_bytes() == (out2 / "aggregate.csv").read_bytes()
+    # every file, so the cells' fidelities from the workers' final states too
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir()) and len(names) == 3
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch):

@@ -1,6 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import falqon.engine as engine
@@ -203,6 +205,32 @@ def test_run_matches_explicit_rebuilds(graph, depth, kind, epsilon_bar, seed, la
                       (trace.costs, costs),
                       (trace.final_state.amplitudes, state.amplitudes)):
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+
+
+def _unflagged_uniform(n):
+    return StateVector(n, uniform_state(n).amplitudes)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(graph=weighted_graphs(), depth=st.integers(1, 10), kind=st.sampled_from(NoiseKind),
+       epsilon_bar=st.floats(0.0, 0.9), seed=st.integers(0, 2**32),
+       delta_t=st.floats(0.01, 0.5))
+@example(graph=Graph(1), depth=5, kind=NoiseKind.SYSTEMATIC, epsilon_bar=0.5, seed=1,
+         delta_t=0.3)
+@example(graph=Graph.from_edges(2, [(0, 1, -1.5)]), depth=6, kind=NoiseKind.INDEPENDENT,
+         epsilon_bar=0.5, seed=2, delta_t=0.3)
+def test_half_register_run_is_bit_identical_to_full(graph, depth, kind, epsilon_bar, seed,
+                                                    delta_t):
+    # the same run with every state unflagged takes the full-register paths
+    config = RunConfig(graph, delta_t, depth, noise=NoiseModel(kind, epsilon_bar, seed))
+    half = run(config)
+    with mock.patch.object(engine, "uniform_state", _unflagged_uniform):
+        full = run(config)
+    assert half.final_state.symmetric and not full.final_state.symmetric
+    for got, want in ((half.betas, full.betas), (half.a_values, full.a_values),
+                      (half.costs, full.costs),
+                      (half.final_state.amplitudes, full.final_state.amplitudes)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_run_independent_zero_magnitude_equals_nominal():

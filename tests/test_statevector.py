@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -72,6 +73,8 @@ def test_statevector_validates_shape_and_norm():
         StateVector(1, np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         StateVector(1, np.array([1.0 + 2e-10, 0.0]))
+    with pytest.raises(ValueError):
+        StateVector(1, np.array([np.nan, 0.0]))
 
 
 def test_diagonal_phase_zero_scale_is_identity():
@@ -221,6 +224,41 @@ def test_operations_do_not_mutate_input():
     np.testing.assert_array_equal(s.amplitudes, before)
 
 
+def test_a_value_on_a_symmetric_state_with_a_non_invariant_diagonal():
+    # the half-register readout needs the diagonal's symmetry as well as the
+    # state's: halving here would read A = -3.41 instead of about 0
+    s = apply_diagonal_phase(
+        uniform_state(3), DiagonalHamiltonian(3, [0, -1, -1, -2, -2, -1, -1, 0]), 0.7)
+    skew = DiagonalHamiltonian(3, np.arange(8.0))
+    assert s.symmetric and not skew.complement_invariant
+    driver = driver_x(3)
+    got = a_value(s, skew, driver)
+    assert_same_bits(got, a_value(StateVector(3, s.amplitudes), skew, driver))
+    want = dense_commutator_expectation(s.amplitudes, skew.diag, driver.terms, 3)
+    assert abs(got - want) < 1e-12
+
+
+def test_symmetric_flag_is_set_only_by_the_kernels():
+    diag, driver = maxcut_hamiltonian(random_regular(6, 3, 1)), driver_x(6)
+    skew = DiagonalHamiltonian(6, np.arange(64.0))
+    assert diag.complement_invariant and not skew.complement_invariant
+    # signed zeros compare equal but are different bits
+    assert not DiagonalHamiltonian(1, [0.0, -0.0]).complement_invariant
+    s = uniform_state(6)
+    assert s.symmetric
+    with pytest.raises(TypeError):
+        StateVector(6, s.amplitudes, True)
+    assert not StateVector(6, s.amplitudes).symmetric
+    kept = apply_x_rotations(apply_diagonal_phase(s, diag, 0.3), driver, 0.2)
+    assert kept.symmetric
+    dropped = apply_diagonal_phase(s, skew, 0.3)
+    assert not dropped.symmetric
+    assert not apply_x_rotations(apply_diagonal_phase(dropped, diag, 0.3), driver, 0.2).symmetric
+    back = pickle.loads(pickle.dumps(kept))
+    assert back.symmetric
+    assert_same_bits(back.amplitudes, kept.amplitudes)
+
+
 def assert_same_bits(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.dtype == want.dtype and got.shape == want.shape
@@ -238,18 +276,28 @@ def assert_kernels_match_references(state, diag, driver, angle):
     for buf in (amps, amps.real.copy(), diag.diag * amps):
         assert_same_bits(driver_matvec(buf),
                          reference_driver_matvec(buf, driver.terms))
+    if state.symmetric:  # the half-register paths against the full ones
+        assert_same_bits(amps, amps[::-1].copy())
+        assert_same_bits(a_value(state, diag, driver),
+                         a_value(StateVector(state.n_qubits, amps), diag, driver))
 
 
 @st.composite
 def kernel_cases(draw):
     graph = draw(weighted_graphs())
     n = graph.n_nodes
-    # None starts from the uniform state, whose imaginary parts are exact zeros
+    diag, driver = maxcut_hamiltonian(graph), driver_x(n)
+    # None starts from the uniform state, whose imaginary parts are exact
+    # zeros, and may run a few layers on the symmetric (half-register) path
     seed = draw(st.one_of(st.none(), st.integers(0, 2**32 - 1)))
-    state = (uniform_state(n) if seed is None
-             else StateVector(n, random_unit_state(np.random.default_rng(seed), n)))
+    if seed is None:
+        state = uniform_state(n)
+        for angle in draw(st.lists(st.floats(-3.0, 3.0), max_size=4)):
+            state = apply_x_rotations(apply_diagonal_phase(state, diag, angle), driver, angle)
+    else:
+        state = StateVector(n, random_unit_state(np.random.default_rng(seed), n))
     angle = draw(st.floats(-10.0, 10.0))
-    return state, maxcut_hamiltonian(graph), driver_x(n), angle
+    return state, diag, driver, angle
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
