@@ -93,13 +93,8 @@ def lipschitz_from_betas(betas, delta_t: float, diag: DiagonalHamiltonian,
     norms = np.array([spectral_norm(diag, driver, float(b), warm) for b in betas])
     l_value = float(delta_t) * float(norms.sum())
     floor, vacuous = fidelity_floor(l_value, eb)
-    return LipschitzReport(
-        per_layer_norms=norms,
-        l_value=l_value,
-        epsilon_bar=eb,
-        fidelity_lower_bound=floor,
-        vacuous=vacuous,
-    )
+    return LipschitzReport(per_layer_norms=norms, l_value=l_value, epsilon_bar=eb,
+                           fidelity_lower_bound=floor, vacuous=vacuous)
 
 
 def replay_fidelity(betas, epsilons, delta_t: float, diag: DiagonalHamiltonian,
@@ -155,14 +150,9 @@ def aggregate(runs: list[RunTrace], ground: float) -> SweepSummary:
     errors = np.array([float(t.costs[-1]) - float(ground) for t in runs])
     fidelities = np.array([ideal_fidelity(t, diag, driver) for t in runs])
     std = 0.0 if errors.size == 1 else float(np.std(errors, ddof=1))
-    return SweepSummary(
-        epsilon_bar=head.noise.epsilon_bar,
-        lam=head.law.lam,
-        n_seeds=len(runs),
-        mean_final_cost_error=float(errors.mean()),
-        std_final_cost_error=std,
-        mean_fidelity=float(fidelities.mean()),
-    )
+    return SweepSummary(epsilon_bar=head.noise.epsilon_bar, lam=head.law.lam, n_seeds=len(runs),
+                        mean_final_cost_error=float(errors.mean()), std_final_cost_error=std,
+                        mean_fidelity=float(fidelities.mean()))
 
 
 def success_probability(state: StateVector, ground_states) -> float:

@@ -83,7 +83,7 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-class _OutputSink:
+class _OutputSink(contextlib.AbstractContextManager):
     """Stages one command's output files and publishes them together.
 
     Used as a context manager. Each file is written under a temporary name in
@@ -110,9 +110,6 @@ class _OutputSink:
     def write_csv(self, name: str, header: list[str], rows) -> Path:
         lines = [",".join(header), *(",".join(map(_fmt, row)) for row in rows)]
         return self.write_text(name, "\n".join(lines) + "\n")
-
-    def __enter__(self) -> "_OutputSink":
-        return self
 
     def __exit__(self, exc_type, *_) -> None:
         try:
@@ -586,9 +583,7 @@ def _build_parser() -> argparse.ArgumentParser:
         # is refused there, not read as a longer flag that it starts.
         sp = sub.add_parser(command, help=text, allow_abbrev=False)
         sp.set_defaults(handler=handler)
-        for row in SETTINGS:
-            if command not in row.commands:
-                continue
+        for row in (r for r in SETTINGS if command in r.commands):
             shape = {"nargs": 2, "metavar": row.metavar} if row.metavar else {}
             note = ("" if row.default is None else " (required)" if row.default is _REQUIRED
                     else f" (default {row.default})")
@@ -605,12 +600,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

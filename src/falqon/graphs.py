@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -43,6 +44,11 @@ class Graph:
     edges: tuple[tuple[int, int, float], ...] = ()
 
     def __post_init__(self) -> None:
+        for node in (self.n_nodes, *(x for edge in self.edges for x in edge[:2])):
+            try:
+                operator.index(node)  # numpy integers pass; 1.5 and 2.0 do not
+            except TypeError:
+                raise ValueError(f"node {node!r} is not an integer") from None
         if self.n_nodes < 1:
             raise ValueError("graph needs at least one node")
         seen = set()

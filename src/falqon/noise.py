@@ -82,11 +82,10 @@ def trajectory(model: NoiseModel, depth: int, rebuild_index: int = 1) -> ErrorTr
     folds the rebuild index into the stream key, so each rebuild sees fresh
     draws while remaining reproducible from (seed, rebuild_index).
     """
+    for name, value in (("depth", depth), ("rebuild_index", rebuild_index)):
+        if not (float(value).is_integer() and value >= 1):  # 2.5 is refused, not truncated
+            raise ValueError(f"{name} must be an integer of at least 1, got {value}")
     depth = int(depth)
-    if depth < 1:
-        raise ValueError(f"depth must be at least 1, got {depth}")
-    if int(rebuild_index) < 1:
-        raise ValueError(f"rebuild_index must be at least 1, got {rebuild_index}")
     if model.kind is NoiseKind.NONE:
         return ErrorTrajectory(np.zeros(depth))
     if model.kind is NoiseKind.SYSTEMATIC:

@@ -14,7 +14,10 @@ once per distinct diagonal value (`DiagonalHamiltonian.levels`, at most
 |E|+1 for MaxCut) and gathers. Each amplitude gets the same floating-point
 operations as the per-pair form c*lo + s*hi, s*lo + c*hi with one exp per
 entry, up to the operand order of commutative IEEE products and sums, so
-the results are bit-identical to it.
+the results are bit-identical to it. The rotation's views are built once
+per register size, half flag and thread (`_plan`) over two buffers of at
+most 2^12 complex entries, under 0.5 MiB per thread in all; each call
+copies its input in and returns a fresh array that shares none of them.
 
 Half register. Complementing every bit of x maps index x to 2^n-1-x. The
 uniform state and every MaxCut diagonal are invariant under it, and the
@@ -39,6 +42,7 @@ Basis convention: basis index i encodes the bitstring whose qubit-q bit is
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -54,6 +58,9 @@ MAX_QUBITS = 12
 
 #: Accepted deviation of |amplitudes| from 1 when wrapping a StateVector.
 NORM_TOL = 1e-10
+
+#: Per thread, `_plan`'s buffers and views keyed by (size, half).
+_plans = threading.local()
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,6 +140,18 @@ def _flips(buf: np.ndarray, half: bool):
         yield buf, buf[::-1]
 
 
+def _plan(size: int, half: bool):
+    """This thread's work buffer for ``size`` amplitudes and its per-qubit
+    (view, flipped, cross) triples over it and a cross buffer, built once."""
+    plans = vars(_plans)
+    if (size, half) not in plans:
+        buf = np.empty(size, dtype=np.complex128)
+        tmp = np.empty_like(buf)
+        plans[size, half] = buf, [(view, flipped, tmp.reshape(view.shape))
+                                  for view, flipped in _flips(buf, half)]
+    return plans[size, half]
+
+
 def apply_x_rotations(state: StateVector, driver: "DriverHamiltonian",
                       angle: float) -> StateVector:
     """Apply e^{-i * angle * sum_q X_q}.
@@ -144,17 +163,17 @@ def apply_x_rotations(state: StateVector, driver: "DriverHamiltonian",
     """
     _check_width(driver.n_qubits, state, "driver Hamiltonian")
     half = state.symmetric
-    amps = state.amplitudes.copy()
-    h = amps[:state.dim >> half]
-    tmp = np.empty_like(h)
-    c = math.cos(float(angle))
-    s = -1j * math.sin(float(angle))
-    for view, flipped in _flips(h, half):
-        cross = np.multiply(flipped, s, out=tmp.reshape(view.shape))  # s*hi | s*lo
+    h, steps = _plan(state.dim >> half, half)
+    h[:] = state.amplitudes[:h.size]
+    # 0-d arrays, which the ufuncs take without converting a Python scalar
+    # on every call; c is cast to complex exactly as the ufunc would cast it
+    c = np.array(math.cos(float(angle)), dtype=np.complex128)
+    s = np.array(-1j * math.sin(float(angle)))
+    for view, flipped, cross in steps:
+        np.multiply(flipped, s, out=cross)  # s*hi | s*lo
         view *= c
         view += cross  # c*lo + s*hi | c*hi + s*lo
-    if half:
-        amps[h.size:] = h[::-1]
+    amps = np.concatenate((h, h[::-1])) if half else h.copy()
     return _state(state.n_qubits, amps, half)
 
 

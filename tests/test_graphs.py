@@ -48,6 +48,17 @@ def test_graph_rejects_invalid_edges():
         Graph(0)
 
 
+def test_graph_rejects_non_integer_nodes():
+    with pytest.raises(ValueError):
+        Graph(3, ((0, 1.5, 1.0),))
+    with pytest.raises(ValueError):
+        Graph(2.5)
+    with pytest.raises(ValueError):
+        Graph(3, ((0, 2.0, 1.0),))
+    g = Graph(np.int64(3), ((np.int64(0), np.int32(2), 1.0),))
+    assert format_edge_list(g) == format_edge_list(Graph.from_edges(3, [(0, 2)]))
+
+
 def test_degrees():
     assert Graph.from_edges(4, [(0, 1), (1, 2)]).degrees() == [1, 2, 1, 0]
 

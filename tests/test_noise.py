@@ -33,6 +33,12 @@ def test_trajectory_validates_arguments():
         trajectory(model, 0)
     with pytest.raises(ValueError):
         trajectory(model, 5, rebuild_index=0)
+    # non-integral values are refused, not truncated
+    with pytest.raises(ValueError):
+        trajectory(model, 2.5)
+    with pytest.raises(ValueError):
+        trajectory(NoiseModel(NoiseKind.INDEPENDENT, 0.2, 0), 3, rebuild_index=1.9)
+    assert len(trajectory(model, np.int64(3), rebuild_index=np.int64(2))) == 3
 
 
 def test_systematic_prefix_consistency():

@@ -3,6 +3,7 @@ import pickle
 import subprocess
 import sys
 import textwrap
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import falqon
+from falqon import statevector
+from falqon.engine import replay
 from falqon.graphs import random_regular
 from falqon.hamiltonian import (
     DiagonalHamiltonian,
     driver_x,
     maxcut_hamiltonian,
 )
+from falqon.noise import NoiseModel, trajectory
 from falqon.statevector import (
     StateVector,
     a_value,
@@ -316,6 +320,52 @@ def test_kernels_bit_identical_at_twelve_qubits():
     for angle in (0.05, -0.7, 2.3):
         assert_kernels_match_references(state, diag, driver, angle)
         state = apply_x_rotations(apply_diagonal_phase(state, diag, angle), driver, angle)
+
+
+def test_rotated_states_share_no_memory_with_the_plan():
+    for n in range(1, 13):
+        driver, uniform = driver_x(n), uniform_state(n)
+        for state in (uniform, StateVector(n, uniform.amplitudes)):
+            out = apply_x_rotations(state, driver, 0.3).amplitudes
+            buf, steps = statevector._plan(state.dim >> state.symmetric, state.symmetric)
+            assert not np.shares_memory(out, buf)
+            assert not any(np.shares_memory(out, cross) for _, _, cross in steps)
+
+
+def test_later_rotations_leave_earlier_results_unchanged():
+    diag, driver = maxcut_hamiltonian(random_regular(6, 3, 1)), driver_x(6)
+    flagged = apply_diagonal_phase(uniform_state(6), diag, 0.4)
+    plain = StateVector(6, flagged.amplitudes)
+    first = [apply_x_rotations(s, driver, 0.3) for s in (flagged, plain)]
+    saved = [s.amplitudes.copy() for s in first]
+    for angle in (0.1, -0.8, 2.5):
+        for s in (flagged, plain, *first):
+            apply_x_rotations(s, driver, angle)
+    for s, bits in zip(first, saved):
+        assert_same_bits(s.amplitudes, bits)
+
+
+def test_threads_replay_bit_identical_to_serial():
+    # each thread rotates in its own plan; a shared buffer would mix the
+    # registers of concurrent replays
+    diag, driver = maxcut_hamiltonian(random_regular(12, 3, 42)), driver_x(12)
+    betas = 0.5 * np.sin(np.arange(40.0))
+    model = NoiseModel("independent", 0.2, 5)
+    rows = [trajectory(model, betas.size, rebuild_index=i + 1).values for i in range(8)]
+
+    def job(eps):
+        return replay(betas, eps, 0.05, diag, driver).amplitudes
+
+    serial = [job(eps) for eps in rows]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(job, rows, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(threaded, serial):
+        assert_same_bits(got, want)
 
 
 def test_invariant_checks_hold_under_optimize_flag():
