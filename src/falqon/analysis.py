@@ -21,15 +21,15 @@ the Collatz-Wielandt maximum max_i (Nx)_i / x_i bounds lambda_max(N) from
 above; each norm is the smallest such bound found, padded by its rounding
 error, so L never undershoots, and a solve stops once one is within 1e-10
 of the top Lanczos value. Each Lanczos step forms the driver product as two
-small matrix products, one per half of the register, and the Ritz values
-are read on every other step; the certificate's products go through the
-per-qubit `driver_matvec`, whose rounding its pad is derived for, and at
-controls near zero it first rebuilds the Perron vector's tiny entries from
-their neighbours. The control moves little from layer to layer, so
-`lipschitz_from_betas` starts each layer's solve from the previous layer's
-Perron vector. Layer t depends only on beta_0..beta_t, so the norms of a
-prefix of a control sequence are bit-identical to the first norms of the
-whole sequence.
+small matrix products, one per half of the register; the certificate's
+products go through the per-qubit `driver_matvec`, whose rounding its pad
+is derived for, and at controls near zero it first rebuilds the Perron
+vector's tiny entries from their neighbours. The control moves little from
+layer to layer, so `lipschitz_from_betas` starts each layer's solve from the
+previous layer's Perron vector, and reads the Ritz values on every other
+step only from four steps before the step where that solve stopped. Layer t
+depends only on beta_0..beta_t, so the norms of a prefix of a control
+sequence are bit-identical to the first norms of the whole sequence.
 """
 from __future__ import annotations
 

@@ -397,10 +397,7 @@ def cmd_run(args) -> int:
         p1 = float(above.min()) if above.size else p0
         succ = analysis.success_probability(trace.final_state, ground_states)
         errors = trace.costs - trace.ground_energy
-        rows = [
-            [t + 1, trace.betas[t], trace.a_values[t], trace.costs[t], errors[t]]
-            for t in range(s.depth)
-        ]
+        rows = zip(range(1, s.depth + 1), trace.betas, trace.a_values, trace.costs, errors)
         sink.write_csv("trace.csv", ["layer", "beta", "a", "cost", "cost_error"], rows)
         summary = {
             "graph": graph_echo,

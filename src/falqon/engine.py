@@ -13,6 +13,15 @@ gives the plain greedy law beta = -A; larger lam damps the controls, which
 costs convergence speed but buys robustness against errors the loop cannot
 see coming.
 
+A systematic error is a variable time step. Layer t under error eps_t forms
+scale = (1 + eps_t)*dt for both exponents, and a noiseless layer of step
+dt_t = fl((1 + eps_t)*dt) forms the same float, since 1.0*dt_t is exact; the
+law reads A_t, never the step. So a systematic run is, bit for bit, the
+noiseless run whose layer t has step dt_t, every step in
+[(1 - eps_bar)*dt, (1 + eps_bar)*dt] and positive, and the descent of the
+noiseless loop holds for it where it holds at the largest step
+(1 + eps_bar)*dt.
+
 `run` is the one feedback loop for every noise kind. Step t fixes beta_t,
 obtains the state of the t-layer circuit, reads A_t and the cost from it and
 feeds A_t back. The kinds differ only in how that state is obtained:
@@ -99,11 +108,7 @@ class RunConfig:
                 f"closed-loop runs are capped at {MAX_QUBITS} qubits, "
                 f"got {self.graph.n_nodes}"
             )
-        cap = (
-            MAX_DEPTH_INDEPENDENT
-            if self.noise.kind is NoiseKind.INDEPENDENT
-            else MAX_DEPTH
-        )
+        cap = MAX_DEPTH_INDEPENDENT if self.noise.kind is NoiseKind.INDEPENDENT else MAX_DEPTH
         if depth > cap:
             raise ValueError(
                 f"depth {depth} exceeds the cap {cap} for {self.noise.kind.value} runs"

@@ -109,20 +109,9 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     for _ in range(PAIRING_RETRY_CAP):
         stubs = list(range(n)) * d
         rng.shuffle(stubs)
-        edges: set[tuple[int, int]] = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v:
-                ok = False
-                break
-            if u > v:
-                u, v = v, u
-            if (u, v) in edges:
-                ok = False
-                break
-            edges.add((u, v))
-        if ok:
+        pairs = list(zip(stubs[::2], stubs[1::2]))
+        edges = {(min(pair), max(pair)) for pair in pairs if pair[0] != pair[1]}
+        if len(edges) == len(pairs):  # no self-loop and no repeated edge
             return Graph.from_edges(n, sorted(edges))
     raise GenerationError(
         f"no simple {d}-regular pairing on {n} nodes after {PAIRING_RETRY_CAP} attempts"
@@ -136,11 +125,7 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     rng = SplitMix64(derive_key(seed, _STREAM_ER))
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                edges.append((u, v))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
 
 
@@ -151,11 +136,7 @@ def format_edge_list(graph: Graph) -> str:
     1.0, so format/parse is an identity round trip.
     """
     lines = [f"nodes {graph.n_nodes}"]
-    for u, v, w in graph.edges:
-        if w == 1.0:
-            lines.append(f"{u} {v}")
-        else:
-            lines.append(f"{u} {v} {w:.17g}")
+    lines += [f"{u} {v}" if w == 1.0 else f"{u} {v} {w:.17g}" for u, v, w in graph.edges]
     return "\n".join(lines) + "\n"
 
 

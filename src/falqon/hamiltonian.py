@@ -45,9 +45,8 @@ class DiagonalHamiltonian:
             raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
         d = np.ascontiguousarray(self.diag, dtype=np.float64)
         if d.shape != (1 << self.n_qubits,):
-            raise ValueError(
-                f"expected {1 << self.n_qubits} diagonal entries, got shape {d.shape}"
-            )
+            raise ValueError(f"expected {1 << self.n_qubits} diagonal entries, "
+                             f"got shape {d.shape}")
         if not np.all(np.isfinite(d)):
             raise ValueError("diagonal entries must be finite")
         object.__setattr__(self, "diag", d)
@@ -158,19 +157,20 @@ def spectral_norm(diag: DiagonalHamiltonian, driver: DriverHamiltonian,
     solve that never sees a positive vector bounds by +inf, which the
     triangle ceiling below replaces, so no result is below the norm.
 
-    ``warm`` carries start vectors between calls on the same operators: a
-    dict, initially empty, whose entries this call reads as the start of
-    each problem and replaces with its Perron vector. The X terms connect
-    every basis state, so N is irreducible and its positive Perron vector
-    overlaps any positive start. At beta = 0 the norm is max|diag| exactly,
-    read from the ends of ``diag.levels``. The operator is scaled by a power
-    of two near the triangle ceiling max|diag| + n*|beta|, which also caps
-    the result, so tiny and subnormal inputs lose no digits.
+    ``warm`` carries each problem's last solve between calls on the same
+    operators: a dict, initially empty, that maps the sign of each problem
+    to its unit Perron vector and the Lanczos step its solve stopped at.
+    This call starts each problem from that vector, checks for convergence
+    from four steps before that stop on (`_perron_root`) and replaces the
+    entry. The X terms connect every basis state, so N is irreducible and
+    its positive Perron vector overlaps any positive start. At beta = 0 the
+    norm is max|diag| exactly, read from the ends of ``diag.levels``. The
+    operator is scaled by a power of two near the triangle ceiling
+    max|diag| + n*|beta|, which also caps the result, so tiny and subnormal
+    inputs lose no digits.
     """
     if diag.n_qubits != driver.n_qubits:
-        raise ValueError(
-            f"operator widths differ: {diag.n_qubits} vs {driver.n_qubits} qubits"
-        )
+        raise ValueError(f"operator widths differ: {diag.n_qubits} vs {driver.n_qubits} qubits")
     ceiling = diag.peak + abs(float(beta)) * driver.n_qubits
     exp = math.frexp(ceiling)[1]  # scaling by 2^-exp is exact and puts the ceiling in [1/2, 1)
     coupling = math.ldexp(abs(float(beta)), -exp)
@@ -198,51 +198,57 @@ def _block_matvec(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def _perron_root(d: np.ndarray, coupling: float,
                  blocks: tuple[np.ndarray, np.ndarray],
-                 start: np.ndarray | None) -> tuple[float, np.ndarray]:
+                 start: tuple[np.ndarray, int] | None) -> tuple[float, tuple[np.ndarray, int]]:
     """Collatz-Wielandt upper bound on lambda_max(N) for N = diag(d) +
     c sum_q X_q (c > 0, |d| < 1, c sum_q X_q in ``blocks`` as
-    `_block_matvec` takes it), and the unit Perron vector it came from.
+    `_block_matvec` takes it), and the warm entry it leaves: the unit
+    Perron vector the bound came from and the step the solve stopped at.
 
     Lanczos with full reorthogonalisation (classical Gram-Schmidt, twice)
-    from ``start``, or from the uniform vector. The tridiagonal eigh runs
-    on even steps, where one certificate round is tried once the top Ritz
-    residual is at most 1e-9 of theta; a bound within CERTIFY_GAP of theta
-    is returned. It runs on an odd step only when that step is the last or
-    its off-diagonal entry is at most 1e-9, which may mean the Krylov space
-    stopped growing; any other stop an odd step would find is found one
-    step later. Once the residual is at most 1e-12 or the Krylov space
-    stops growing (within 2^n steps), n rounds run and their smallest bound
-    is returned.
+    from the vector of ``start``, a previous solve's warm entry, or from
+    the uniform vector. The tridiagonal eigh runs on even steps from that
+    entry's stop - 4 on (from step 0 when cold), where one certificate
+    round is tried once the top Ritz residual is at most 1e-9 of theta; a
+    bound within CERTIFY_GAP of theta is returned. A failed check leaves no
+    state behind, so skipping checks that would fail changes no bit; a
+    solve that could stop before stop - 4 runs on and returns another bound,
+    certified the same way. The eigh runs on any other step only when that
+    step is the last or its off-diagonal entry is at most 1e-9, which may
+    mean the Krylov space stopped growing; any other stop an odd step would
+    find is found one step later. Once the residual is at most 1e-12 or the
+    Krylov space stops growing (within 2^n steps), n rounds run and their
+    smallest bound is returned.
     """
     dim = d.size
     basis = np.empty((dim, dim))  # one row per Krylov vector; unused rows stay untouched
-    basis[0] = np.full(dim, dim ** -0.5) if start is None else start
+    basis[0], stop = start or (np.full(dim, dim ** -0.5), 0)
     alpha, off = np.zeros(dim), np.zeros(dim)
     for k in range(dim):
-        w = _block_matvec(basis[k], *blocks)
-        w += d * basis[k]
-        alpha[k] = basis[k] @ w
+        v = basis[k]
+        w = _block_matvec(v, *blocks)
+        w += d * v
+        alpha[k] = v @ w
         span = basis[:k + 1]
         for _ in range(2):  # classical Gram-Schmidt, twice
             w -= span.T @ (span @ w)
-        off[k] = math.sqrt(w @ w)  # the value np.linalg.norm computes, without its overhead
+        off[k] = norm = math.sqrt(w @ w)  # the value np.linalg.norm computes, without its overhead
         last = k + 1 == dim
-        # An odd step is skipped only while off[k] is clearly nonzero (N has
-        # norm below 1), so that dividing by it below is safe.
-        if k % 2 == 0 or last or off[k] <= 1e-9:
+        # A step is skipped only while off[k] is clearly nonzero (N has norm
+        # below 1), so that dividing by it below is safe.
+        if (k % 2 == 0 and k >= stop - 4) or last or norm <= 1e-9:
             # eigh reads only the lower triangle of the tridiagonal matrix
             tri = np.diag(alpha[:k + 1])
             tri.flat[k + 1::k + 2] = off[:k]  # the subdiagonal
             theta, s = np.linalg.eigh(tri)
-            top, resid = float(theta[-1]), float(off[k] * abs(s[-1, -1]))
+            top, resid = float(theta[-1]), float(norm * abs(s[-1, -1]))
             converged = last or resid <= 1e-12 * top
             if converged or (resid <= 1e-9 * top and k % 2 == 0):
                 x = np.abs(span.T @ s[:, -1])
                 rounds = dim.bit_length() - 1 if converged else 1
                 bound, x = _collatz_wielandt(d, coupling, x, top, rounds)
                 if converged or bound - top <= CERTIFY_GAP * top:
-                    return bound, x / np.linalg.norm(x)
-        np.divide(w, off[k], out=basis[k + 1])
+                    return bound, (x / np.linalg.norm(x), k)
+        np.divide(w, norm, out=basis[k + 1])
     raise AssertionError("unreachable: the Krylov space is exhausted within 2^n steps")
 
 
@@ -259,21 +265,18 @@ def _collatz_wielandt(d: np.ndarray, coupling: float, x: np.ndarray, top: float,
     for the quotient and the sum, and at most u*||A|| <= u from rounding c,
     lambda_max(N) exceeds the computed maximum by at most
     gamma_{n+6} * (2 + max_i a_i/x_i), the pad added. The rounds stop at a
-    bound within CERTIFY_GAP of the Ritz value ``top``; otherwise x_i
-    becomes a_i / (top - d_i), the fixed-point form of N x = lambda x, which
-    rebuilds small entries from their larger neighbours to full relative
-    accuracy. Only entries whose shift top - d_i exceeds half the gap
-    between the two highest distinct values of d are rebuilt (none when d
-    is constant): the top level's shifts may be near zero, and its entries
-    are the large ones as c -> 0.
+    bound within CERTIFY_GAP of the Ritz value ``top``; before any further
+    round x_i becomes a_i / (top - d_i), the fixed-point form of
+    N x = lambda x, which rebuilds small entries from their larger
+    neighbours to full relative accuracy. Only entries whose shift
+    top - d_i exceeds half the gap between the two highest distinct values
+    of d are rebuilt (none when d is constant): the top level's shifts may
+    be near zero, and its entries are the large ones as c -> 0.
     """
     eps = (d.size.bit_length() - 1 + 6) * 2.0 ** -53
     gamma = eps / (1.0 - eps)
-    shift = top - d
-    below = d[d < d.max()]
-    refine = shift > ((d.max() - below.max()) / 2 if below.size else math.inf)
     best, best_x = math.inf, x
-    for _ in range(rounds):
+    for i in range(rounds):
         a = driver_matvec(coupling * x)
         if x.min() > 0.0:
             ratio = a / x
@@ -282,6 +285,11 @@ def _collatz_wielandt(d: np.ndarray, coupling: float, x: np.ndarray, top: float,
                 best, best_x = bound, x
             if bound - top <= CERTIFY_GAP * top:
                 break
+        if i + 1 == rounds:  # nothing reads a refinement after the last round
+            break
+        if i == 0:  # the first refinement; later rounds reuse its shifts
+            shift, below = top - d, d[d < d.max()]
+            refine = shift > ((d.max() - below.max()) / 2 if below.size else math.inf)
         x = np.divide(a, shift, out=x.copy(), where=refine)
         x /= x.max()
     return best, best_x

@@ -14,10 +14,10 @@ once per distinct diagonal value (`DiagonalHamiltonian.levels`, at most
 |E|+1 for MaxCut) and gathers. Each amplitude gets the same floating-point
 operations as the per-pair form c*lo + s*hi, s*lo + c*hi with one exp per
 entry, up to the operand order of commutative IEEE products and sums, so
-the results are bit-identical to it. The rotation's views are built once
-per register size, half flag and thread (`_plan`) over two buffers of at
-most 2^12 complex entries, under 0.5 MiB per thread in all; each call
-copies its input in and returns a fresh array that shares none of them.
+the results are bit-identical to it. The views of both are built once per
+register size, half flag, dtype and thread (`_plan`) over two buffers of at
+most 2^12 entries, under 0.6 MiB per thread in all; each call copies its
+input in and returns a fresh array that shares none of them.
 
 Half register. Complementing every bit of x maps index x to 2^n-1-x. The
 uniform state and every MaxCut diagonal are invariant under it, and the
@@ -140,16 +140,17 @@ def _flips(buf: np.ndarray, half: bool):
         yield buf, buf[::-1]
 
 
-def _plan(size: int, half: bool):
-    """This thread's work buffer for ``size`` amplitudes and its per-qubit
-    (view, flipped, cross) triples over it and a cross buffer, built once."""
-    plans = vars(_plans)
-    if (size, half) not in plans:
-        buf = np.empty(size, dtype=np.complex128)
+def _plan(size: int, half: bool, dtype: np.dtype = np.dtype(np.complex128)):
+    """This thread's work buffer for ``size`` entries of ``dtype`` and its
+    per-qubit (view, flipped, cross) triples over it and a cross buffer,
+    built once."""
+    plans, key = vars(_plans), (size, half, dtype)
+    if key not in plans:
+        buf = np.empty(size, dtype=dtype)
         tmp = np.empty_like(buf)
-        plans[size, half] = buf, [(view, flipped, tmp.reshape(view.shape))
-                                  for view, flipped in _flips(buf, half)]
-    return plans[size, half]
+        plans[key] = buf, [(view, flipped, tmp.reshape(view.shape))
+                           for view, flipped in _flips(buf, half)]
+    return plans[key]
 
 
 def apply_x_rotations(state: StateVector, driver: "DriverHamiltonian",
@@ -180,14 +181,19 @@ def apply_x_rotations(state: StateVector, driver: "DriverHamiltonian",
 def driver_matvec(amplitudes: np.ndarray) -> np.ndarray:
     """Apply sum_q X_q to a raw amplitude buffer of 2^n entries.
 
-    Works on real or complex buffers (the norm certificate uses real ones)
-    and performs no normalization, so it is a plain matrix-vector product.
+    Works on real or complex buffers (the norm certificate uses real ones),
+    each dtype in its own plan, and performs no normalization, so it is a
+    plain matrix-vector product.
     """
-    out = np.zeros_like(amplitudes)
-    for view, flipped in _flips(amplitudes, False):
-        o = out.reshape(view.shape)
+    buf, steps = _plan(amplitudes.size, False, amplitudes.dtype)
+    if not steps:  # one entry, no qubit to flip
+        return np.zeros_like(amplitudes)
+    buf[:] = amplitudes
+    out = steps[0][2]  # qubit 0's cross view spans the whole cross buffer
+    out.fill(0)
+    for _, flipped, o in steps:
         o += flipped
-    return out
+    return out.flatten()
 
 
 def expectation_diagonal(state: StateVector, diag: "DiagonalHamiltonian") -> float:

@@ -20,7 +20,7 @@ from falqon.engine import (
 from falqon.graphs import Graph, reference_instance
 from falqon.hamiltonian import DiagonalHamiltonian, driver_x, maxcut_hamiltonian
 from falqon.noise import NoiseKind, NoiseModel, trajectory
-from falqon.statevector import StateVector, uniform_state
+from falqon.statevector import StateVector, a_value, expectation_diagonal, uniform_state
 
 from oracles import dense_layer_unitary, random_unit_state, weighted_graphs
 
@@ -89,6 +89,30 @@ def test_layer_error_is_time_rescaling():
         noisy = layer(state, 0.3, 0.05, eps, diag, driver)
         clean = layer(state, 0.3, (1 + eps) * 0.05, 0.0, diag, driver)
         np.testing.assert_allclose(noisy.amplitudes, clean.amplitudes, atol=1e-14)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(graph=weighted_graphs(), depth=st.integers(1, 40), epsilon_bar=st.floats(0.0, 0.9),
+       seed=st.integers(0, 2**32), lam=st.floats(0.05, 20.0), delta_t=st.floats(0.01, 0.5))
+@example(graph=reference_instance(), depth=300, epsilon_bar=0.5, seed=0, lam=0.5, delta_t=0.05)
+@example(graph=reference_instance(), depth=300, epsilon_bar=0.9, seed=2, lam=1.0, delta_t=0.05)
+def test_systematic_run_is_a_noiseless_run_with_variable_steps(graph, depth, epsilon_bar,
+                                                               seed, lam, delta_t):
+    # the feedback law does not read the step, so a systematic run is the
+    # noiseless loop with step (1 + eps_t) * delta_t at layer t, bit for bit
+    law = FeedbackLaw(lam=lam)
+    noise = NoiseModel(NoiseKind.SYSTEMATIC, epsilon_bar, seed)
+    trace = run(RunConfig(graph, delta_t, depth, law, noise))
+    diag, driver = maxcut_hamiltonian(graph), driver_x(graph.n_nodes)
+    state, beta, betas, costs = uniform_state(graph.n_nodes), 0.0, [], []
+    for eps in trajectory(noise, depth).values:
+        betas.append(beta)
+        state = layer(state, beta, (1.0 + float(eps)) * delta_t, 0.0, diag, driver)
+        costs.append(expectation_diagonal(state, diag))
+        beta = feedback(a_value(state, diag, driver), law)
+    for got, want in ((trace.betas, np.array(betas)), (trace.costs, np.array(costs)),
+                      (trace.final_state.amplitudes, state.amplitudes)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_layer_rejects_total_detuning():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from falqon.engine import RunConfig, run_nominal
 from falqon.graphs import Graph, erdos_renyi, max_cut_brute_force, reference_instance
 from falqon.hamiltonian import (
     DiagonalHamiltonian,
@@ -154,7 +155,26 @@ def test_spectral_norm_warm_start_keeps_the_value():
         assert min(cold, hot) >= want
         assert abs(hot - cold) <= 1e-10 * want
     assert set(warm) == {-1}
-    assert np.all(warm[-1] > 0.0) and abs(np.linalg.norm(warm[-1]) - 1.0) <= 1e-12
+    vector, stop = warm[-1]  # the Perron vector and the step its solve stopped at
+    assert np.all(vector > 0.0) and abs(np.linalg.norm(vector) - 1.0) <= 1e-12
+    assert 0 <= stop < 256
+
+
+def test_warm_schedule_matches_every_other_step_checks_on_the_reference_run():
+    # A warm solve checks its even steps only from the previous stop - 4 on.
+    # The checks it skips would have failed and leave no state, so it returns
+    # the bits of a solve from the same vector that checks every even step,
+    # which a recorded stop of 0 asks for.
+    graph = reference_instance()
+    diag, driver = maxcut_hamiltonian(graph), driver_x(8)
+    warm = {}
+    for beta in run_nominal(RunConfig(graph, 0.05, 200)).betas:
+        oracle = {sign: (vector, 0) for sign, (vector, _) in warm.items()}
+        want = spectral_norm(diag, driver, beta, oracle)
+        assert spectral_norm(diag, driver, beta, warm).hex() == want.hex(), beta
+        assert warm.keys() == oracle.keys()
+        for sign, (vector, stop) in warm.items():
+            assert np.array_equal(vector, oracle[sign][0]) and stop == oracle[sign][1], beta
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)

@@ -332,6 +332,21 @@ def test_rotated_states_share_no_memory_with_the_plan():
             assert not any(np.shares_memory(out, cross) for _, _, cross in steps)
 
 
+def test_driver_products_share_no_memory_with_the_plan():
+    # real buffers (the norm certificate) and complex ones (a_value) each get
+    # a plan; a 1-entry buffer is the half register of one qubit
+    rng = np.random.default_rng(4)
+    for n in range(13):
+        for x in (rng.random(1 << n), rng.random(1 << n) - 1j * rng.random(1 << n)):
+            out = driver_matvec(x)
+            saved = out.copy()
+            buf, steps = statevector._plan(x.size, False, x.dtype)
+            assert out.dtype == x.dtype and not np.shares_memory(out, buf)
+            assert not any(np.shares_memory(out, cross) for _, _, cross in steps)
+            driver_matvec(rng.random(x.size).astype(x.dtype))
+            assert_same_bits(out, saved)
+
+
 def test_later_rotations_leave_earlier_results_unchanged():
     diag, driver = maxcut_hamiltonian(random_regular(6, 3, 1)), driver_x(6)
     flagged = apply_diagonal_phase(uniform_state(6), diag, 0.4)
@@ -366,6 +381,29 @@ def test_threads_replay_bit_identical_to_serial():
         sys.setswitchinterval(interval)
     for got, want in zip(threaded, serial):
         assert_same_bits(got, want)
+
+
+def test_threads_driver_products_bit_identical_to_serial():
+    # real products as the certificate forms them, complex ones as a_value
+    # does, from four threads at once, each thread in its own plans
+    rng = np.random.default_rng(6)
+    inputs = [rng.random(1 << 12) if i % 2 else rng.random(1 << 11) - 1j * rng.random(1 << 11)
+              for i in range(8)]
+
+    def job(x):
+        return [driver_matvec(x) for _ in range(20)]
+
+    serial = [job(x) for x in inputs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(job, inputs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(threaded, serial):
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
 
 
 def test_invariant_checks_hold_under_optimize_flag():
