@@ -33,6 +33,7 @@ sequence are bit-identical to the first norms of the whole sequence.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,11 @@ class SweepSummary:
 
 def fidelity_floor(l_value: float, epsilon_bar: float) -> tuple[float, bool]:
     """Quadratic floor 1 - (L * epsilon_bar)^2 / 2 clamped to [0, 1], and
-    whether the raw value fell below zero (the bound says nothing there)."""
+    whether the raw value fell below zero (the bound says nothing there).
+    A negative or NaN L or epsilon_bar is refused."""
+    for name, value in (("L", l_value), ("epsilon_bar", epsilon_bar)):
+        if not float(value) >= 0.0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
     raw = 1.0 - 0.5 * (float(l_value) * float(epsilon_bar)) ** 2
     return min(1.0, max(0.0, raw)), bool(raw < 0.0)
 
@@ -82,18 +87,18 @@ def fidelity_floor(l_value: float, epsilon_bar: float) -> tuple[float, bool]:
 def lipschitz_from_betas(betas, delta_t: float, diag: DiagonalHamiltonian,
                          driver: DriverHamiltonian,
                          epsilon_bar: float) -> LipschitzReport:
-    """Sensitivity report for a recorded control sequence."""
+    """Sensitivity report for a recorded control sequence at a positive,
+    finite time step ``delta_t``."""
     betas = np.asarray(betas, dtype=np.float64)
     if betas.size < 1:
         raise ValueError("need at least one control input")
-    eb = float(epsilon_bar)
-    if eb < 0.0:
-        raise ValueError(f"epsilon_bar must be nonnegative, got {eb}")
+    if not (math.isfinite(dt := float(delta_t)) and dt > 0.0):
+        raise ValueError(f"delta_t must be a positive finite real, got {delta_t}")
     warm: dict = {}  # each layer's Perron vectors start the next layer's solve
     norms = np.array([spectral_norm(diag, driver, float(b), warm) for b in betas])
-    l_value = float(delta_t) * float(norms.sum())
-    floor, vacuous = fidelity_floor(l_value, eb)
-    return LipschitzReport(per_layer_norms=norms, l_value=l_value, epsilon_bar=eb,
+    l_value = dt * float(norms.sum())
+    floor, vacuous = fidelity_floor(l_value, epsilon_bar)
+    return LipschitzReport(per_layer_norms=norms, l_value=l_value, epsilon_bar=float(epsilon_bar),
                            fidelity_lower_bound=floor, vacuous=vacuous)
 
 

@@ -21,9 +21,13 @@ one source: one of --graph/--regular/--er or, failing those, one of the
 config's graph.path/graph.regular/graph.er. A sweep builds and checks every
 cell's run settings before any cell runs. All real numbers in output files
 carry 17 significant digits and every file is written with LF endings, so
-reruns of a fixed configuration are byte-identical. Output files are staged
-and moved into place only once all exist, so a failing command neither
-leaves partial output nor touches the results of an earlier one.
+reruns of a fixed configuration are byte-identical. A subcommand only
+computes: it returns its output directory, its files (name to text, in
+writing order) and its notes. `main` alone reads the settings, builds the
+instance and publishes the files, staging them and moving them into place
+only once all exist. So a command that fails before publishing creates
+nothing, and no failing command leaves partial output or touches the
+results of an earlier one.
 
 Exit codes: 0 on success, 1 for runtime failures (generator retry exhaustion,
 I/O), 2 for bad flags, bad config or invalid parameter combinations.
@@ -74,8 +78,6 @@ class UsageError(ValueError):
 
 def _fmt(value) -> str:
     """Render one CSV cell: booleans as true/false, reals with 17 digits."""
-    if isinstance(value, str):
-        return value
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -83,43 +85,33 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-class _OutputSink(contextlib.AbstractContextManager):
-    """Stages one command's output files and publishes them together.
+def _csv(header: list[str], rows) -> str:
+    return "\n".join([",".join(header), *(",".join(map(_fmt, row)) for row in rows)]) + "\n"
 
-    Used as a context manager. Each file is written under a temporary name in
-    the output directory ($FALQON_OUT or '.' when ``out_dir`` is None); a
-    clean exit moves every one into place with os.replace once all exist,
-    and any exit removes the remaining temporaries, so a failed command
-    leaves the results of an earlier one untouched.
+
+def _publish(out_dir, files: dict[str, str]) -> list[Path]:
+    """Write ``files``, name to text, into ``out_dir`` ($FALQON_OUT or '.'
+    when None) and return their paths.
+
+    Each file is staged under a temporary name and moved into place with
+    os.replace once all exist; any exit removes the remaining temporaries,
+    so a failure leaves the results of an earlier command untouched.
     """
-
-    def __init__(self, out_dir):
-        self.out_dir = Path(os.environ.get(ENV_OUT_DIR, ".") if out_dir is None else out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.written: list[Path] = []
-        self._staged: list[Path] = []
-
-    def write_text(self, name: str, text: str) -> Path:
-        path = self.out_dir / name
-        staged = self.out_dir / f".{name}.{os.getpid()}.tmp"
-        self._staged.append(staged)
-        staged.write_text(text, encoding="utf-8", newline="\n")
-        self.written.append(path)
-        return path
-
-    def write_csv(self, name: str, header: list[str], rows) -> Path:
-        lines = [",".join(header), *(",".join(map(_fmt, row)) for row in rows)]
-        return self.write_text(name, "\n".join(lines) + "\n")
-
-    def __exit__(self, exc_type, *_) -> None:
-        try:
-            if exc_type is None:
-                for staged, path in zip(self._staged, self.written):
-                    os.replace(staged, path)
-        finally:
-            for staged in self._staged:
-                with contextlib.suppress(OSError):
-                    staged.unlink()
+    out_dir = Path(os.environ.get(ENV_OUT_DIR, ".") if out_dir is None else out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    staged: dict[Path, Path] = {}
+    try:
+        for name, text in files.items():
+            tmp = out_dir / f".{name}.{os.getpid()}.tmp"
+            staged[tmp] = out_dir / name
+            tmp.write_text(text, encoding="utf-8", newline="\n")
+        for tmp, path in staged.items():
+            os.replace(tmp, path)
+    finally:
+        for tmp in staged:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+    return list(staged.values())
 
 
 #: An absent flag or config entry.
@@ -368,86 +360,72 @@ def _resolve_graph(s) -> tuple[Graph, dict]:
                    "edges_sha256": digest}
 
 
-def cmd_graph(args) -> int:
-    s = _settings(args)
-    graph, _ = _resolve_graph(s)
+def cmd_graph(s, graph: Graph, _echo: dict) -> tuple:
     out = Path("graph.edges" if s.edges is None else s.edges)
-    with _OutputSink(None if s.edges is None else out.parent) as sink:
-        out = sink.write_text(out.name, format_edge_list(graph))
-    print(f"nodes {graph.n_nodes} edges {len(graph.edges)} -> {out}")
+    notes = [f"nodes {graph.n_nodes} edges {len(graph.edges)}"]
     if graph.n_nodes <= BRUTE_FORCE_MAX_NODES:
         value, arg = max_cut_brute_force(graph)
-        print(f"max cut {_fmt(value)} at partition {arg:0{graph.n_nodes}b}")
-    return EXIT_OK
+        notes.append(f"max cut {_fmt(value)} at partition {arg:0{graph.n_nodes}b}")
+    return (None if s.edges is None else out.parent), {out.name: format_edge_list(graph)}, notes
 
 
-def cmd_run(args) -> int:
-    s = _settings(args)
-    graph, graph_echo = _resolve_graph(s)
+def cmd_run(s, graph: Graph, echo: dict) -> tuple:
     config = RunConfig(graph, s.delta_t, s.depth, FeedbackLaw(s.lam, s.w),
                        NoiseModel(s.noise, s.epsilon_bar, s.noise_seed))
-    with _OutputSink(s.out) as sink:
-        trace = engine.run(config)
-        diag = maxcut_hamiltonian(graph)
-        driver = driver_x(graph.n_nodes)
-        report = analysis.lipschitz_from_betas(trace.betas, s.delta_t, diag, driver,
-                                               s.epsilon_bar)
-        p0, ground_states = ground_energy(diag)
-        above = diag.diag[diag.diag > p0 + DEGENERACY_TOL]
-        p1 = float(above.min()) if above.size else p0
-        succ = analysis.success_probability(trace.final_state, ground_states)
-        errors = trace.costs - trace.ground_energy
-        rows = zip(range(1, s.depth + 1), trace.betas, trace.a_values, trace.costs, errors)
-        sink.write_csv("trace.csv", ["layer", "beta", "a", "cost", "cost_error"], rows)
-        summary = {
-            "graph": graph_echo,
-            "delta_t": s.delta_t,
-            "depth": s.depth,
-            "lambda": s.lam,
-            "w": s.w,
-            "noise": {"kind": s.noise.value, "epsilon_bar": s.epsilon_bar, "seed": s.noise_seed},
-            "ground_energy": trace.ground_energy,
-            "final_cost": float(trace.costs[-1]),
-            "final_cost_error": trace.final_cost_error,
-            "success_probability": succ,
-            "l_value": report.l_value,
-            "fidelity_lower_bound": report.fidelity_lower_bound,
-            "bound_vacuous": report.vacuous,
-            "assumptions": {
-                "ground_energy": p0,
-                "n_ground_states": len(ground_states),
-                "first_excited_energy": p1,
-                # Complementing a partition keeps its cut: every level repeats.
-                "degenerate_eigenvalues": True,
-                # A repeated level and any third entry give two equal gaps.
-                "degenerate_gaps": graph.n_nodes >= 2,
-                # X terms couple only bit-flip neighbours, all pairs only at n = 1.
-                "driver_connected": graph.n_nodes == 1,
-                # The uniform state's cost is the mean of the diagonal.
-                "initial_energy_ok": bool(p0 < float(diag.diag.mean()) < p1),
-            },
-        }
-        sink.write_text("summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {', '.join(str(p) for p in sink.written)}")
-    print(f"final cost {_fmt(trace.costs[-1])} "
-          f"error {_fmt(trace.final_cost_error)} success {_fmt(succ)}")
-    return EXIT_OK
+    trace = engine.run(config)
+    diag, driver = maxcut_hamiltonian(graph), driver_x(graph.n_nodes)
+    report = analysis.lipschitz_from_betas(trace.betas, s.delta_t, diag, driver, s.epsilon_bar)
+    p0, ground_states = ground_energy(diag)
+    above = diag.diag[diag.diag > p0 + DEGENERACY_TOL]
+    p1 = float(above.min()) if above.size else p0
+    succ = analysis.success_probability(trace.final_state, ground_states)
+    errors = trace.costs - trace.ground_energy
+    rows = zip(range(1, s.depth + 1), trace.betas, trace.a_values, trace.costs, errors)
+    summary = {
+        "graph": echo,
+        "delta_t": s.delta_t,
+        "depth": s.depth,
+        "lambda": s.lam,
+        "w": s.w,
+        "noise": {"kind": s.noise.value, "epsilon_bar": s.epsilon_bar, "seed": s.noise_seed},
+        "ground_energy": trace.ground_energy,
+        "final_cost": float(trace.costs[-1]),
+        "final_cost_error": trace.final_cost_error,
+        "success_probability": succ,
+        "l_value": report.l_value,
+        "fidelity_lower_bound": report.fidelity_lower_bound,
+        "bound_vacuous": report.vacuous,
+        "assumptions": {
+            "ground_energy": p0,
+            "n_ground_states": len(ground_states),
+            "first_excited_energy": p1,
+            # Complementing a partition keeps its cut: every level repeats.
+            "degenerate_eigenvalues": True,
+            # A repeated level and any third entry give two equal gaps.
+            "degenerate_gaps": graph.n_nodes >= 2,
+            # X terms couple only bit-flip neighbours, all pairs only at n = 1.
+            "driver_connected": graph.n_nodes == 1,
+            # The uniform state's cost is the mean of the diagonal.
+            "initial_energy_ok": bool(p0 < float(diag.diag.mean()) < p1),
+        },
+    }
+    files = {"trace.csv": _csv(["layer", "beta", "a", "cost", "cost_error"], rows),
+             "summary.json": json.dumps(summary, indent=2, sort_keys=True) + "\n"}
+    return s.out, files, [f"final cost {_fmt(trace.costs[-1])} "
+                          f"error {_fmt(trace.final_cost_error)} success {_fmt(succ)}"]
 
 
 def _sweep_cell(configs: list[RunConfig]) -> tuple[analysis.SweepSummary, list]:
     """Run every seed of one (epsilon_bar, lambda) cell. Top level for pickling."""
     runs = [engine.run(config) for config in configs]
-    diag = maxcut_hamiltonian(configs[0].graph)
-    driver = driver_x(configs[0].graph.n_nodes)
+    diag, driver = maxcut_hamiltonian(configs[0].graph), driver_x(configs[0].graph.n_nodes)
     summary = analysis.aggregate(runs, runs[0].ground_energy)
     rows = [[trace.config.noise.seed, float(trace.costs[-1]), trace.final_cost_error,
              analysis.ideal_fidelity(trace, diag, driver)] for trace in runs]
     return summary, rows
 
 
-def cmd_sweep(args) -> int:
-    s = _settings(args)
-    graph, _ = _resolve_graph(s)
+def cmd_sweep(s, graph: Graph, _echo: dict) -> tuple:
     if s.noise is NoiseKind.NONE:
         raise UsageError("sweep needs a noisy kind: systematic or independent")
     lambdas = [s.lam] if s.lambdas is None else s.lambdas
@@ -470,22 +448,17 @@ def cmd_sweep(args) -> int:
                 results.append(next(outcomes))
             except (ValueError, RuntimeError) as exc:
                 raise RuntimeError(f"cell epsilon_bar={eb:g} lambda={lv:g} failed: {exc}") from exc
-    with _OutputSink(s.out) as sink:
-        for name, (_, rows) in zip(names, results):
-            sink.write_csv(name, ["seed", "final_cost", "final_cost_error", "fidelity"], rows)
-        sink.write_csv(
-            "aggregate.csv",
-            ["epsilon_bar", "lambda", "n_seeds",
-             "mean_final_cost_error", "std_final_cost_error"],
-            [[c.epsilon_bar, c.lam, c.n_seeds, c.mean_final_cost_error, c.std_final_cost_error]
-             for c, _ in results],
-        )
-    print(f"wrote {', '.join(str(p) for p in sink.written)}")
-    for c, _ in results:
-        print(f"epsilon_bar {c.epsilon_bar:g} lambda {c.lam:g}: "
-              f"mean error {_fmt(c.mean_final_cost_error)} "
-              f"(std {_fmt(c.std_final_cost_error)}, n={c.n_seeds})")
-    return EXIT_OK
+    files = {name: _csv(["seed", "final_cost", "final_cost_error", "fidelity"], rows)
+             for name, (_, rows) in zip(names, results)}
+    files["aggregate.csv"] = _csv(
+        ["epsilon_bar", "lambda", "n_seeds", "mean_final_cost_error", "std_final_cost_error"],
+        [[c.epsilon_bar, c.lam, c.n_seeds, c.mean_final_cost_error, c.std_final_cost_error]
+         for c, _ in results],
+    )
+    return s.out, files, [f"epsilon_bar {c.epsilon_bar:g} lambda {c.lam:g}: "
+                          f"mean error {_fmt(c.mean_final_cost_error)} "
+                          f"(std {_fmt(c.std_final_cost_error)}, n={c.n_seeds})"
+                          for c, _ in results]
 
 
 def _read_trace_betas(path: Path) -> np.ndarray:
@@ -504,6 +477,8 @@ def _read_trace_betas(path: Path) -> np.ndarray:
             betas.append(_real(parts[col] if col < len(parts) else None, f"{path} row {row} beta"))
     if not betas:
         raise UsageError(f"{path} has no data rows")
+    if len(betas) > engine.MAX_DEPTH:
+        raise UsageError(f"{path} has {len(betas)} rows, beyond the depth cap {engine.MAX_DEPTH}")
     return np.array(betas)
 
 
@@ -524,12 +499,9 @@ def _trace_delta_t(trace: Path, digest: str) -> float:
     return _real(summary.get("delta_t"), f"delta_t in {path}")
 
 
-def cmd_bound(args) -> int:
-    s = _settings(args)
-    graph, graph_echo = _resolve_graph(s)
+def cmd_bound(s, graph: Graph, echo: dict) -> tuple:
     delta_t, depth, draws = s.delta_t, s.depth, s.draws
-    diag = maxcut_hamiltonian(graph)
-    driver = driver_x(graph.n_nodes)
+    diag, driver = maxcut_hamiltonian(graph), driver_x(graph.n_nodes)
     if s.trace is not None:
         # the trace and its run's summary fix the control sequence and the
         # time step, which these settings would make
@@ -539,7 +511,7 @@ def cmd_bound(args) -> int:
                 raise UsageError(f"{flag} does not apply with --trace")
         betas = _read_trace_betas(Path(s.trace))
         depth = betas.size
-        delta_t = _trace_delta_t(Path(s.trace), graph_echo["edges_sha256"])
+        delta_t = _trace_delta_t(Path(s.trace), echo["edges_sha256"])
     else:
         config = RunConfig(graph, delta_t, depth, FeedbackLaw(s.lam, s.w), NoiseModel())
         betas = engine.run_nominal(config).betas
@@ -552,16 +524,10 @@ def cmd_bound(args) -> int:
         errors = [trajectory(model, depth, rebuild_index=i + 1).values for i in range(draws)]
         empirical = analysis.replay_fidelity(betas, errors, delta_t, diag, driver).min()
         rows.append([eb, l_value, floor, empirical, draws, vacuous])
-    with _OutputSink(s.out) as sink:
-        sink.write_csv(
-            "bound.csv",
-            ["epsilon_bar", "l_value", "fidelity_lower_bound",
-             "empirical_min_fidelity", "draws", "vacuous"],
-            rows,
-        )
-    print(f"wrote {', '.join(str(p) for p in sink.written)}")
-    print(f"l_value {_fmt(l_value)} over {depth} layers")
-    return EXIT_OK
+    header = ["epsilon_bar", "l_value", "fidelity_lower_bound", "empirical_min_fidelity",
+              "draws", "vacuous"]
+    notes = [f"l_value {_fmt(l_value)} over {depth} layers"]
+    return s.out, {"bound.csv": _csv(header, rows)}, notes
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -596,10 +562,14 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        return args.handler(args)
+        s = _settings(args)
+        out_dir, files, notes = args.handler(s, *_resolve_graph(s))
+        written = _publish(out_dir, files)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_RUNTIME
+    print(f"wrote {', '.join(map(str, written))}", *notes, sep="\n")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -2,14 +2,13 @@
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rng import SplitMix64, derive_key
+from .rng import SplitMix64, derive_key, exact_int
 
 BRUTE_FORCE_MAX_NODES = 20
 PAIRING_RETRY_CAP = 1000
@@ -45,10 +44,7 @@ class Graph:
 
     def __post_init__(self) -> None:
         for node in (self.n_nodes, *(x for edge in self.edges for x in edge[:2])):
-            try:
-                operator.index(node)  # numpy integers pass; 1.5 and 2.0 do not
-            except TypeError:
-                raise ValueError(f"node {node!r} is not an integer") from None
+            exact_int(node, "node")
         if self.n_nodes < 1:
             raise ValueError("graph needs at least one node")
         seen = set()
@@ -73,7 +69,7 @@ class Graph:
         """
         canon = []
         for item in edge_seq:
-            u, v = int(item[0]), int(item[1])
+            u, v = exact_int(item[0], "node"), exact_int(item[1], "node")
             w = float(item[2]) if len(item) > 2 else 1.0
             if u == v:
                 raise ValueError(f"self-loop on node {u}")
@@ -81,7 +77,7 @@ class Graph:
                 u, v = v, u
             canon.append((u, v, w))
         canon.sort()
-        return cls(int(n_nodes), tuple(canon))
+        return cls(exact_int(n_nodes, "node count"), tuple(canon))
 
     def degrees(self) -> list[int]:
         deg = [0] * self.n_nodes

@@ -167,13 +167,16 @@ def spectral_norm(diag: DiagonalHamiltonian, driver: DriverHamiltonian,
     norm is max|diag| exactly, read from the ends of ``diag.levels``. The
     operator is scaled by a power of two near the triangle ceiling
     max|diag| + n*|beta|, which also caps the result, so tiny and subnormal
-    inputs lose no digits.
+    inputs lose no digits. A beta whose ceiling is not finite is refused.
     """
     if diag.n_qubits != driver.n_qubits:
         raise ValueError(f"operator widths differ: {diag.n_qubits} vs {driver.n_qubits} qubits")
-    ceiling = diag.peak + abs(float(beta)) * driver.n_qubits
+    beta = float(beta)
+    ceiling = diag.peak + abs(beta) * driver.n_qubits
+    if not math.isfinite(ceiling):  # a NaN or infinite beta, or one too large for any norm
+        raise ValueError(f"beta must be finite, and small enough for a finite norm, got {beta}")
     exp = math.frexp(ceiling)[1]  # scaling by 2^-exp is exact and puts the ceiling in [1/2, 1)
-    coupling = math.ldexp(abs(float(beta)), -exp)
+    coupling = math.ldexp(abs(beta), -exp)
     if coupling == 0.0:  # beta = 0, or a coupling that vanishes beside the diagonal
         return diag.peak
     values = diag.levels[0]

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .rng import SplitMix64, derive_key
+from .rng import SplitMix64, derive_key, exact_int
 
 _STREAM_SYSTEMATIC = 101
 _STREAM_INDEPENDENT = 202
@@ -49,6 +49,7 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", NoiseKind(self.kind))
+        exact_int(self.seed, "seed")  # refused here, not at the first draw
         eb = float(self.epsilon_bar)
         object.__setattr__(self, "epsilon_bar", eb)
         if not (math.isfinite(eb) and eb >= 0.0):

@@ -9,6 +9,8 @@ only integer add, multiply, xor and shift.
 """
 from __future__ import annotations
 
+import operator
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -21,14 +23,24 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def exact_int(value, what: str) -> int:
+    """``value`` as a Python int, or a ValueError naming it as ``what``:
+    numpy integers pass, while 1.5 and 2.0 are refused, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+
+
 def derive_key(seed: int, *streams: int) -> int:
     """Fold stream identifiers into a seed, one mix round per component.
 
     Distinct (seed, streams...) tuples give effectively independent keys.
     This is what lets sweep cells and circuit rebuilds sample their own
     substreams in any order, or in parallel, without shared generator state.
+    A seed that is not an integer is refused.
     """
-    key = mix64(seed ^ _GOLDEN)
+    key = mix64(exact_int(seed, "seed") ^ _GOLDEN)
     for s in streams:
         key = mix64(key ^ (((s + 1) * _GOLDEN) & _MASK64))
     return key

@@ -107,6 +107,24 @@ def test_lipschitz_from_betas_validates_input():
         lipschitz_from_betas([0.0], 0.05, K2_DIAG, K2_DRIVER, -0.1)
 
 
+def test_lipschitz_refuses_a_non_finite_control():
+    with pytest.raises(ValueError, match="beta must be finite"):
+        lipschitz_from_betas([0.1, float("nan")], 0.05, K2_DIAG, K2_DRIVER, 0.1)
+
+
+def test_lipschitz_refuses_a_time_step_that_is_not_positive_and_finite():
+    for dt in (float("nan"), float("inf"), -0.05, 0.0):
+        with pytest.raises(ValueError, match="delta_t"):
+            lipschitz_from_betas([0.1, 0.2], dt, K2_DIAG, K2_DRIVER, 0.1)
+
+
+def test_fidelity_floor_refuses_negative_or_nan_inputs():
+    for l_value, eb in ((float("nan"), 0.1), (-1.0, 0.1), (1.0, float("nan")), (1.0, -0.1)):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            fidelity_floor(l_value, eb)
+    assert fidelity_floor(float("inf"), 0.1) == (0.0, True)
+
+
 def test_replay_fidelity_exact_for_zero_errors():
     trace = run_nominal(RunConfig(K2, 0.05, 20))
     f = replay_fidelity(trace.betas, np.zeros(20), 0.05, K2_DIAG, K2_DRIVER)

@@ -27,9 +27,9 @@ def test_graph_regular_writes_instance(tmp_path, capsys):
     assert run_cli("graph", "--regular", "8", "3", "--graph-seed", "42", "--out", str(out)) == 0
     g = load_edge_list(out)
     assert g == random_regular(8, 3, seed=42)
-    captured = capsys.readouterr().out
-    assert "nodes 8 edges 12" in captured
-    assert "max cut 10" in captured
+    wrote, size, cut = capsys.readouterr().out.splitlines()
+    assert (wrote, size) == (f"wrote {out}", "nodes 8 edges 12")
+    assert cut.startswith("max cut 10 at partition ")
     # the instance may also come from a config 'graph' entry, with its seed
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"graph": {"regular": [8, 3], "seed": 42}}))
@@ -140,7 +140,7 @@ def test_run_defaults_out_dir_to_env(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert run_cli("graph", "--regular", "4", "3") == 0
     assert (tmp_path / "envout" / "graph.edges").exists()
-    assert f"-> {tmp_path / 'envout' / 'graph.edges'}" in capsys.readouterr().out
+    assert f"wrote {tmp_path / 'envout' / 'graph.edges'}\n" in capsys.readouterr().out
 
 
 def test_run_bad_config_json_is_usage_error(tmp_path, capsys):
@@ -379,17 +379,28 @@ def test_failed_rerun_keeps_earlier_results(tmp_path, monkeypatch):
     assert run_cli(*args, "--depth", "5") == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     assert sorted(before) == ["summary.json", "trace.csv"]
-    write_text = cli._OutputSink.write_text
+    write_text = Path.write_text
 
-    def fail_after_the_first(sink, name, text):
-        # trace.csv is staged by then; writing summary.json fails
-        if sink.written:
+    def fail_on_the_summary(path, *a, **kw):
+        # trace.csv is staged by then; staging summary.json fails
+        if path.name.startswith(".summary.json."):
             raise OSError("disk full")
-        return write_text(sink, name, text)
+        return write_text(path, *a, **kw)
 
-    monkeypatch.setattr(cli._OutputSink, "write_text", fail_after_the_first)
+    monkeypatch.setattr(Path, "write_text", fail_on_the_summary)
     assert run_cli(*args, "--depth", "8") == 1
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_failed_run_creates_no_output_directory(tmp_path, monkeypatch, capsys):
+    def fail(config):
+        raise RuntimeError("simulated failure")
+
+    monkeypatch.setattr(cli.engine, "run", fail)
+    out = tmp_path / "results"
+    assert run_cli("run", "--regular", "4", "3", "--depth", "5", "--out", str(out)) == 1
+    assert "simulated failure" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_loads_graph_file(tmp_path):
@@ -656,6 +667,20 @@ def test_bound_trace_rejects_non_finite_betas(tmp_path, capsys):
                        "--epsilon-bars", "0.1", "--draws", "2", "--out", str(out)) == 2
         assert "row 3" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_bound_trace_refuses_more_rows_than_the_depth_cap(tmp_path, capsys):
+    out_run = tmp_path / "run"
+    assert run_cli("run", "--regular", "4", "3", "--depth", "4", "--out", str(out_run)) == 0
+    trace = out_run / "trace.csv"
+    header, row = trace.read_text().splitlines()[:2]
+    trace.write_text("\n".join([header, *[row] * 2500]) + "\n")
+    out = tmp_path / "bound"
+    assert run_cli("bound", "--regular", "4", "3", "--trace", str(trace),
+                   "--epsilon-bars", "0.1", "--draws", "2", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert str(trace) in err and "2500 rows" in err and "cap 2000" in err
+    assert not out.exists()
 
 
 def test_bound_flags_vacuous_rows(tmp_path):

@@ -59,6 +59,15 @@ def test_graph_rejects_non_integer_nodes():
     assert format_edge_list(g) == format_edge_list(Graph.from_edges(3, [(0, 2)]))
 
 
+def test_from_edges_refuses_non_integers_instead_of_truncating():
+    for n_nodes, edge in ((2.5, (0, 1)), (2, (0, 1.7)), (3, (2.0, 0))):
+        with pytest.raises(ValueError, match="is not an integer"):
+            Graph.from_edges(n_nodes, [edge])
+    g = Graph.from_edges(np.int64(3), [(np.int32(2), np.int64(0))])
+    assert g == Graph(3, ((0, 2, 1.0),))
+    assert {type(x) for x in (g.n_nodes, *g.edges[0][:2])} == {int}
+
+
 def test_degrees():
     assert Graph.from_edges(4, [(0, 1), (1, 2)]).degrees() == [1, 2, 1, 0]
 
@@ -78,6 +87,13 @@ def test_random_regular_complete_graph():
     # the only 3-regular graph on 4 nodes is K4
     g = random_regular(4, 3, seed=0)
     assert len(g.edges) == 6
+
+
+def test_generators_refuse_a_non_integer_seed():
+    for make in (lambda: random_regular(8, 3, 1.5), lambda: erdos_renyi(8, 0.5, 1.5)):
+        with pytest.raises(ValueError, match="seed 1.5 is not an integer"):
+            make()
+    assert random_regular(8, 3, np.int64(42)) == random_regular(8, 3, 42)
 
 
 def test_random_regular_rejects_bad_parameters():

@@ -96,6 +96,12 @@ def test_spectral_norm_driver_only():
     assert abs(spectral_norm(diag, driver_x(3), 1.0) - 3.0) < 1e-8
 
 
+def test_spectral_norm_refuses_a_non_finite_beta():
+    for beta in (float("nan"), float("inf"), -float("inf"), 1e308):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            spectral_norm(maxcut_hamiltonian(K2), driver_x(2), beta)
+
+
 def test_spectral_norm_zero_operator():
     diag = DiagonalHamiltonian(2, np.zeros(4))
     assert spectral_norm(diag, driver_x(2), 0.0) == 0.0

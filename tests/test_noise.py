@@ -27,6 +27,14 @@ def test_model_validates_epsilon_bar():
     NoiseModel(NoiseKind.SYSTEMATIC, 0.0, 0)  # zero magnitude stays legal
 
 
+def test_model_refuses_a_non_integer_seed():
+    # refused on construction, not at the first draw
+    for kind in NoiseKind:
+        with pytest.raises(ValueError, match="seed 1.5 is not an integer"):
+            NoiseModel(kind, 0.1, seed=1.5)
+    assert len(trajectory(NoiseModel("systematic", 0.1, seed=np.int64(3)), 2)) == 2
+
+
 def test_trajectory_validates_arguments():
     model = NoiseModel(NoiseKind.SYSTEMATIC, 0.2, 0)
     with pytest.raises(ValueError):
