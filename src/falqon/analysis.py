@@ -20,10 +20,10 @@ N = -H_p + |beta| sum_q X_q with nonnegative off-diagonal entries, and
 the Collatz-Wielandt maximum max_i (Nx)_i / x_i bounds lambda_max(N) from
 above; each norm is the smallest such bound found, padded by its rounding
 error, so L never undershoots, and a solve stops once one is within 1e-10
-of the top Lanczos value. Each Lanczos step forms the driver product as two
-small matrix products, one per half of the register; the certificate's
-products go through the per-qubit `driver_matvec`, whose rounding its pad
-is derived for, and at controls near zero it first rebuilds the Perron
+of the top Lanczos value. The Lanczos steps and the certificate both form
+the driver product with `driver_matvec`, as two small matrix products, one
+per half of the register, whose rounding in any summation order the pad
+covers; at controls near zero the certificate first rebuilds the Perron
 vector's tiny entries from their neighbours. The control moves little from
 layer to layer, so `lipschitz_from_betas` starts each layer's solve from the
 previous layer's Perron vector, and reads the Ritz values on every other
@@ -34,6 +34,7 @@ sequence are bit-identical to the first norms of the whole sequence.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,11 +77,13 @@ class SweepSummary:
 def fidelity_floor(l_value: float, epsilon_bar: float) -> tuple[float, bool]:
     """Quadratic floor 1 - (L * epsilon_bar)^2 / 2 clamped to [0, 1], and
     whether the raw value fell below zero (the bound says nothing there).
-    A negative or NaN L or epsilon_bar is refused."""
+    A negative or NaN L or epsilon_bar is refused; a zero one means no
+    error, so the floor is 1 even when the other is infinite."""
     for name, value in (("L", l_value), ("epsilon_bar", epsilon_bar)):
         if not float(value) >= 0.0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
-    raw = 1.0 - 0.5 * (float(l_value) * float(epsilon_bar)) ** 2
+    product = float(l_value) * float(epsilon_bar) if l_value and epsilon_bar else 0.0
+    raw = 1.0 - 0.5 * product ** 2
     return min(1.0, max(0.0, raw)), bool(raw < 0.0)
 
 
@@ -136,20 +139,19 @@ def ideal_fidelity(trace: RunTrace, diag: DiagonalHamiltonian,
 def aggregate(runs: list[RunTrace], ground: float) -> SweepSummary:
     """Summary statistics over repeated runs of one sweep cell.
 
-    All runs must share depth, feedback law and noise settings. The mean
-    fidelity compares each final state against the noiseless replay of its
-    own control sequence. The standard deviation is the sample one (ddof=1)
-    and defined as 0.0 for a single run.
+    All runs must share instance, depth, time step, feedback law and noise
+    settings. The mean fidelity compares each final state against the
+    noiseless replay of its own control sequence. The standard deviation is
+    the sample one (ddof=1) and defined as 0.0 for a single run.
     """
     if not runs:
         raise ValueError("need at least one run to aggregate")
     head = runs[0].config
-    for trace in runs[1:]:
-        c = trace.config
-        if (c.graph, c.depth, c.law, c.noise.kind, c.noise.epsilon_bar) != (
-            head.graph, head.depth, head.law, head.noise.kind, head.noise.epsilon_bar
-        ):
-            raise ValueError("runs in one cell must share instance, depth, law and noise shape")
+    cell = operator.attrgetter("graph", "depth", "delta_t", "law", "noise.kind",
+                               "noise.epsilon_bar")
+    if any(cell(trace.config) != cell(head) for trace in runs[1:]):
+        raise ValueError("runs in one cell must share instance, depth, time step, law and "
+                         "noise shape")
     diag = maxcut_hamiltonian(head.graph)
     driver = driver_x(head.graph.n_nodes)
     errors = np.array([float(t.costs[-1]) - float(ground) for t in runs])

@@ -4,7 +4,8 @@ Both operators are kept in structured form. The cost Hamiltonian is diagonal
 in the computational basis and stored as its diagonal vector; the driver is
 the transverse field sum_q X_q, stored as its width. Everything in this
 module works through matrix-vector products on those structures; no operator
-is ever built as a 2^n x 2^n matrix.
+is ever built as a 2^n x 2^n matrix, and the norm solver forms every
+driver product with `statevector.driver_matvec`.
 
 Encoding: for an edge (u, v, w) and partition bitstring x, the cost diagonal
 picks up w*(z_u*z_v - 1)/2 where z_q = +1 when bit q of x is 0 and -1 when it
@@ -88,24 +89,6 @@ class DriverHamiltonian:
         """(qubit, weight) pairs, every weight 1.0, as the dense oracles take them."""
         return tuple((q, 1.0) for q in range(self.n_qubits))
 
-    @functools.cached_property
-    def abs_blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """sum_q X_q as two read-only blocks, (lo, hi), built once.
-
-        The register splits at k = n // 2, so sum_q X_q = I (x) lo + hi (x) I:
-        ``lo`` (2^k square) holds 1.0 at (i, i ^ 2^q) for the qubits q < k,
-        ``hi`` (2^(n-k) square) the same for q >= k with the bit shifted down
-        by k. At 12 qubits both take 64 KiB together.
-        """
-        k = self.n_qubits // 2
-        lo, hi = np.zeros((1 << k, 1 << k)), np.zeros((1 << (self.n_qubits - k),) * 2)
-        for q in range(self.n_qubits):
-            block, bit = (lo, q) if q < k else (hi, q - k)
-            i = np.arange(block.shape[0])
-            block[i, i ^ (1 << bit)] = 1.0
-        lo.flags.writeable = hi.flags.writeable = False
-        return lo, hi
-
 
 def maxcut_hamiltonian(graph: Graph) -> DiagonalHamiltonian:
     """Cost Hamiltonian whose diagonal entry at x is minus the cut value of x."""
@@ -147,8 +130,8 @@ def spectral_norm(diag: DiagonalHamiltonian, driver: DriverHamiltonian,
     entry leaves N+ alone; mixed signs solve both.
 
     Each top eigenvalue comes from Lanczos with full reorthogonalisation,
-    whose steps form A x as two small GEMMs on the blocks the driver caches
-    (`DriverHamiltonian.abs_blocks`), scaled by the coupling once per call.
+    whose steps form A x as `driver_matvec` of the coupling times x, as the
+    certificate does, so both apply one floating-point operator.
     Its top Ritz vector, made positive, is certified: for any positive x
     the Collatz-Wielandt maximum max_i (Nx)_i / x_i, padded for rounding
     (`_collatz_wielandt`), bounds lambda_max(N) from above, and the smallest
@@ -181,30 +164,17 @@ def spectral_norm(diag: DiagonalHamiltonian, driver: DriverHamiltonian,
         return diag.peak
     values = diag.levels[0]
     ends = (-1,) if values[-1] <= 0.0 else (1,) if values[0] >= 0.0 else (-1, 1)
-    blocks = tuple(coupling * b for b in driver.abs_blocks)
     norm, warm = 0.0, {} if warm is None else warm
     for sign in ends:
-        root, warm[sign] = _perron_root(np.ldexp(sign * diag.diag, -exp), coupling, blocks,
-                                        warm.get(sign))
+        root, warm[sign] = _perron_root(np.ldexp(sign * diag.diag, -exp), coupling, warm.get(sign))
         norm = max(norm, math.ldexp(root, exp))
     return min(norm, ceiling)
 
 
-def _block_matvec(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """(I (x) lo + hi (x) I) x: two GEMMs on x viewed as a
-    (2^(n-k), 2^k) matrix, whose rows index the high qubits."""
-    v = x.reshape(hi.shape[0], lo.shape[0])
-    out = v @ lo
-    out += hi @ v
-    return out.ravel()
-
-
 def _perron_root(d: np.ndarray, coupling: float,
-                 blocks: tuple[np.ndarray, np.ndarray],
                  start: tuple[np.ndarray, int] | None) -> tuple[float, tuple[np.ndarray, int]]:
     """Collatz-Wielandt upper bound on lambda_max(N) for N = diag(d) +
-    c sum_q X_q (c > 0, |d| < 1, c sum_q X_q in ``blocks`` as
-    `_block_matvec` takes it), and the warm entry it leaves: the unit
+    c sum_q X_q (c > 0, |d| < 1), and the warm entry it leaves: the unit
     Perron vector the bound came from and the step the solve stopped at.
 
     Lanczos with full reorthogonalisation (classical Gram-Schmidt, twice)
@@ -228,7 +198,7 @@ def _perron_root(d: np.ndarray, coupling: float,
     alpha, off = np.zeros(dim), np.zeros(dim)
     for k in range(dim):
         v = basis[k]
-        w = _block_matvec(v, *blocks)
+        w = driver_matvec(coupling * v)
         w += d * v
         alpha[k] = v @ w
         span = basis[:k + 1]
@@ -261,20 +231,23 @@ def _collatz_wielandt(d: np.ndarray, coupling: float, x: np.ndarray, top: float,
     rounds from x, +inf when no round's vector is positive, and the vector
     that gave it.
 
-    Each round forms a = Ax with A = c sum_q X_q and, when x > 0, the bound
-    max_i (d_i + a_i/x_i). All n terms of a_i are nonnegative, so the
-    computed a_i is below the exact one by at most gamma_n * a_i with
-    gamma_n = n*u/(1 - n*u) and unit roundoff u; with one more rounding each
-    for the quotient and the sum, and at most u*||A|| <= u from rounding c,
-    lambda_max(N) exceeds the computed maximum by at most
-    gamma_{n+6} * (2 + max_i a_i/x_i), the pad added. The rounds stop at a
-    bound within CERTIFY_GAP of the Ritz value ``top``; before any further
-    round x_i becomes a_i / (top - d_i), the fixed-point form of
-    N x = lambda x, which rebuilds small entries from their larger
-    neighbours to full relative accuracy. Only entries whose shift
-    top - d_i exceeds half the gap between the two highest distinct values
-    of d are rebuilt (none when d is constant): the top level's shifts may
-    be near zero, and its entries are the large ones as c -> 0.
+    Each round forms a = Ax with A = c sum_q X_q, as `driver_matvec` of the
+    rounded products fl(c*x_j), and, when x > 0, the bound
+    max_i (d_i + a_i/x_i). The two GEMMs multiply the n nonnegative terms of
+    a_i by exact 1.0s and the rest by exact zeros and sum them in any order,
+    fused or not; every such product is exact, so a_i is the n terms summed
+    in some order, within gamma_{n-1} of their exact sum, where
+    gamma_k = k*u/(1 - k*u) for unit roundoff u. With the rounding of each
+    fl(c*x_j), one more each for the quotient and the sum, and at most
+    u*||A|| <= u from rounding c, lambda_max(N) exceeds the computed maximum
+    by at most gamma_{n+6} * (2 + max_i a_i/x_i), the pad added. The rounds
+    stop at a bound within CERTIFY_GAP of the Ritz value ``top``; before any
+    further round x_i becomes a_i / (top - d_i), the fixed-point form of
+    N x = lambda x, which rebuilds small entries from their larger neighbours
+    to full relative accuracy. Only entries whose shift top - d_i exceeds half
+    the gap between the two highest distinct values of d are rebuilt (none
+    when d is constant): the top level's shifts may be near zero, and its
+    entries are the large ones as c -> 0.
     """
     eps = (d.size.bit_length() - 1 + 6) * 2.0 ** -53
     gamma = eps / (1.0 - eps)

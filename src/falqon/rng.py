@@ -9,6 +9,7 @@ only integer add, multiply, xor and shift.
 """
 from __future__ import annotations
 
+import contextlib
 import operator
 
 _MASK64 = (1 << 64) - 1
@@ -25,11 +26,12 @@ def mix64(z: int) -> int:
 
 def exact_int(value, what: str) -> int:
     """``value`` as a Python int, or a ValueError naming it as ``what``:
-    numpy integers pass, while 1.5 and 2.0 are refused, not truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} {value!r} is not an integer") from None
+    numpy integers pass, while 1.5 and 2.0 are refused, not truncated, and
+    True is refused, not read as 1."""
+    with contextlib.suppress(TypeError):
+        if not isinstance(value, bool):
+            return operator.index(value)
+    raise ValueError(f"{what} {value!r} is not an integer")
 
 
 def derive_key(seed: int, *streams: int) -> int:

@@ -9,15 +9,16 @@ operations provided, each costing O(2^n) per single-qubit factor.
 
 Per qubit, the X rotation makes three numpy calls on the bit-flipped view
 ``view[:, ::-1, :]`` (``cross = s*flipped``, ``view *= c``, ``view += cross``)
-and the driver matvec one (``out += flipped``); the phase takes ``exp``
+and the `A` readout one (``hy += flipped``); the phase takes ``exp``
 once per distinct diagonal value (`DiagonalHamiltonian.levels`, at most
 |E|+1 for MaxCut) and gathers. Each amplitude gets the same floating-point
 operations as the per-pair form c*lo + s*hi, s*lo + c*hi with one exp per
 entry, up to the operand order of commutative IEEE products and sums, so
 the results are bit-identical to it. The views of both are built once per
-register size, half flag, dtype and thread (`_plan`) over two buffers of at
-most 2^12 entries, under 0.6 MiB per thread in all; each call copies its
-input in and returns a fresh array that shares none of them.
+register size, half flag and thread (`_plan`) over two buffers of at most
+2^12 entries, under 0.4 MiB per thread in all; each call copies its input
+in and returns a fresh array that shares none of them. The norm solver's
+`driver_matvec` is instead two GEMMs on blocks cached per register size.
 
 Half register. Complementing every bit of x maps index x to 2^n-1-x. The
 uniform state and every MaxCut diagonal are invariant under it, and the
@@ -41,6 +42,7 @@ Basis convention: basis index i encodes the bitstring whose qubit-q bit is
 """
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -140,13 +142,13 @@ def _flips(buf: np.ndarray, half: bool):
         yield buf, buf[::-1]
 
 
-def _plan(size: int, half: bool, dtype: np.dtype = np.dtype(np.complex128)):
-    """This thread's work buffer for ``size`` entries of ``dtype`` and its
+def _plan(size: int, half: bool):
+    """This thread's complex work buffer for ``size`` entries and its
     per-qubit (view, flipped, cross) triples over it and a cross buffer,
     built once."""
-    plans, key = vars(_plans), (size, half, dtype)
+    plans, key = vars(_plans), (size, half)
     if key not in plans:
-        buf = np.empty(size, dtype=dtype)
+        buf = np.empty(size, dtype=np.complex128)
         tmp = np.empty_like(buf)
         plans[key] = buf, [(view, flipped, tmp.reshape(view.shape))
                            for view, flipped in _flips(buf, half)]
@@ -178,22 +180,28 @@ def apply_x_rotations(state: StateVector, driver: "DriverHamiltonian",
     return _state(state.n_qubits, amps, half)
 
 
-def driver_matvec(amplitudes: np.ndarray) -> np.ndarray:
-    """Apply sum_q X_q to a raw amplitude buffer of 2^n entries.
+@functools.cache
+def _driver_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`driver_matvec`'s read-only blocks (lo, hi) for n qubits, built once."""
+    k = n // 2
+    lo, hi = np.zeros((1 << k, 1 << k)), np.zeros((1 << (n - k),) * 2)
+    for q in range(n):
+        block, bit = (lo, q) if q < k else (hi, q - k)
+        i = np.arange(block.shape[0])
+        block[i, i ^ (1 << bit)] = 1.0
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi
 
-    Works on real or complex buffers (the norm certificate uses real ones),
-    each dtype in its own plan, and performs no normalization, so it is a
-    plain matrix-vector product.
-    """
-    buf, steps = _plan(amplitudes.size, False, amplitudes.dtype)
-    if not steps:  # one entry, no qubit to flip
-        return np.zeros_like(amplitudes)
-    buf[:] = amplitudes
-    out = steps[0][2]  # qubit 0's cross view spans the whole cross buffer
-    out.fill(0)
-    for _, flipped, o in steps:
-        o += flipped
-    return out.flatten()
+
+def driver_matvec(amplitudes: np.ndarray) -> np.ndarray:
+    """sum_q X_q times a real or complex buffer of 2^n entries, as a fresh
+    array: with k = n // 2, sum_q X_q = I (x) lo + hi (x) I, two GEMMs on x
+    viewed as a (2^(n-k), 2^k) matrix whose rows index the high qubits.
+    ``lo`` (2^k square) holds 1.0 at (i, i ^ 2^q) for the qubits q < k,
+    ``hi`` the same for q >= k shifted down by k; 64 KiB together at n = 12."""
+    lo, hi = _driver_blocks(amplitudes.size.bit_length() - 1)
+    v = amplitudes.reshape(hi.shape[0], lo.shape[0])
+    return (v @ lo + hi @ v).ravel()
 
 
 def expectation_diagonal(state: StateVector, diag: "DiagonalHamiltonian") -> float:
@@ -218,13 +226,14 @@ def a_value(state: StateVector, diag: "DiagonalHamiltonian",
     _check_width(diag.n_qubits, state, "diagonal Hamiltonian")
     _check_width(driver.n_qubits, state, "driver Hamiltonian")
     amps = state.amplitudes
-    size = amps.size >> (state.symmetric and diag.complement_invariant)
-    y = diag.diag[:size] * amps[:size]
-    hy = driver_matvec(y)
-    if size < amps.size:
-        hy += y[::-1]  # the top qubit, added last as in the full sum
-        hy = np.concatenate((hy, hy[::-1]))
-    z = np.vdot(amps, hy)
+    half = state.symmetric and diag.complement_invariant
+    y, steps = _plan(amps.size >> half, half)
+    np.multiply(diag.diag[:y.size], amps[:y.size], out=y)
+    hy = steps[0][2].reshape(-1)  # the first step's cross view spans its whole buffer
+    hy.fill(0)
+    for _, flipped, o in steps:  # on a half register the top qubit comes last
+        o += flipped
+    z = np.vdot(amps, np.concatenate((hy, hy[::-1])) if half else hy)
     val = -2.0 * float(z.imag)
     limit = 2.0 * diag.peak * driver.n_qubits
     if not abs(val) <= limit * (1.0 + 1e-12) + 1e-12:

@@ -125,6 +125,12 @@ def test_fidelity_floor_refuses_negative_or_nan_inputs():
     assert fidelity_floor(float("inf"), 0.1) == (0.0, True)
 
 
+def test_fidelity_floor_of_a_zero_factor_is_one_even_beside_infinity():
+    # a zero L or epsilon_bar means no error; inf * 0 must not become NaN
+    for l_value, eb in ((float("inf"), 0.0), (0.0, float("inf")), (0.0, 0.0), (5.0, 0.0)):
+        assert fidelity_floor(l_value, eb) == (1.0, False)
+
+
 def test_replay_fidelity_exact_for_zero_errors():
     trace = run_nominal(RunConfig(K2, 0.05, 20))
     f = replay_fidelity(trace.betas, np.zeros(20), 0.05, K2_DIAG, K2_DRIVER)
@@ -239,6 +245,15 @@ def test_aggregate_rejects_mixed_cells():
     runs = _cell_runs(0.5, [0]) + _cell_runs(1.0, [0])
     with pytest.raises(ValueError):
         aggregate(runs, p0)
+
+
+def test_aggregate_rejects_runs_with_different_time_steps():
+    p0, _ = ground_energy(K2_DIAG)
+    noise = NoiseModel(NoiseKind.INDEPENDENT, 0.2, 0)
+    runs = [run(RunConfig(K2, dt, 12, FeedbackLaw(lam=0.5), noise)) for dt in (0.05, 0.3)]
+    with pytest.raises(ValueError, match="time step"):
+        aggregate(runs, p0)
+    assert aggregate(runs[:1] * 2, p0).n_seeds == 2
 
 
 def test_aggregate_identical_seeds_zero_spread():

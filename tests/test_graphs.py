@@ -68,6 +68,16 @@ def test_from_edges_refuses_non_integers_instead_of_truncating():
     assert {type(x) for x in (g.n_nodes, *g.edges[0][:2])} == {int}
 
 
+def test_booleans_are_refused_as_integers():
+    # True would format as "nodes True", and (False, True) would digest
+    # differently from the equal edge (0, 1)
+    for make in (lambda: Graph(True), lambda: Graph(3, ((False, True, 1.0),)),
+                 lambda: Graph.from_edges(3, [(0, True)]), lambda: random_regular(8, 3, True)):
+        with pytest.raises(ValueError, match="(True|False) is not an integer"):
+            make()
+    assert Graph(np.int64(3), ((np.int8(0), np.uint16(1), 1.0),)) == Graph(3, ((0, 1, 1.0),))
+
+
 def test_degrees():
     assert Graph.from_edges(4, [(0, 1), (1, 2)]).degrees() == [1, 2, 1, 0]
 

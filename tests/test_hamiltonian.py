@@ -7,13 +7,13 @@ from falqon.engine import RunConfig, run_nominal
 from falqon.graphs import Graph, erdos_renyi, max_cut_brute_force, reference_instance
 from falqon.hamiltonian import (
     DiagonalHamiltonian,
-    _block_matvec,
     driver_matvec,
     driver_x,
     ground_energy,
     maxcut_hamiltonian,
     spectral_norm,
 )
+from falqon.statevector import _driver_blocks
 
 from oracles import (
     dense_driver,
@@ -189,38 +189,25 @@ def test_warm_schedule_matches_every_other_step_checks_on_the_reference_run():
 @example(n=5, coupling=0.75, seed=2)
 @example(n=8, coupling=2.0 ** -3, seed=3)
 def test_block_matvec_matches_per_qubit_reference(n, coupling, seed):
-    # the Lanczos product c sum_q X_q, on the nonnegative vectors the Perron
-    # solver feeds it, against the per-pair sums
+    # the norm solver's product c sum_q X_q, on the nonnegative vectors the
+    # Perron solver feeds it, against the per-pair sums
     rng = np.random.default_rng(seed)
     x = rng.random(1 << n) * (rng.random(1 << n) < 0.8)  # some entries exactly zero
-    blocks = tuple(coupling * b for b in driver_x(n).abs_blocks)
-    got = _block_matvec(x, *blocks)
+    got = driver_matvec(coupling * x)
     want = reference_driver_matvec(x, [(q, coupling) for q in range(n)])
     assert got.shape == x.shape
     assert np.all(np.abs(got - want) <= 2 * n * 2.0 ** -53 * want)
 
 
-def test_certificate_product_is_the_per_qubit_sum_bit_for_bit():
-    # the certificate scales x once and sums: the same fl(c*x_j) terms, in the
-    # same order, as sum_q c X_q applied qubit by qubit, which its pad covers
-    rng = np.random.default_rng(5)
-    for n in range(1, 9):
-        x, coupling = rng.random(1 << n), rng.uniform(2.0 ** -10, 1.0)
-        got = driver_matvec(coupling * x)
-        want = reference_driver_matvec(x, [(q, coupling) for q in range(n)])
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
-
-
-def test_abs_blocks_are_cached_read_only_and_small():
-    driver = driver_x(3)
-    lo, hi = driver.abs_blocks
-    assert driver.abs_blocks[0] is lo
+def test_driver_blocks_are_cached_read_only_and_small():
+    lo, hi = _driver_blocks(3)
+    assert _driver_blocks(3)[0] is lo
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     np.testing.assert_array_equal(lo, x)  # qubit 0
     np.testing.assert_array_equal(hi, np.kron(x, np.eye(2)) + np.kron(np.eye(2), x))  # qubits 1, 2
     with pytest.raises(ValueError):
         lo[0, 1] = 1.0
-    assert sum(b.nbytes for b in driver_x(12).abs_blocks) <= 64 * 1024
+    assert sum(b.nbytes for b in _driver_blocks(12)) <= 64 * 1024
 
 
 def _krylov_dimension(m, v, tol=1e-9):

@@ -33,6 +33,8 @@ def test_model_refuses_a_non_integer_seed():
         with pytest.raises(ValueError, match="seed 1.5 is not an integer"):
             NoiseModel(kind, 0.1, seed=1.5)
     assert len(trajectory(NoiseModel("systematic", 0.1, seed=np.int64(3)), 2)) == 2
+    with pytest.raises(ValueError, match="seed True is not an integer"):
+        NoiseModel("systematic", 0.1, seed=True)
 
 
 def test_trajectory_validates_arguments():

@@ -276,10 +276,17 @@ def assert_kernels_match_references(state, diag, driver, angle):
                      reference_x_rotations(amps, driver.terms, angle))
     assert_same_bits(apply_diagonal_phase(state, diag, angle).amplitudes,
                      reference_diagonal_phase(amps, diag.diag, angle))
-    # the norm certificate feeds real buffers, a_value complex ones
-    for buf in (amps, amps.real.copy(), diag.diag * amps):
-        assert_same_bits(driver_matvec(buf),
-                         reference_driver_matvec(buf, driver.terms))
+    # a_value sums the driver product qubit by qubit, as the reference does
+    y = diag.diag * amps
+    assert_same_bits(a_value(state, diag, driver),
+                     -2.0 * float(np.vdot(amps, reference_driver_matvec(y, driver.terms)).imag))
+    # the norm solver's GEMM product sums the same n terms in another order:
+    # each sum is within (n-1)u of n*max|buf| per component, so the two
+    # differ by less than 4n^2 u max|buf| in modulus
+    for buf in (amps, amps.real.copy(), y):
+        want = reference_driver_matvec(buf, driver.terms)
+        tol = 4 * state.n_qubits ** 2 * 2.0 ** -53 * np.abs(buf).max()
+        np.testing.assert_allclose(driver_matvec(buf), want, rtol=0, atol=tol)
     if state.symmetric:  # the half-register paths against the full ones
         assert_same_bits(amps, amps[::-1].copy())
         assert_same_bits(a_value(state, diag, driver),
@@ -333,16 +340,16 @@ def test_rotated_states_share_no_memory_with_the_plan():
 
 
 def test_driver_products_share_no_memory_with_the_plan():
-    # real buffers (the norm certificate) and complex ones (a_value) each get
-    # a plan; a 1-entry buffer is the half register of one qubit
+    # real buffers (the norm solver) and complex ones; a product is a fresh
+    # array, apart from its input and the cached blocks
     rng = np.random.default_rng(4)
     for n in range(13):
         for x in (rng.random(1 << n), rng.random(1 << n) - 1j * rng.random(1 << n)):
             out = driver_matvec(x)
             saved = out.copy()
-            buf, steps = statevector._plan(x.size, False, x.dtype)
-            assert out.dtype == x.dtype and not np.shares_memory(out, buf)
-            assert not any(np.shares_memory(out, cross) for _, _, cross in steps)
+            assert out.dtype == x.dtype and out.shape == x.shape
+            assert not np.shares_memory(out, x)
+            assert not any(np.shares_memory(out, b) for b in statevector._driver_blocks(n))
             driver_matvec(rng.random(x.size).astype(x.dtype))
             assert_same_bits(out, saved)
 
@@ -369,7 +376,8 @@ def test_threads_replay_bit_identical_to_serial():
     rows = [trajectory(model, betas.size, rebuild_index=i + 1).values for i in range(8)]
 
     def job(eps):
-        return replay(betas, eps, 0.05, diag, driver).amplitudes
+        state = replay(betas, eps, 0.05, diag, driver)
+        return state.amplitudes, a_value(state, diag, driver)
 
     serial = [job(eps) for eps in rows]
     interval = sys.getswitchinterval()
@@ -379,13 +387,14 @@ def test_threads_replay_bit_identical_to_serial():
             threaded = list(pool.map(job, rows, timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    for got, want in zip(threaded, serial):
+    for (got, got_a), (want, want_a) in zip(threaded, serial):
         assert_same_bits(got, want)
+        assert_same_bits(got_a, want_a)
 
 
 def test_threads_driver_products_bit_identical_to_serial():
-    # real products as the certificate forms them, complex ones as a_value
-    # does, from four threads at once, each thread in its own plans
+    # real products as the norm solver forms them, and complex ones, from
+    # four threads at once on the shared read-only blocks
     rng = np.random.default_rng(6)
     inputs = [rng.random(1 << 12) if i % 2 else rng.random(1 << 11) - 1j * rng.random(1 << 11)
               for i in range(8)]
