@@ -9,7 +9,6 @@ closed-loop optimizer (engine), robustness bounds and sweep statistics
 import types
 
 from .analysis import (
-    LipschitzReport,
     SweepSummary,
     aggregate,
     ideal_fidelity,
@@ -50,7 +49,7 @@ from .hamiltonian import (
     maxcut_hamiltonian,
     spectral_norm,
 )
-from .noise import ErrorTrajectory, NoiseKind, NoiseModel, trajectory
+from .noise import NoiseKind, NoiseModel, trajectory
 from .statevector import (
     StateVector,
     a_value,

@@ -11,7 +11,8 @@ For errors bounded by epsilon_bar it yields the worst-case fidelity bound
 
 which is clamped to [0, 1] and flagged vacuous once the raw value drops
 below zero (deep circuits make L grow linearly, so the bound is a
-short-horizon tool).
+short-horizon tool). `lipschitz_from_betas` returns the per-layer norms and
+L; `fidelity_floor` alone turns L and epsilon_bar into that bound.
 
 Each norm is a Perron root (`hamiltonian.spectral_norm`): flipping the sign
 of some basis states turns H_p + beta*H_d into minus a matrix
@@ -33,7 +34,6 @@ sequence are bit-identical to the first norms of the whole sequence.
 """
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
@@ -47,19 +47,8 @@ from .hamiltonian import (
     maxcut_hamiltonian,
     spectral_norm,
 )
-from .noise import ErrorTrajectory
+from .rng import positive_real
 from .statevector import StateVector, inner_product
-
-
-@dataclass(frozen=True, eq=False)
-class LipschitzReport:
-    """Path length L, the fidelity bound it implies, and the per-layer norms."""
-
-    per_layer_norms: np.ndarray
-    l_value: float
-    epsilon_bar: float
-    fidelity_lower_bound: float
-    vacuous: bool
 
 
 @dataclass(frozen=True)
@@ -83,26 +72,22 @@ def fidelity_floor(l_value: float, epsilon_bar: float) -> tuple[float, bool]:
         if not float(value) >= 0.0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
     product = float(l_value) * float(epsilon_bar) if l_value and epsilon_bar else 0.0
-    raw = 1.0 - 0.5 * product ** 2
+    raw = 1.0 - 0.5 * min(product, 2.0) ** 2  # from 2 on, raw < 0 without overflow
     return min(1.0, max(0.0, raw)), bool(raw < 0.0)
 
 
 def lipschitz_from_betas(betas, delta_t: float, diag: DiagonalHamiltonian,
-                         driver: DriverHamiltonian,
-                         epsilon_bar: float) -> LipschitzReport:
-    """Sensitivity report for a recorded control sequence at a positive,
-    finite time step ``delta_t``."""
+                         driver: DriverHamiltonian) -> tuple[np.ndarray, float]:
+    """Per-layer norms ||H_p + beta_t H_d|| of a recorded control sequence
+    and the path length L they give at a positive, finite time step
+    ``delta_t``; `fidelity_floor` turns L into a fidelity bound."""
     betas = np.asarray(betas, dtype=np.float64)
     if betas.size < 1:
         raise ValueError("need at least one control input")
-    if not (math.isfinite(dt := float(delta_t)) and dt > 0.0):
-        raise ValueError(f"delta_t must be a positive finite real, got {delta_t}")
+    dt = positive_real(delta_t, "delta_t")
     warm: dict = {}  # each layer's Perron vectors start the next layer's solve
     norms = np.array([spectral_norm(diag, driver, float(b), warm) for b in betas])
-    l_value = dt * float(norms.sum())
-    floor, vacuous = fidelity_floor(l_value, epsilon_bar)
-    return LipschitzReport(per_layer_norms=norms, l_value=l_value, epsilon_bar=float(epsilon_bar),
-                           fidelity_lower_bound=floor, vacuous=vacuous)
+    return norms, dt * float(norms.sum())
 
 
 def replay_fidelity(betas, epsilons, delta_t: float, diag: DiagonalHamiltonian,
@@ -110,12 +95,12 @@ def replay_fidelity(betas, epsilons, delta_t: float, diag: DiagonalHamiltonian,
     """|<ideal|noisy>| for one control sequence under error sequences.
 
     Both states are open-loop replays of the same inputs, one error-free and
-    one under the errors. ``epsilons`` is one sequence (an ErrorTrajectory or
-    plain array), which gives one float, or a (draws, depth) stack of them,
-    which gives one fidelity per row, each bit-identical to the call on that
-    row alone; the ideal state is replayed once per call.
+    one under the errors. ``epsilons`` is one sequence, which gives one
+    float, or a (draws, depth) stack of them, which gives one fidelity per
+    row, each bit-identical to the call on that row alone; the ideal state
+    is replayed once per call.
     """
-    eps = epsilons.values if isinstance(epsilons, ErrorTrajectory) else np.asarray(epsilons)
+    eps = np.asarray(epsilons)
     betas = np.asarray(betas, dtype=np.float64)
     if eps.ndim not in (1, 2) or eps.shape[-1:] != betas.shape:
         raise ValueError(
@@ -136,7 +121,7 @@ def ideal_fidelity(trace: RunTrace, diag: DiagonalHamiltonian,
     return abs(inner_product(ideal, trace.final_state))
 
 
-def aggregate(runs: list[RunTrace], ground: float) -> SweepSummary:
+def aggregate(runs: list[RunTrace]) -> SweepSummary:
     """Summary statistics over repeated runs of one sweep cell.
 
     All runs must share instance, depth, time step, feedback law and noise
@@ -154,7 +139,8 @@ def aggregate(runs: list[RunTrace], ground: float) -> SweepSummary:
                          "noise shape")
     diag = maxcut_hamiltonian(head.graph)
     driver = driver_x(head.graph.n_nodes)
-    errors = np.array([float(t.costs[-1]) - float(ground) for t in runs])
+    # final_cost_error's bits; the property read here raised peak RSS on sweeps
+    errors = np.array([float(t.costs[-1]) - float(t.ground_energy) for t in runs])
     fidelities = np.array([ideal_fidelity(t, diag, driver) for t in runs])
     std = 0.0 if errors.size == 1 else float(np.std(errors, ddof=1))
     return SweepSummary(epsilon_bar=head.noise.epsilon_bar, lam=head.law.lam, n_seeds=len(runs),

@@ -374,7 +374,8 @@ def cmd_run(s, graph: Graph, echo: dict) -> tuple:
                        NoiseModel(s.noise, s.epsilon_bar, s.noise_seed))
     trace = engine.run(config)
     diag, driver = maxcut_hamiltonian(graph), driver_x(graph.n_nodes)
-    report = analysis.lipschitz_from_betas(trace.betas, s.delta_t, diag, driver, s.epsilon_bar)
+    _, l_value = analysis.lipschitz_from_betas(trace.betas, s.delta_t, diag, driver)
+    floor, vacuous = analysis.fidelity_floor(l_value, s.epsilon_bar)
     p0, ground_states = ground_energy(diag)
     above = diag.diag[diag.diag > p0 + DEGENERACY_TOL]
     p1 = float(above.min()) if above.size else p0
@@ -392,9 +393,9 @@ def cmd_run(s, graph: Graph, echo: dict) -> tuple:
         "final_cost": float(trace.costs[-1]),
         "final_cost_error": trace.final_cost_error,
         "success_probability": succ,
-        "l_value": report.l_value,
-        "fidelity_lower_bound": report.fidelity_lower_bound,
-        "bound_vacuous": report.vacuous,
+        "l_value": l_value,
+        "fidelity_lower_bound": floor,
+        "bound_vacuous": vacuous,
         "assumptions": {
             "ground_energy": p0,
             "n_ground_states": len(ground_states),
@@ -419,7 +420,7 @@ def _sweep_cell(configs: list[RunConfig]) -> tuple[analysis.SweepSummary, list]:
     """Run every seed of one (epsilon_bar, lambda) cell. Top level for pickling."""
     runs = [engine.run(config) for config in configs]
     diag, driver = maxcut_hamiltonian(configs[0].graph), driver_x(configs[0].graph.n_nodes)
-    summary = analysis.aggregate(runs, runs[0].ground_energy)
+    summary = analysis.aggregate(runs)
     rows = [[trace.config.noise.seed, float(trace.costs[-1]), trace.final_cost_error,
              analysis.ideal_fidelity(trace, diag, driver)] for trace in runs]
     return summary, rows
@@ -516,12 +517,12 @@ def cmd_bound(s, graph: Graph, echo: dict) -> tuple:
         config = RunConfig(graph, delta_t, depth, FeedbackLaw(s.lam, s.w), NoiseModel())
         betas = engine.run_nominal(config).betas
     models = [NoiseModel(NoiseKind.INDEPENDENT, eb, s.noise_seed) for eb in s.epsilon_bars]
-    l_value = analysis.lipschitz_from_betas(betas, delta_t, diag, driver, 0.0).l_value
+    _, l_value = analysis.lipschitz_from_betas(betas, delta_t, diag, driver)
     rows = []
     for model in models:
         eb = model.epsilon_bar
         floor, vacuous = analysis.fidelity_floor(l_value, eb)
-        errors = [trajectory(model, depth, rebuild_index=i + 1).values for i in range(draws)]
+        errors = [trajectory(model, depth, rebuild_index=i + 1) for i in range(draws)]
         empirical = analysis.replay_fidelity(betas, errors, delta_t, diag, driver).min()
         rows.append([eb, l_value, floor, empirical, draws, vacuous])
     header = ["epsilon_bar", "l_value", "fidelity_lower_bound", "empirical_min_fidelity",

@@ -39,7 +39,6 @@ kind.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +52,7 @@ from .hamiltonian import (
     maxcut_hamiltonian,
 )
 from .noise import NoiseKind, NoiseModel, trajectory
+from .rng import positive_real
 from .statevector import (
     MAX_QUBITS,
     StateVector,
@@ -75,10 +75,8 @@ class FeedbackLaw:
     gain: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError(f"lam must be a positive real, got {self.lam}")
-        if not (math.isfinite(self.gain) and self.gain > 0.0):
-            raise ValueError(f"gain must be a positive real, got {self.gain}")
+        positive_real(self.lam, "lam")
+        positive_real(self.gain, "gain")
 
 
 def feedback(a: float, law: FeedbackLaw) -> float:
@@ -95,14 +93,11 @@ class RunConfig:
     noise: NoiseModel = field(default_factory=NoiseModel)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.delta_t) and self.delta_t > 0.0):
-            raise ValueError(f"delta_t must be a positive real, got {self.delta_t}")
-        if not float(self.depth).is_integer():
+        positive_real(self.delta_t, "delta_t")
+        if not positive_real(self.depth, "depth").is_integer():
             raise ValueError(f"depth must be an integer, got {self.depth}")
         depth = int(self.depth)
         object.__setattr__(self, "depth", depth)
-        if depth < 1:
-            raise ValueError(f"depth must be at least 1, got {depth}")
         if self.graph.n_nodes > MAX_QUBITS:
             raise ValueError(
                 f"closed-loop runs are capped at {MAX_QUBITS} qubits, "
@@ -159,8 +154,10 @@ def replay(betas, epsilons, delta_t: float, diag: DiagonalHamiltonian,
 
     Starts from the uniform state like every closed-loop run. No feedback is
     evaluated, so this is the tool for questions of the form "what state
-    would these controls have prepared under different errors".
+    would these controls have prepared under different errors". The time
+    step is checked here, once per call, not in `layer`.
     """
+    positive_real(delta_t, "delta_t")
     betas = np.asarray(betas, dtype=np.float64)
     epsilons = np.asarray(epsilons, dtype=np.float64)
     if betas.shape != epsilons.shape:
@@ -210,7 +207,7 @@ def run(config: RunConfig) -> RunTrace:
     p0, _ = ground_energy(diag)
     depth = config.depth
     rebuild = config.noise.kind is NoiseKind.INDEPENDENT
-    eps = None if rebuild else trajectory(config.noise, depth).values
+    eps = None if rebuild else trajectory(config.noise, depth)
     betas = np.zeros(depth)
     a_values = np.zeros(depth)
     costs = np.zeros(depth)
@@ -219,7 +216,7 @@ def run(config: RunConfig) -> RunTrace:
     for t in range(depth):
         betas[t] = beta
         if rebuild:
-            eps = trajectory(config.noise, t + 1, rebuild_index=t + 1).values
+            eps = trajectory(config.noise, t + 1, rebuild_index=t + 1)
             state = replay(betas[:t + 1], eps, config.delta_t, diag, driver)
         else:
             state = layer(state, beta, config.delta_t, float(eps[t]), diag, driver)

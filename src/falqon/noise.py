@@ -12,17 +12,17 @@ A control error scales the generator exponent of circuit layer t by a factor
 
 Samples are uniform on [-epsilon_bar, +epsilon_bar] and derived counter-style
 from (seed, rebuild index), so sweep cells and rebuilds can be evaluated in
-any order, or in parallel, with no shared generator state.
+any order, or in parallel, with no shared generator state. `trajectory`
+returns one build's values as a fresh 1-D float64 array.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .rng import SplitMix64, derive_key, exact_int
+from .rng import SplitMix64, derive_key, exact_int, positive_real
 
 _STREAM_SYSTEMATIC = 101
 _STREAM_INDEPENDENT = 202
@@ -50,32 +50,17 @@ class NoiseModel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", NoiseKind(self.kind))
         exact_int(self.seed, "seed")  # refused here, not at the first draw
-        eb = float(self.epsilon_bar)
-        object.__setattr__(self, "epsilon_bar", eb)
-        if not (math.isfinite(eb) and eb >= 0.0):
-            raise ValueError(f"epsilon_bar must be a nonnegative real, got {eb}")
-        if self.kind is not NoiseKind.NONE and eb >= 1.0:
-            raise ValueError(f"epsilon_bar must be below 1, got {eb}")
+        eb = self.epsilon_bar
+        if eb != 0 or isinstance(eb, bool):  # 0 is no error; a bool is not read as 0 or 1
+            eb = positive_real(eb, "nonzero epsilon_bar")
+        object.__setattr__(self, "epsilon_bar", float(eb))
+        if self.kind is not NoiseKind.NONE and self.epsilon_bar >= 1.0:
+            raise ValueError(f"epsilon_bar must be below 1, got {self.epsilon_bar}")
 
 
-@dataclass(frozen=True, eq=False)
-class ErrorTrajectory:
-    """Per-layer error values for one build of a circuit."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
-        if vals.ndim != 1:
-            raise ValueError(f"expected a 1-D value array, got shape {vals.shape}")
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-
-def trajectory(model: NoiseModel, depth: int, rebuild_index: int = 1) -> ErrorTrajectory:
-    """Error values for layers 1..depth of one circuit build.
+def trajectory(model: NoiseModel, depth: int, rebuild_index: int = 1) -> np.ndarray:
+    """Error values for layers 1..depth of one circuit build, as a fresh
+    1-D float64 array.
 
     ``rebuild_index`` identifies which build of the circuit this is (1-based).
     NONE gives zeros. SYSTEMATIC ignores the rebuild index by construction,
@@ -84,18 +69,17 @@ def trajectory(model: NoiseModel, depth: int, rebuild_index: int = 1) -> ErrorTr
     draws while remaining reproducible from (seed, rebuild_index).
     """
     for name, value in (("depth", depth), ("rebuild_index", rebuild_index)):
-        if not (float(value).is_integer() and value >= 1):  # 2.5 is refused, not truncated
+        if not positive_real(value, name).is_integer():  # 2.5 is refused, not truncated
             raise ValueError(f"{name} must be an integer of at least 1, got {value}")
     depth = int(depth)
     if model.kind is NoiseKind.NONE:
-        return ErrorTrajectory(np.zeros(depth))
+        return np.zeros(depth)
     if model.kind is NoiseKind.SYSTEMATIC:
         key = derive_key(model.seed, _STREAM_SYSTEMATIC)
     else:
         key = derive_key(model.seed, _STREAM_INDEPENDENT, int(rebuild_index))
     rng = SplitMix64(key)
     eb = model.epsilon_bar
-    vals = np.fromiter(
+    return np.fromiter(
         (rng.uniform(-eb, eb) for _ in range(depth)), np.float64, count=depth
     )
-    return ErrorTrajectory(vals)

@@ -10,6 +10,8 @@ only integer add, multiply, xor and shift.
 from __future__ import annotations
 
 import contextlib
+import math
+import numbers
 import operator
 
 _MASK64 = (1 << 64) - 1
@@ -32,6 +34,17 @@ def exact_int(value, what: str) -> int:
         if not isinstance(value, bool):
             return operator.index(value)
     raise ValueError(f"{what} {value!r} is not an integer")
+
+
+def positive_real(value, what: str) -> float:
+    """``value`` as a positive finite float, or a ValueError naming it as
+    ``what``: numpy scalars and ints pass, while True and "0.05" are
+    refused, not read as 1.0 and 0.05."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int past the float range
+            if math.isfinite(x := float(value)) and x > 0.0:
+                return x
+    raise ValueError(f"{what} must be a positive finite real, got {value!r}")
 
 
 def derive_key(seed: int, *streams: int) -> int:

@@ -11,10 +11,10 @@ from falqon.analysis import (
     replay_fidelity,
     success_probability,
 )
-from falqon.engine import FeedbackLaw, RunConfig, run, run_nominal, run_systematic
+from falqon.engine import FeedbackLaw, RunConfig, replay, run, run_nominal, run_systematic
 from falqon.graphs import Graph, reference_instance
 from falqon.hamiltonian import driver_x, ground_energy, maxcut_hamiltonian
-from falqon.noise import ErrorTrajectory, NoiseKind, NoiseModel, trajectory
+from falqon.noise import NoiseKind, NoiseModel, trajectory
 from falqon.statevector import StateVector, uniform_state
 
 from oracles import (
@@ -31,33 +31,36 @@ K2_DRIVER = driver_x(2)
 
 
 def test_lipschitz_zero_magnitude_bound_is_one():
-    report = lipschitz_from_betas([0.0, 0.1], 0.05, K2_DIAG, K2_DRIVER, 0.0)
-    assert report.fidelity_lower_bound == 1.0
-    assert report.vacuous is False
+    _, l_value = lipschitz_from_betas([0.0, 0.1], 0.05, K2_DIAG, K2_DRIVER)
+    floor, vacuous = fidelity_floor(l_value, 0.0)
+    assert floor == 1.0
+    assert vacuous is False
 
 
 def test_lipschitz_idle_controls():
     # beta = 0 everywhere: every layer norm is max|diag| = 1, so L = 2*0.05
-    report = lipschitz_from_betas([0.0, 0.0], 0.05, K2_DIAG, K2_DRIVER, 0.5)
-    np.testing.assert_allclose(report.per_layer_norms, [1.0, 1.0], atol=1e-10)
-    assert abs(report.l_value - 0.1) < 1e-10
-    assert abs(report.fidelity_lower_bound - (1.0 - 0.5 * (0.1 * 0.5) ** 2)) < 1e-12
-    assert report.vacuous is False
+    norms, l_value = lipschitz_from_betas([0.0, 0.0], 0.05, K2_DIAG, K2_DRIVER)
+    floor, vacuous = fidelity_floor(l_value, 0.5)
+    np.testing.assert_allclose(norms, [1.0, 1.0], atol=1e-10)
+    assert abs(l_value - 0.1) < 1e-10
+    assert abs(floor - (1.0 - 0.5 * (0.1 * 0.5) ** 2)) < 1e-12
+    assert vacuous is False
 
 
 def test_lipschitz_clamps_and_flags_vacuous_bound():
     betas = np.zeros(2000)
-    report = lipschitz_from_betas(betas, 0.05, K2_DIAG, K2_DRIVER, 0.9)
+    _, l_value = lipschitz_from_betas(betas, 0.05, K2_DIAG, K2_DRIVER)
+    floor, vacuous = fidelity_floor(l_value, 0.9)
     # L = 100, raw bound 1 - 0.5*(90)^2 is deeply negative
-    assert report.fidelity_lower_bound == 0.0
-    assert report.vacuous is True
+    assert floor == 0.0
+    assert vacuous is True
 
 
 def test_lipschitz_monotone_in_depth():
     trace = run_nominal(RunConfig(K2, 0.05, 40))
     diag, driver = K2_DIAG, K2_DRIVER
-    l_short = lipschitz_from_betas(trace.betas[:10], 0.05, diag, driver, 0.1).l_value
-    l_long = lipschitz_from_betas(trace.betas, 0.05, diag, driver, 0.1).l_value
+    _, l_short = lipschitz_from_betas(trace.betas[:10], 0.05, diag, driver)
+    _, l_long = lipschitz_from_betas(trace.betas, 0.05, diag, driver)
     assert l_long > l_short
 
 
@@ -67,7 +70,7 @@ def test_per_layer_norms_property_against_dense(graph, betas):
     # warm-started along the path, negative weights included
     n = graph.n_nodes
     diag, driver = maxcut_hamiltonian(graph), driver_x(n)
-    norms = lipschitz_from_betas(betas, 0.05, diag, driver, 0.1).per_layer_norms
+    norms, _ = lipschitz_from_betas(betas, 0.05, diag, driver)
     for beta, got in zip(betas, norms):
         want = dense_spectral_norm(diag.diag, driver.terms, n, beta)
         assert abs(got - want) <= 1e-10 * max(1.0, want), beta
@@ -78,7 +81,7 @@ def test_per_layer_norms_never_below_dense_on_the_reference_run():
     graph = reference_instance()
     diag, driver = maxcut_hamiltonian(graph), driver_x(8)
     betas = run_nominal(RunConfig(graph, 0.05, 200)).betas
-    norms = lipschitz_from_betas(betas, 0.05, diag, driver, 0.1).per_layer_norms
+    norms, _ = lipschitz_from_betas(betas, 0.05, diag, driver)
     h_p, h_d = np.diag(diag.diag), dense_driver(driver.terms, 8).real
     for beta, got in zip(betas, norms):
         want = float(np.max(np.abs(np.linalg.eigvalsh(h_p + beta * h_d))))
@@ -91,31 +94,29 @@ def test_per_layer_norms_are_prefix_consistent():
     graph = reference_instance()
     diag, driver = maxcut_hamiltonian(graph), driver_x(8)
     betas = run_nominal(RunConfig(graph, 0.05, 60)).betas
-    full = lipschitz_from_betas(betas, 0.05, diag, driver, 0.1).per_layer_norms
+    full, _ = lipschitz_from_betas(betas, 0.05, diag, driver)
     for k in (1, 2, 17, 59):
-        prefix = lipschitz_from_betas(betas[:k], 0.05, diag, driver, 0.1).per_layer_norms
+        prefix, _ = lipschitz_from_betas(betas[:k], 0.05, diag, driver)
         assert np.array_equal(prefix, full[:k]), k
 
 
 def test_lipschitz_from_betas_validates_input():
     trace = run_nominal(RunConfig(K2, 0.05, 10))
-    report = lipschitz_from_betas(trace.betas, 0.05, K2_DIAG, K2_DRIVER, 0.2)
-    assert fidelity_floor(report.l_value, 0.2) == (report.fidelity_lower_bound, report.vacuous)
+    norms, l_value = lipschitz_from_betas(trace.betas, 0.05, K2_DIAG, K2_DRIVER)
+    assert norms.shape == (10,) and l_value == 0.05 * float(norms.sum())
     with pytest.raises(ValueError):
-        lipschitz_from_betas([], 0.05, K2_DIAG, K2_DRIVER, 0.2)
-    with pytest.raises(ValueError):
-        lipschitz_from_betas([0.0], 0.05, K2_DIAG, K2_DRIVER, -0.1)
+        lipschitz_from_betas([], 0.05, K2_DIAG, K2_DRIVER)
 
 
 def test_lipschitz_refuses_a_non_finite_control():
     with pytest.raises(ValueError, match="beta must be finite"):
-        lipschitz_from_betas([0.1, float("nan")], 0.05, K2_DIAG, K2_DRIVER, 0.1)
+        lipschitz_from_betas([0.1, float("nan")], 0.05, K2_DIAG, K2_DRIVER)
 
 
 def test_lipschitz_refuses_a_time_step_that_is_not_positive_and_finite():
-    for dt in (float("nan"), float("inf"), -0.05, 0.0):
+    for dt in (float("nan"), float("inf"), -0.05, 0.0, True, "0.05"):
         with pytest.raises(ValueError, match="delta_t"):
-            lipschitz_from_betas([0.1, 0.2], dt, K2_DIAG, K2_DRIVER, 0.1)
+            lipschitz_from_betas([0.1, 0.2], dt, K2_DIAG, K2_DRIVER)
 
 
 def test_fidelity_floor_refuses_negative_or_nan_inputs():
@@ -129,6 +130,28 @@ def test_fidelity_floor_of_a_zero_factor_is_one_even_beside_infinity():
     # a zero L or epsilon_bar means no error; inf * 0 must not become NaN
     for l_value, eb in ((float("inf"), 0.0), (0.0, float("inf")), (0.0, 0.0), (5.0, 0.0)):
         assert fidelity_floor(l_value, eb) == (1.0, False)
+
+
+def test_fidelity_floor_past_the_float_range_is_vacuous():
+    # (L * epsilon_bar)^2 would overflow a float; the floor is 0, flagged
+    assert fidelity_floor(1e200, 0.5) == (0.0, True)
+    _, l_value = lipschitz_from_betas([1e300] * 3, 0.05, K2_DIAG, K2_DRIVER)
+    assert fidelity_floor(l_value, 0.1) == (0.0, True)
+    # below that the floor is the plain formula, bit for bit
+    for product in (0.3, 1.0, 1.4, 1.5, 1.999):
+        assert fidelity_floor(product, 1.0)[0] == max(0.0, 1.0 - 0.5 * product ** 2)
+
+
+def test_replays_refuse_a_time_step_run_config_refuses():
+    # checked once per replay, before any layer runs
+    trace = run_nominal(RunConfig(K2, 0.05, 3))
+    for dt in (-0.05, 0.0, True, float("nan"), float("inf"), "0.05"):
+        with pytest.raises(ValueError, match="delta_t"):
+            RunConfig(K2, dt, 3)
+        with pytest.raises(ValueError, match="delta_t"):
+            replay(trace.betas, np.zeros(3), dt, K2_DIAG, K2_DRIVER)
+        with pytest.raises(ValueError, match="delta_t"):
+            replay_fidelity(trace.betas, np.zeros(3), dt, K2_DIAG, K2_DRIVER)
 
 
 def test_replay_fidelity_exact_for_zero_errors():
@@ -154,14 +177,14 @@ def test_replay_fidelity_accepts_trajectory_objects(monkeypatch):
     traj = trajectory(model, 10, rebuild_index=1)
     betas = run_nominal(RunConfig(K2, 0.05, 10)).betas
     f1 = replay_fidelity(betas, traj, 0.05, K2_DIAG, K2_DRIVER)
-    f2 = replay_fidelity(betas, traj.values, 0.05, K2_DIAG, K2_DRIVER)
+    f2 = replay_fidelity(betas, traj.tolist(), 0.05, K2_DIAG, K2_DRIVER)
     assert f1 == f2
     assert 0.0 <= f1 <= 1.0 + 1e-10
     with pytest.raises(ValueError):
         replay_fidelity(betas, np.zeros(9), 0.05, K2_DIAG, K2_DRIVER)
     # a (draws, depth) stack gives one fidelity per row, each bit-identical
     # to the call on that row alone, from one ideal replay per call
-    stack = np.array([trajectory(model, 10, rebuild_index=i + 1).values for i in range(5)])
+    stack = np.array([trajectory(model, 10, rebuild_index=i + 1) for i in range(5)])
     singles = [replay_fidelity(betas, row, 0.05, K2_DIAG, K2_DRIVER) for row in stack]
     calls = {"n": 0}
     real_replay = analysis.replay
@@ -198,13 +221,14 @@ def test_ideal_fidelity_against_replays():
 
 def test_fidelity_respects_lipschitz_bound_on_random_draws():
     trace = run_nominal(RunConfig(K2, 0.05, 25))
+    _, l_value = lipschitz_from_betas(trace.betas, 0.05, K2_DIAG, K2_DRIVER)
     for eb in (0.01, 0.05, 0.1):
-        report = lipschitz_from_betas(trace.betas, 0.05, K2_DIAG, K2_DRIVER, eb)
+        floor, _ = fidelity_floor(l_value, eb)
         model = NoiseModel(NoiseKind.INDEPENDENT, eb, 17)
         for i in range(40):
             traj = trajectory(model, 25, rebuild_index=i + 1)
             f = replay_fidelity(trace.betas, traj, 0.05, K2_DIAG, K2_DRIVER)
-            assert f >= report.fidelity_lower_bound - 1e-12
+            assert f >= floor - 1e-12
 
 
 def _cell_runs(lam, seeds, depth=12, eb=0.2):
@@ -218,7 +242,7 @@ def _cell_runs(lam, seeds, depth=12, eb=0.2):
 def test_aggregate_single_run_has_zero_std():
     runs = _cell_runs(0.5, [0])
     p0, _ = ground_energy(K2_DIAG)
-    summary = aggregate(runs, p0)
+    summary = aggregate(runs)
     assert summary.n_seeds == 1
     assert summary.std_final_cost_error == 0.0
     assert summary.mean_final_cost_error == runs[0].costs[-1] - p0
@@ -229,7 +253,7 @@ def test_aggregate_single_run_has_zero_std():
 def test_aggregate_matches_two_pass_statistics():
     runs = _cell_runs(1.0, range(6))
     p0, _ = ground_energy(K2_DIAG)
-    summary = aggregate(runs, p0)
+    summary = aggregate(runs)
     errors = np.array([t.costs[-1] - p0 for t in runs])
     mean = errors.sum() / errors.size
     var = ((errors - mean) ** 2).sum() / (errors.size - 1)
@@ -239,27 +263,24 @@ def test_aggregate_matches_two_pass_statistics():
 
 
 def test_aggregate_rejects_mixed_cells():
-    p0, _ = ground_energy(K2_DIAG)
     with pytest.raises(ValueError):
-        aggregate([], p0)
+        aggregate([])
     runs = _cell_runs(0.5, [0]) + _cell_runs(1.0, [0])
     with pytest.raises(ValueError):
-        aggregate(runs, p0)
+        aggregate(runs)
 
 
 def test_aggregate_rejects_runs_with_different_time_steps():
-    p0, _ = ground_energy(K2_DIAG)
     noise = NoiseModel(NoiseKind.INDEPENDENT, 0.2, 0)
     runs = [run(RunConfig(K2, dt, 12, FeedbackLaw(lam=0.5), noise)) for dt in (0.05, 0.3)]
     with pytest.raises(ValueError, match="time step"):
-        aggregate(runs, p0)
-    assert aggregate(runs[:1] * 2, p0).n_seeds == 2
+        aggregate(runs)
+    assert aggregate(runs[:1] * 2).n_seeds == 2
 
 
 def test_aggregate_identical_seeds_zero_spread():
     runs = _cell_runs(0.5, [4, 4])
-    p0, _ = ground_energy(K2_DIAG)
-    summary = aggregate(runs, p0)
+    summary = aggregate(runs)
     assert summary.std_final_cost_error == 0.0
 
 

@@ -105,7 +105,7 @@ def test_systematic_run_is_a_noiseless_run_with_variable_steps(graph, depth, eps
     trace = run(RunConfig(graph, delta_t, depth, law, noise))
     diag, driver = maxcut_hamiltonian(graph), driver_x(graph.n_nodes)
     state, beta, betas, costs = uniform_state(graph.n_nodes), 0.0, [], []
-    for eps in trajectory(noise, depth).values:
+    for eps in trajectory(noise, depth):
         betas.append(beta)
         state = layer(state, beta, (1.0 + float(eps)) * delta_t, 0.0, diag, driver)
         costs.append(expectation_diagonal(state, diag))
@@ -171,7 +171,7 @@ def test_run_systematic_uses_master_sequence():
     config = RunConfig(K2, 0.05, 25, noise=NoiseModel(NoiseKind.SYSTEMATIC, 0.4, 11))
     trace = run_systematic(config)
     np.testing.assert_array_equal(
-        trace.epsilons, trajectory(config.noise, 25, rebuild_index=1).values
+        trace.epsilons, trajectory(config.noise, 25, rebuild_index=1)
     )
 
 
@@ -189,7 +189,7 @@ def _explicit_rebuild(config):
     state = None
     for t in range(depth):
         betas[t] = beta
-        eps = trajectory(config.noise, t + 1, rebuild_index=t + 1).values
+        eps = trajectory(config.noise, t + 1, rebuild_index=t + 1)
         state = uniform_state(config.graph.n_nodes)
         for tau in range(t + 1):
             state = layer(state, betas[tau], config.delta_t, eps[tau], diag, driver)
@@ -297,7 +297,7 @@ def test_run_independent_records_last_rebuild_errors():
     config = RunConfig(K2, 0.05, 9, noise=NoiseModel(NoiseKind.INDEPENDENT, 0.3, 2))
     trace = run_independent(config)
     np.testing.assert_array_equal(
-        trace.epsilons, trajectory(config.noise, 9, rebuild_index=9).values
+        trace.epsilons, trajectory(config.noise, 9, rebuild_index=9)
     )
 
 
@@ -322,6 +322,31 @@ def test_run_mode_rejects_wrong_kind():
         run_systematic(RunConfig(K2, 0.05, 5))
     with pytest.raises(ValueError):
         run_independent(RunConfig(K2, 0.05, 5))
+
+
+def test_settings_refuse_booleans_and_strings():
+    # True is not 1 and "5" is not 5: each is refused with the setting's name
+    cases = [
+        ("delta_t", lambda: RunConfig(K2, True, 5)),
+        ("depth", lambda: RunConfig(K2, 0.05, "5")),
+        ("depth", lambda: RunConfig(K2, 0.05, True)),
+        ("lam", lambda: FeedbackLaw(lam=True)),
+        ("gain", lambda: FeedbackLaw(gain=True)),
+        ("epsilon_bar", lambda: NoiseModel("none", True)),
+        ("epsilon_bar", lambda: NoiseModel("none", False)),
+        ("epsilon_bar", lambda: NoiseModel("systematic", "0.1")),
+        ("depth", lambda: trajectory(NoiseModel(), True)),
+        ("depth", lambda: trajectory(NoiseModel(), "3")),
+        ("rebuild_index", lambda: trajectory(NoiseModel(), 3, rebuild_index=True)),
+    ]
+    for name, make in cases:
+        with pytest.raises(ValueError, match=name):
+            make()
+    # numpy scalars, ints and integral floats keep passing
+    config = RunConfig(K2, np.float64(0.05), 5.0, FeedbackLaw(np.float32(0.5), 2),
+                       NoiseModel("systematic", np.float64(0.1)))
+    assert config.depth == 5
+    assert trajectory(config.noise, np.int64(3), 2.0).shape == (3,)
 
 
 def test_run_config_validation():

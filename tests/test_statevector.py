@@ -373,7 +373,7 @@ def test_threads_replay_bit_identical_to_serial():
     diag, driver = maxcut_hamiltonian(random_regular(12, 3, 42)), driver_x(12)
     betas = 0.5 * np.sin(np.arange(40.0))
     model = NoiseModel("independent", 0.2, 5)
-    rows = [trajectory(model, betas.size, rebuild_index=i + 1).values for i in range(8)]
+    rows = [trajectory(model, betas.size, rebuild_index=i + 1) for i in range(8)]
 
     def job(eps):
         state = replay(betas, eps, 0.05, diag, driver)
