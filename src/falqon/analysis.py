@@ -31,6 +31,10 @@ previous layer's Perron vector, and reads the Ritz values on every other
 step only from four steps before the step where that solve stopped. Layer t
 depends only on beta_0..beta_t, so the norms of a prefix of a control
 sequence are bit-identical to the first norms of the whole sequence.
+
+The sweep side is plain statistics: `aggregate` gives one cell's mean and
+sample std of the final cost error and replays nothing, while
+`ideal_fidelity` replays a run's ideal state once for its fidelity.
 """
 from __future__ import annotations
 
@@ -40,13 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import RunTrace, replay
-from .hamiltonian import (
-    DiagonalHamiltonian,
-    DriverHamiltonian,
-    driver_x,
-    maxcut_hamiltonian,
-    spectral_norm,
-)
+from .hamiltonian import DiagonalHamiltonian, DriverHamiltonian, spectral_norm
 from .rng import positive_real
 from .statevector import StateVector, inner_product
 
@@ -60,7 +58,6 @@ class SweepSummary:
     n_seeds: int
     mean_final_cost_error: float
     std_final_cost_error: float
-    mean_fidelity: float
 
 
 def fidelity_floor(l_value: float, epsilon_bar: float) -> tuple[float, bool]:
@@ -122,12 +119,12 @@ def ideal_fidelity(trace: RunTrace, diag: DiagonalHamiltonian,
 
 
 def aggregate(runs: list[RunTrace]) -> SweepSummary:
-    """Summary statistics over repeated runs of one sweep cell.
+    """Mean and sample std (ddof=1, 0.0 for a single run) of the final cost
+    error over repeated runs of one sweep cell.
 
     All runs must share instance, depth, time step, feedback law and noise
-    settings. The mean fidelity compares each final state against the
-    noiseless replay of its own control sequence. The standard deviation is
-    the sample one (ddof=1) and defined as 0.0 for a single run.
+    settings. Nothing is replayed here: a seed's fidelity against its
+    noiseless replay is `ideal_fidelity`, which the sweep's cell rows carry.
     """
     if not runs:
         raise ValueError("need at least one run to aggregate")
@@ -137,15 +134,10 @@ def aggregate(runs: list[RunTrace]) -> SweepSummary:
     if any(cell(trace.config) != cell(head) for trace in runs[1:]):
         raise ValueError("runs in one cell must share instance, depth, time step, law and "
                          "noise shape")
-    diag = maxcut_hamiltonian(head.graph)
-    driver = driver_x(head.graph.n_nodes)
-    # final_cost_error's bits; the property read here raised peak RSS on sweeps
-    errors = np.array([float(t.costs[-1]) - float(t.ground_energy) for t in runs])
-    fidelities = np.array([ideal_fidelity(t, diag, driver) for t in runs])
+    errors = np.array([t.final_cost_error for t in runs])
     std = 0.0 if errors.size == 1 else float(np.std(errors, ddof=1))
     return SweepSummary(epsilon_bar=head.noise.epsilon_bar, lam=head.law.lam, n_seeds=len(runs),
-                        mean_final_cost_error=float(errors.mean()), std_final_cost_error=std,
-                        mean_fidelity=float(fidelities.mean()))
+                        mean_final_cost_error=float(errors.mean()), std_final_cost_error=std)
 
 
 def success_probability(state: StateVector, ground_states) -> float:

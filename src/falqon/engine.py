@@ -93,6 +93,9 @@ class RunConfig:
     noise: NoiseModel = field(default_factory=NoiseModel)
 
     def __post_init__(self) -> None:
+        for name, kind in (("graph", Graph), ("law", FeedbackLaw), ("noise", NoiseModel)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         positive_real(self.delta_t, "delta_t")
         if not positive_real(self.depth, "depth").is_integer():
             raise ValueError(f"depth must be an integer, got {self.depth}")

@@ -55,8 +55,8 @@ class Graph:
                 )
             if (u, v) in seen:
                 raise ValueError(f"duplicate edge ({u}, {v})")
-            if not math.isfinite(w):
-                raise ValueError(f"edge ({u}, {v}) has non-finite weight {w}")
+            if isinstance(w, bool) or not math.isfinite(w):  # True is not read as 1.0
+                raise ValueError(f"edge ({u}, {v}) has weight {w!r}, not a finite real")
             seen.add((u, v))
 
     @classmethod
@@ -70,12 +70,14 @@ class Graph:
         canon = []
         for item in edge_seq:
             u, v = exact_int(item[0], "node"), exact_int(item[1], "node")
-            w = float(item[2]) if len(item) > 2 else 1.0
+            w = item[2] if len(item) > 2 else 1.0
+            if isinstance(w, bool):
+                raise ValueError(f"edge ({u}, {v}) has weight {w!r}, not a real")
             if u == v:
                 raise ValueError(f"self-loop on node {u}")
             if u > v:
                 u, v = v, u
-            canon.append((u, v, w))
+            canon.append((u, v, float(w)))
         canon.sort()
         return cls(exact_int(n_nodes, "node count"), tuple(canon))
 
@@ -95,6 +97,7 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     edge is discarded whole, which keeps the accepted samples uniform over
     simple d-regular pairings.
     """
+    n, d = exact_int(n, "node count"), exact_int(d, "degree")
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     if d >= n:
@@ -116,10 +119,10 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """G(n, p): each of the n(n-1)/2 candidate edges is kept with probability p."""
-    if n < 1:
+    if exact_int(n, "node count") < 1:
         raise ValueError("need n >= 1")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must be in [0, 1], got {p}")
+    if isinstance(p, bool) or not 0.0 <= p <= 1.0:
+        raise ValueError(f"edge probability must be in [0, 1], got {p!r}")
     rng = SplitMix64(derive_key(seed, _STREAM_ER))
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)

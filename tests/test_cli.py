@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from falqon import cli
+from falqon import analysis, cli
 from falqon.cli import SETTINGS, _build_parser, main
 from falqon.graphs import (
     load_edge_list,
@@ -463,6 +463,23 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert names == sorted(p.name for p in out2.iterdir()) and len(names) == 3
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_sweep_replays_each_seed_once(tmp_path, monkeypatch):
+    # each seed's ideal state is replayed once, for its cell row's fidelity;
+    # the cell statistics replay nothing
+    calls = {"n": 0}
+    real_replay = analysis.replay
+
+    def counting_replay(*args, **kwargs):
+        calls["n"] += 1
+        return real_replay(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "replay", counting_replay)
+    assert run_cli("sweep", "--regular", "4", "3", "--depth", "5", "--noise", "systematic",
+                   "--epsilon-bars", "0.1,0.2", "--seeds", "0:2", "--jobs", "1",
+                   "--out", str(tmp_path / "sweep")) == 0
+    assert calls["n"] == 4  # 2 cells x 2 seeds
 
 
 def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch):

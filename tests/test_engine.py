@@ -366,6 +366,16 @@ def test_run_config_validation():
         RunConfig(Graph(13), 0.05, 10)
     # the systematic/none cap is looser
     RunConfig(K2, 0.05, 2000)
+    # a field of the wrong type is refused by name, not met as an
+    # AttributeError inside the run
+    for kwargs, name in (({"law": None}, "law"), ({"noise": None}, "noise"),
+                         ({"law": 0.5}, "law"), ({"noise": NoiseKind.SYSTEMATIC}, "noise")):
+        with pytest.raises(ValueError, match=f"^{name} must be a "):
+            RunConfig(K2, 0.05, 3, **kwargs)
+    with pytest.raises(ValueError, match="^law must be a FeedbackLaw"):
+        RunConfig(K2, 0.05, 3, None)
+    with pytest.raises(ValueError, match="^graph must be a Graph"):
+        RunConfig("K2", 0.05, 3)
 
 
 def test_replay_reproduces_closed_loop_states():

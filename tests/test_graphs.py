@@ -72,8 +72,14 @@ def test_booleans_are_refused_as_integers():
     # True would format as "nodes True", and (False, True) would digest
     # differently from the equal edge (0, 1)
     for make in (lambda: Graph(True), lambda: Graph(3, ((False, True, 1.0),)),
-                 lambda: Graph.from_edges(3, [(0, True)]), lambda: random_regular(8, 3, True)):
+                 lambda: Graph.from_edges(3, [(0, True)]), lambda: random_regular(8, 3, True),
+                 lambda: random_regular(True, 1, 0), lambda: erdos_renyi(True, 0.5, 0)):
         with pytest.raises(ValueError, match="(True|False) is not an integer"):
+            make()
+    # nor is a boolean read as the real 1.0 or 0.0
+    for make in (lambda: Graph.from_edges(2, [(0, 1, True)]), lambda: Graph(2, ((0, 1, False),)),
+                 lambda: erdos_renyi(4, True, 0)):
+        with pytest.raises(ValueError, match="(True|False)"):
             make()
     assert Graph(np.int64(3), ((np.int8(0), np.uint16(1), 1.0),)) == Graph(3, ((0, 1, 1.0),))
 
@@ -113,6 +119,14 @@ def test_random_regular_rejects_bad_parameters():
         random_regular(4, 4, seed=0)  # d >= n
     with pytest.raises(ValueError):
         random_regular(0, 1, seed=0)
+    # a non-integer size or degree is refused, not met in range() or list *
+    for n, d in ((8.0, 3), (8, 3.0), (8.5, 3), (8, "3")):
+        with pytest.raises(ValueError, match="is not an integer"):
+            random_regular(n, d, seed=0)
+    for n in (4.0, 4.5, "4"):
+        with pytest.raises(ValueError, match="node count .* is not an integer"):
+            erdos_renyi(n, 0.5, seed=0)
+    assert random_regular(np.int64(8), np.int8(3), seed=0) == random_regular(8, 3, seed=0)
 
 
 def test_erdos_renyi_extremes():

@@ -20,14 +20,17 @@ def test_package_has_no_assert_statements():
 
 def test_import_builds_no_rotation_plans():
     # the rotation's buffers and the driver blocks are built on first use,
-    # not at import
-    script = ("import falqon; from falqon import statevector as sv; "
-              "print(len(vars(sv._plans)), sv._driver_blocks.cache_info().currsize)")
+    # not at import, and importing the library loads none of the command
+    # line's modules
+    script = ("import sys, falqon; from falqon import statevector as sv; "
+              "print(len(vars(sv._plans)), sv._driver_blocks.cache_info().currsize, "
+              "[m for m in ('argparse', 'json', 'hashlib', 'concurrent.futures', "
+              "'multiprocessing', 'falqon.cli') if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(Path(falqon.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120, env=env)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "0 0\n"
+    assert done.stdout == "0 0 []\n"
 
 
 def test_package_stays_within_its_line_budget():
