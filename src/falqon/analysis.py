@@ -45,7 +45,7 @@ import numpy as np
 
 from .engine import RunTrace, replay
 from .hamiltonian import DiagonalHamiltonian, DriverHamiltonian, spectral_norm
-from .rng import positive_real
+from .rng import exact_int, positive_real, real
 from .statevector import StateVector, inner_product
 
 
@@ -65,10 +65,9 @@ def fidelity_floor(l_value: float, epsilon_bar: float) -> tuple[float, bool]:
     whether the raw value fell below zero (the bound says nothing there).
     A negative or NaN L or epsilon_bar is refused; a zero one means no
     error, so the floor is 1 even when the other is infinite."""
-    for name, value in (("L", l_value), ("epsilon_bar", epsilon_bar)):
-        if not float(value) >= 0.0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
-    product = float(l_value) * float(epsilon_bar) if l_value and epsilon_bar else 0.0
+    l_value, epsilon_bar = (real(value, name, "nonnegative", lambda x: x >= 0.0)
+                            for name, value in (("L", l_value), ("epsilon_bar", epsilon_bar)))
+    product = l_value * epsilon_bar if l_value and epsilon_bar else 0.0
     raw = 1.0 - 0.5 * min(product, 2.0) ** 2  # from 2 on, raw < 0 without overflow
     return min(1.0, max(0.0, raw)), bool(raw < 0.0)
 
@@ -142,7 +141,7 @@ def aggregate(runs: list[RunTrace]) -> SweepSummary:
 
 def success_probability(state: StateVector, ground_states) -> float:
     """Total probability mass the state puts on the listed basis indices."""
-    idxs = [int(i) for i in ground_states]
+    idxs = [exact_int(i, "basis index") for i in ground_states]
     for i in idxs:
         if not 0 <= i < state.dim:
             raise ValueError(f"basis index {i} out of range for {state.n_qubits} qubits")

@@ -59,6 +59,7 @@ from .statevector import (
     a_value,
     apply_diagonal_phase,
     apply_x_rotations,
+    check_norm,
     expectation_diagonal,
     uniform_state,
 )
@@ -147,8 +148,7 @@ def layer(state: StateVector, beta: float, delta_t: float, epsilon: float,
     if not abs(epsilon) < 1.0:
         raise ValueError(f"layer error must satisfy |epsilon| < 1, got {epsilon}")
     scale = (1.0 + epsilon) * delta_t
-    out = apply_diagonal_phase(state, diag, scale)
-    return apply_x_rotations(out, driver, scale * beta)
+    return apply_x_rotations(apply_diagonal_phase(state, diag, scale), driver, scale * beta)
 
 
 def replay(betas, epsilons, delta_t: float, diag: DiagonalHamiltonian,
@@ -158,19 +158,17 @@ def replay(betas, epsilons, delta_t: float, diag: DiagonalHamiltonian,
     Starts from the uniform state like every closed-loop run. No feedback is
     evaluated, so this is the tool for questions of the form "what state
     would these controls have prepared under different errors". The time
-    step is checked here, once per call, not in `layer`.
+    step and the returned state's norm are checked here, not in `layer`.
     """
     positive_real(delta_t, "delta_t")
     betas = np.asarray(betas, dtype=np.float64)
     epsilons = np.asarray(epsilons, dtype=np.float64)
     if betas.shape != epsilons.shape:
-        raise ValueError(
-            f"betas and epsilons disagree on depth: {betas.shape} vs {epsilons.shape}"
-        )
+        raise ValueError(f"betas and epsilons disagree on depth: {betas.shape} vs {epsilons.shape}")
     state = uniform_state(diag.n_qubits)
     for b, e in zip(betas, epsilons):
         state = layer(state, float(b), delta_t, float(e), diag, driver)
-    return state
+    return check_norm(state)
 
 
 def _run_as(config: RunConfig, kind: NoiseKind, mode: str) -> RunTrace:
@@ -227,4 +225,5 @@ def run(config: RunConfig) -> RunTrace:
         a_values[t] = a
         costs[t] = expectation_diagonal(state, diag)
         beta = feedback(a, config.law)
-    return RunTrace(config, betas, a_values, costs, state, p0, np.array(eps))
+    final = state if rebuild else check_norm(state)  # `replay` checked a rebuild's state
+    return RunTrace(config, betas, a_values, costs, final, p0, np.array(eps))

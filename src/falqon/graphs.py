@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rng import SplitMix64, derive_key, exact_int
+from .rng import SplitMix64, derive_key, exact_int, real
 
 BRUTE_FORCE_MAX_NODES = 20
 PAIRING_RETRY_CAP = 1000
@@ -35,6 +35,11 @@ class GenerationError(RuntimeError):
     """Raised when the pairing-model generator exhausts its retry budget."""
 
 
+def _weight(w, u: int, v: int) -> float:
+    """An edge weight as a finite float; True and "2" are refused, not read as 1.0 and 2.0."""
+    return real(w, f"edge ({u}, {v}) weight", "a finite real", math.isfinite)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected weighted graph with canonical (u < v) edge tuples."""
@@ -55,8 +60,7 @@ class Graph:
                 )
             if (u, v) in seen:
                 raise ValueError(f"duplicate edge ({u}, {v})")
-            if isinstance(w, bool) or not math.isfinite(w):  # True is not read as 1.0
-                raise ValueError(f"edge ({u}, {v}) has weight {w!r}, not a finite real")
+            _weight(w, u, v)
             seen.add((u, v))
 
     @classmethod
@@ -70,14 +74,12 @@ class Graph:
         canon = []
         for item in edge_seq:
             u, v = exact_int(item[0], "node"), exact_int(item[1], "node")
-            w = item[2] if len(item) > 2 else 1.0
-            if isinstance(w, bool):
-                raise ValueError(f"edge ({u}, {v}) has weight {w!r}, not a real")
+            w = _weight(item[2], u, v) if len(item) > 2 else 1.0
             if u == v:
                 raise ValueError(f"self-loop on node {u}")
             if u > v:
                 u, v = v, u
-            canon.append((u, v, float(w)))
+            canon.append((u, v, w))
         canon.sort()
         return cls(exact_int(n_nodes, "node count"), tuple(canon))
 
@@ -121,8 +123,7 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """G(n, p): each of the n(n-1)/2 candidate edges is kept with probability p."""
     if exact_int(n, "node count") < 1:
         raise ValueError("need n >= 1")
-    if isinstance(p, bool) or not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must be in [0, 1], got {p!r}")
+    p = real(p, "edge probability", "in [0, 1]", lambda x: 0.0 <= x <= 1.0)
     rng = SplitMix64(derive_key(seed, _STREAM_ER))
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)

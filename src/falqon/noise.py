@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .rng import SplitMix64, derive_key, exact_int, positive_real
+from .rng import SplitMix64, derive_key, positive_real, seed_int
 
 _STREAM_SYSTEMATIC = 101
 _STREAM_INDEPENDENT = 202
@@ -49,7 +49,7 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", NoiseKind(self.kind))
-        exact_int(self.seed, "seed")  # refused here, not at the first draw
+        seed_int(self.seed)  # refused here, not at the first draw
         eb = self.epsilon_bar
         if eb != 0 or isinstance(eb, bool):  # 0 is no error; a bool is not read as 0 or 1
             eb = positive_real(eb, "nonzero epsilon_bar")

@@ -36,15 +36,29 @@ def exact_int(value, what: str) -> int:
     raise ValueError(f"{what} {value!r} is not an integer")
 
 
-def positive_real(value, what: str) -> float:
-    """``value`` as a positive finite float, or a ValueError naming it as
-    ``what``: numpy scalars and ints pass, while True and "0.05" are
-    refused, not read as 1.0 and 0.05."""
+def seed_int(value) -> int:
+    """``value`` as a seed in [-2^63, 2^63), or a ValueError naming it: keys
+    are taken modulo 2^64, so a wider range would give two seeds one stream."""
+    seed = exact_int(value, "seed")
+    if not -(1 << 63) <= seed < 1 << 63:
+        raise ValueError(f"seed {seed} is outside [-2^63, 2^63)")
+    return seed
+
+
+def real(value, what: str, kind: str, ok) -> float:
+    """``value`` as a float x with ``ok(x)``, or a ValueError saying that
+    ``what`` must be ``kind``: numpy scalars and ints pass, while True and
+    "0.05" are refused, not read as 1.0 and 0.05."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         with contextlib.suppress(OverflowError):  # an int past the float range
-            if math.isfinite(x := float(value)) and x > 0.0:
+            if ok(x := float(value)):
                 return x
-    raise ValueError(f"{what} must be a positive finite real, got {value!r}")
+    raise ValueError(f"{what} must be {kind}, got {value!r}")
+
+
+def positive_real(value, what: str) -> float:
+    """``value`` as a positive finite float, or a ValueError naming it as ``what``."""
+    return real(value, what, "a positive finite real", lambda x: math.isfinite(x) and x > 0.0)
 
 
 def derive_key(seed: int, *streams: int) -> int:
@@ -53,9 +67,9 @@ def derive_key(seed: int, *streams: int) -> int:
     Distinct (seed, streams...) tuples give effectively independent keys.
     This is what lets sweep cells and circuit rebuilds sample their own
     substreams in any order, or in parallel, without shared generator state.
-    A seed that is not an integer is refused.
+    A seed that is not an integer in [-2^63, 2^63) is refused.
     """
-    key = mix64(exact_int(seed, "seed") ^ _GOLDEN)
+    key = mix64(seed_int(seed) ^ _GOLDEN)
     for s in streams:
         key = mix64(key ^ (((s + 1) * _GOLDEN) & _MASK64))
     return key

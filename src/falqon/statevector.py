@@ -5,7 +5,10 @@ only ever applies two unitaries, a diagonal phase e^{-i*scale*H_p} and a
 product of single-qubit X rotations e^{-i*angle*sum_q X_q}, and only ever
 reads three scalars back out of the state (a diagonal expectation, the
 driver/problem commutator expectation, an inner product). Those are the
-operations provided, each costing O(2^n) per single-qubit factor.
+operations provided, each costing O(2^n) per single-qubit factor. A
+`StateVector` a caller builds is checked when constructed; a kernel checks
+its scalar on entry and wraps its fresh result unchecked (`_state`), and
+`engine.run` and `engine.replay` check the norm of the state they hand out.
 
 Per qubit, the X rotation makes three numpy calls on the bit-flipped view
 ``view[:, ::-1, :]`` (``cross = s*flipped``, ``view *= c``, ``view += cross``)
@@ -58,7 +61,7 @@ if TYPE_CHECKING:
 #: Krylov vectors of 2^n entries: 134 MB at 12 qubits, touched row by row.
 MAX_QUBITS = 12
 
-#: Accepted deviation of |amplitudes| from 1 when wrapping a StateVector.
+#: Accepted deviation of |amplitudes| from 1 in `check_norm`.
 NORM_TOL = 1e-10
 
 #: Per thread, `_plan`'s buffers and views keyed by (size, half).
@@ -84,13 +87,9 @@ class StateVector:
             raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n}")
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (1 << n,):
-            raise ValueError(
-                f"expected {1 << n} amplitudes for {n} qubits, got shape {amps.shape}"
-            )
+            raise ValueError(f"expected {1 << n} amplitudes for {n} qubits, got shape {amps.shape}")
         object.__setattr__(self, "amplitudes", amps)
-        nrm = math.sqrt(np.vdot(amps, amps).real)
-        if not abs(nrm - 1.0) <= NORM_TOL:  # NaN fails too
-            raise ValueError(f"amplitudes have norm {nrm!r}, not a unit state")
+        check_norm(self)
 
     @property
     def dim(self) -> int:
@@ -104,9 +103,17 @@ def _check_width(n_op: int, state: StateVector, what: str) -> None:
         )
 
 
+def check_norm(state: StateVector) -> StateVector:
+    """``state``, or a ValueError if its norm is off 1 by more than NORM_TOL."""
+    nrm = math.sqrt(np.vdot(state.amplitudes, state.amplitudes).real)
+    if not abs(nrm - 1.0) <= NORM_TOL:  # NaN fails too
+        raise ValueError(f"amplitudes have norm {nrm!r}, not a unit state")
+    return state
+
+
 def _state(n: int, amps: np.ndarray, symmetric: bool) -> StateVector:
-    state = StateVector(n, amps)
-    object.__setattr__(state, "symmetric", symmetric)
+    state = object.__new__(StateVector)
+    vars(state).update(n_qubits=n, amplitudes=amps, symmetric=symmetric)
     return state
 
 
@@ -126,8 +133,10 @@ def apply_diagonal_phase(state: StateVector, diag: "DiagonalHamiltonian",
     evaluated once per distinct diagonal value and gathered.
     """
     _check_width(diag.n_qubits, state, "diagonal Hamiltonian")
+    if not math.isfinite(abs(scale := float(scale)) * diag.peak):
+        raise ValueError(f"phase scale {scale!r} gives a non-finite phase")
     values, index = diag.levels
-    phases = np.exp((-1j * float(scale)) * values)[index]
+    phases = np.exp((-1j * scale) * values)[index]
     return _state(state.n_qubits, state.amplitudes * phases,
                   state.symmetric and diag.complement_invariant)
 
@@ -165,13 +174,15 @@ def apply_x_rotations(state: StateVector, driver: "DriverHamiltonian",
     A symmetric state is rotated on its lower half and mirrored.
     """
     _check_width(driver.n_qubits, state, "driver Hamiltonian")
+    if not math.isfinite(angle := float(angle)):
+        raise ValueError(f"rotation angle must be finite, got {angle!r}")
     half = state.symmetric
     h, steps = _plan(state.dim >> half, half)
     h[:] = state.amplitudes[:h.size]
     # 0-d arrays, which the ufuncs take without converting a Python scalar
     # on every call; c is cast to complex exactly as the ufunc would cast it
-    c = np.array(math.cos(float(angle)), dtype=np.complex128)
-    s = np.array(-1j * math.sin(float(angle)))
+    c = np.array(math.cos(angle), dtype=np.complex128)
+    s = np.array(-1j * math.sin(angle))
     for view, flipped, cross in steps:
         np.multiply(flipped, s, out=cross)  # s*hi | s*lo
         view *= c

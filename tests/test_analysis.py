@@ -123,6 +123,10 @@ def test_fidelity_floor_refuses_negative_or_nan_inputs():
     for l_value, eb in ((float("nan"), 0.1), (-1.0, 0.1), (1.0, float("nan")), (1.0, -0.1)):
         with pytest.raises(ValueError, match="must be nonnegative"):
             fidelity_floor(l_value, eb)
+    # a string or a boolean is not read as a number
+    for l_value, eb, bad in (("1", True, "'1'"), (1.0, True, "True"), (None, 0.1, "None")):
+        with pytest.raises(ValueError, match=f"must be nonnegative, got {bad}"):
+            fidelity_floor(l_value, eb)
     assert fidelity_floor(float("inf"), 0.1) == (0.0, True)
 
 
@@ -297,3 +301,8 @@ def test_success_probability_validates_indices():
         success_probability(uniform_state(2), [4])
     with pytest.raises(ValueError):
         success_probability(uniform_state(2), [1, 1])
+    # an index is an integer: 1.5 is not truncated, True and "1" are not read as 1
+    for bad in (1.5, True, "1"):
+        with pytest.raises(ValueError, match=f"basis index {bad!r} is not an integer"):
+            success_probability(uniform_state(2), [bad])
+    assert success_probability(uniform_state(2), np.array([1, 2])) == 0.5

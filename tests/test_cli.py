@@ -254,6 +254,26 @@ def test_run_invalid_parameters_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_seeds_outside_64_bits_exit_2_naming_the_seed(tmp_path, capsys):
+    # one seed per flag: a huge a:b range would list every seed in it
+    out = tmp_path / "results"
+    graph = ("graph", "--regular", "4", "3", "--out", str(out / "g.edges"))
+    regular = ("--regular", "4", "3", "--depth", "2", "--out", str(out))
+    bound = ("bound", "--epsilon-bars", "0.1", "--draws", "1", *regular)
+    sweep = ("sweep", "--noise", "systematic", "--epsilon-bars", "0.1", *regular)
+    for seed in (-(2**63) - 1, 2**63):
+        for argv in (("run", f"--seed={seed}", *regular), (*bound, f"--seed={seed}"),
+                     ("run", f"--graph-seed={seed}", *regular), (*graph, f"--graph-seed={seed}"),
+                     (*sweep, f"--seeds={seed}")):
+            capsys.readouterr()
+            assert run_cli(*argv) == 2, argv
+            assert f"seed {seed} is outside [-2^63, 2^63)" in capsys.readouterr().err, argv
+    assert not out.exists()
+    for seed in (-(2**63), 2**63 - 1):
+        assert run_cli("run", f"--seed={seed}", f"--graph-seed={seed}", *regular) == 0
+        assert run_cli(*sweep, f"--seeds={seed}") == 0
+
+
 def test_config_refuses_repeated_keys(tmp_path, capsys):
     # JSON keeps the last of repeated keys; a config that sets one twice is refused
     cfg = tmp_path / "cfg.json"

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import falqon.engine as engine
+from falqon import statevector
 from falqon.engine import (
     FeedbackLaw,
     RunConfig,
@@ -392,3 +393,59 @@ def test_replay_validates_lengths():
     diag = maxcut_hamiltonian(K2)
     with pytest.raises(ValueError):
         replay(np.zeros(3), np.zeros(4), 0.05, diag, driver_x(2))
+
+
+REF8 = reference_instance()
+KINDS = [NoiseModel(), NoiseModel("systematic", 0.3, 1), NoiseModel("independent", 0.3, 1)]
+
+
+def test_engine_states_skip_the_constructor_checks(monkeypatch):
+    # kernel results are wrapped unchecked; the constructor runs for caller states only
+    calls = {"n": 0}
+    post_init = StateVector.__post_init__
+
+    def counting(self):
+        calls["n"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(StateVector, "__post_init__", counting)
+    diag, driver = maxcut_hamiltonian(REF8), driver_x(8)
+    for noise in KINDS:
+        trace = run(RunConfig(REF8, 0.05, 12, noise=noise))
+    replay(trace.betas, trace.epsilons, 0.05, diag, driver)
+    assert calls["n"] == 0
+    StateVector(8, trace.final_state.amplitudes)
+    assert calls["n"] == 1
+
+
+def test_norm_drift_is_caught_where_states_leave_the_engine(monkeypatch):
+    # a rotation that scales its result by 1 + 1e-8 goes unseen inside the
+    # loop, and is refused when run or replay hands the state out
+    rotate = engine.apply_x_rotations
+
+    def drifting(state, driver, angle):
+        out = rotate(state, driver, angle)
+        return statevector._state(out.n_qubits, out.amplitudes * (1 + 1e-8), out.symmetric)
+
+    monkeypatch.setattr(engine, "apply_x_rotations", drifting)
+    diag, driver = maxcut_hamiltonian(REF8), driver_x(8)
+    with pytest.raises(ValueError, match="not a unit state"):
+        replay(np.full(3, 0.2), np.zeros(3), 0.05, diag, driver)
+    for noise in KINDS:
+        with pytest.raises(ValueError, match="not a unit state"):
+            run(RunConfig(REF8, 0.05, 12, noise=noise))
+
+
+def test_layer_and_replay_refuse_non_finite_inputs():
+    diag, driver = maxcut_hamiltonian(REF8), driver_x(8)
+    assert diag.peak > 1.0
+    for beta in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="rotation angle must be finite, got"):
+            layer(uniform_state(8), beta, 0.05, 0.0, diag, driver)
+        with pytest.raises(ValueError, match="rotation angle must be finite, got"):
+            replay([0.1, beta], [0.0, 0.0], 0.05, diag, driver)
+    # a finite step whose largest phase, |scale| * peak, overflows
+    with pytest.raises(ValueError, match="phase scale 1e[+]308 gives a non-finite phase"):
+        layer(uniform_state(8), 0.1, 1e308, 0.0, diag, driver)
+    with pytest.raises(ValueError, match="phase scale 1e[+]308 gives a non-finite phase"):
+        replay([0.1], [0.0], 1e308, diag, driver)

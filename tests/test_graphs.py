@@ -46,6 +46,11 @@ def test_graph_rejects_invalid_edges():
         Graph.from_edges(2, [(0, 1, float("nan"))])
     with pytest.raises(ValueError):
         Graph(0)
+    # a weight that is not a real number is refused, not parsed or met in isfinite
+    for make in (lambda: Graph.from_edges(2, [(0, 1, "2")]), lambda: Graph(2, ((0, 1, "2"),)),
+                 lambda: Graph.from_edges(2, [(0, 1, None)])):
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) weight must be a finite real"):
+            make()
 
 
 def test_graph_rejects_non_integer_nodes():
@@ -112,6 +117,16 @@ def test_generators_refuse_a_non_integer_seed():
     assert random_regular(8, 3, np.int64(42)) == random_regular(8, 3, 42)
 
 
+def test_generators_refuse_a_seed_outside_64_bits():
+    # keys are taken modulo 2^64, so -1 and 2^64 - 1 would draw the same graph
+    for seed in (-(2**63) - 1, 2**63, 2**64 - 1):
+        for make in (lambda: random_regular(8, 3, seed), lambda: erdos_renyi(8, 0.5, seed)):
+            with pytest.raises(ValueError, match=f"seed {seed} is outside"):
+                make()
+    assert random_regular(8, 3, -(2**63)).degrees() == [3] * 8
+    assert random_regular(8, 3, 2**63 - 1).degrees() == [3] * 8
+
+
 def test_random_regular_rejects_bad_parameters():
     with pytest.raises(ValueError):
         random_regular(5, 3, seed=0)  # odd n*d
@@ -126,6 +141,10 @@ def test_random_regular_rejects_bad_parameters():
     for n in (4.0, 4.5, "4"):
         with pytest.raises(ValueError, match="node count .* is not an integer"):
             erdos_renyi(n, 0.5, seed=0)
+    for p in ("0.5", None, float("nan"), 1.5):
+        with pytest.raises(ValueError, match=r"edge probability must be in \[0, 1\], got"):
+            erdos_renyi(4, p, seed=0)
+    assert erdos_renyi(4, np.float64(0.5), 0) == erdos_renyi(4, 0.5, 0)
     assert random_regular(np.int64(8), np.int8(3), seed=0) == random_regular(8, 3, seed=0)
 
 

@@ -37,6 +37,16 @@ def test_model_refuses_a_non_integer_seed():
         NoiseModel("systematic", 0.1, seed=True)
 
 
+def test_model_refuses_a_seed_outside_64_bits():
+    # keys are taken modulo 2^64: seeds 0 and 2^64 would draw the same errors
+    for kind in NoiseKind:
+        for seed in (-(2**63) - 1, 2**63, 2**64):
+            with pytest.raises(ValueError, match=f"seed {seed} is outside"):
+                NoiseModel(kind, 0.1, seed=seed)
+    for seed in (-(2**63), 2**63 - 1):
+        assert len(trajectory(NoiseModel("independent", 0.1, seed), 3, rebuild_index=2)) == 3
+
+
 def test_trajectory_validates_arguments():
     model = NoiseModel(NoiseKind.SYSTEMATIC, 0.2, 0)
     with pytest.raises(ValueError):

@@ -81,6 +81,20 @@ def test_statevector_validates_shape_and_norm():
         StateVector(1, np.array([np.nan, 0.0]))
 
 
+def test_kernels_refuse_a_non_finite_scalar_on_entry():
+    s, driver = uniform_state(2), driver_x(2)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="rotation angle must be finite"):
+            apply_x_rotations(s, driver, bad)
+        with pytest.raises(ValueError, match="gives a non-finite phase"):
+            apply_diagonal_phase(s, K2_DIAG, bad)
+    # K2's largest phase is |scale|: finite at the float maximum, not twice over it
+    big = np.finfo(np.float64).max
+    assert apply_diagonal_phase(s, K2_DIAG, big).n_qubits == 2
+    with pytest.raises(ValueError, match="gives a non-finite phase"):
+        apply_diagonal_phase(s, DiagonalHamiltonian(2, 2.0 * K2_DIAG.diag), big)
+
+
 def test_diagonal_phase_zero_scale_is_identity():
     s = uniform_state(2)
     out = apply_diagonal_phase(s, K2_DIAG, 0.0)
@@ -441,13 +455,26 @@ def test_invariant_checks_hold_under_optimize_flag():
                 print(exc)
             else:
                 raise SystemExit("no AssertionError")
+
+        # the norm check where a state leaves the engine is a ValueError
+        import falqon.engine as engine
+        from falqon.statevector import _state
+        rotate = engine.apply_x_rotations
+        engine.apply_x_rotations = lambda state, driver, angle: _state(
+            2, rotate(state, driver, angle).amplitudes * (1 + 1e-8), False)
+        try:
+            engine.replay([0.1, 0.2], [0.0, 0.0], 0.05, d, driver_x(2))
+        except ValueError as exc:
+            print(exc)
+        else:
+            raise SystemExit("no ValueError")
     """)
     env = {**os.environ, "PYTHONPATH": str(Path(falqon.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                           text=True, timeout=120, env=env)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 5
     for line, text in zip(lines, ("inner product", "probability", "commutator",
-                                  "came out complex")):
+                                  "came out complex", "not a unit state")):
         assert text in line
