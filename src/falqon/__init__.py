@@ -9,7 +9,6 @@ closed-loop optimizer (engine), robustness bounds and sweep statistics
 import types
 
 from .analysis import (
-    SweepSummary,
     aggregate,
     ideal_fidelity,
     lipschitz_from_betas,

@@ -32,14 +32,13 @@ step only from four steps before the step where that solve stopped. Layer t
 depends only on beta_0..beta_t, so the norms of a prefix of a control
 sequence are bit-identical to the first norms of the whole sequence.
 
-The sweep side is plain statistics: `aggregate` gives one cell's mean and
-sample std of the final cost error and replays nothing, while
-`ideal_fidelity` replays a run's ideal state once for its fidelity.
+The sweep side is plain statistics: `aggregate` returns (mean, std), one
+cell's mean and sample std of the final cost error, and replays nothing,
+while `ideal_fidelity` replays a run's ideal state once for its fidelity.
 """
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,17 +46,6 @@ from .engine import RunTrace, replay
 from .hamiltonian import DiagonalHamiltonian, DriverHamiltonian, spectral_norm
 from .rng import exact_int, positive_real, real
 from .statevector import StateVector, inner_product
-
-
-@dataclass(frozen=True)
-class SweepSummary:
-    """Aggregate statistics for one (epsilon_bar, lam) sweep cell."""
-
-    epsilon_bar: float
-    lam: float
-    n_seeds: int
-    mean_final_cost_error: float
-    std_final_cost_error: float
 
 
 def fidelity_floor(l_value: float, epsilon_bar: float) -> tuple[float, bool]:
@@ -117,9 +105,9 @@ def ideal_fidelity(trace: RunTrace, diag: DiagonalHamiltonian,
     return abs(inner_product(ideal, trace.final_state))
 
 
-def aggregate(runs: list[RunTrace]) -> SweepSummary:
-    """Mean and sample std (ddof=1, 0.0 for a single run) of the final cost
-    error over repeated runs of one sweep cell.
+def aggregate(runs: list[RunTrace]) -> tuple[float, float]:
+    """(mean, std): the mean and sample std (ddof=1, 0.0 for a single run)
+    of the final cost error over repeated runs of one sweep cell.
 
     All runs must share instance, depth, time step, feedback law and noise
     settings. Nothing is replayed here: a seed's fidelity against its
@@ -135,8 +123,7 @@ def aggregate(runs: list[RunTrace]) -> SweepSummary:
                          "noise shape")
     errors = np.array([t.final_cost_error for t in runs])
     std = 0.0 if errors.size == 1 else float(np.std(errors, ddof=1))
-    return SweepSummary(epsilon_bar=head.noise.epsilon_bar, lam=head.law.lam, n_seeds=len(runs),
-                        mean_final_cost_error=float(errors.mean()), std_final_cost_error=std)
+    return float(errors.mean()), std
 
 
 def success_probability(state: StateVector, ground_states) -> float:

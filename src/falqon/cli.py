@@ -63,6 +63,7 @@ from .graphs import (
 )
 from .hamiltonian import DEGENERACY_TOL, driver_x, ground_energy, maxcut_hamiltonian
 from .noise import NoiseKind, NoiseModel, trajectory
+from .rng import positive_real
 
 #: Output directory used when neither --out nor the config gives one.
 ENV_OUT_DIR = "FALQON_OUT"
@@ -416,14 +417,13 @@ def cmd_run(s, graph: Graph, echo: dict) -> tuple:
                           f"error {_fmt(trace.final_cost_error)} success {_fmt(succ)}"]
 
 
-def _sweep_cell(configs: list[RunConfig]) -> tuple[analysis.SweepSummary, list]:
-    """Run every seed of one (epsilon_bar, lambda) cell. Top level for pickling."""
+def _sweep_cell(configs: list[RunConfig]) -> tuple[tuple[float, float], list]:
+    """One (epsilon_bar, lambda) cell's (mean, std) and seed rows. Top level for pickling."""
     runs = [engine.run(config) for config in configs]
     diag, driver = maxcut_hamiltonian(configs[0].graph), driver_x(configs[0].graph.n_nodes)
-    summary = analysis.aggregate(runs)
     rows = [[trace.config.noise.seed, float(trace.costs[-1]), trace.final_cost_error,
              analysis.ideal_fidelity(trace, diag, driver)] for trace in runs]
-    return summary, rows
+    return analysis.aggregate(runs), rows
 
 
 def cmd_sweep(s, graph: Graph, _echo: dict) -> tuple:
@@ -451,15 +451,11 @@ def cmd_sweep(s, graph: Graph, _echo: dict) -> tuple:
                 raise RuntimeError(f"cell epsilon_bar={eb:g} lambda={lv:g} failed: {exc}") from exc
     files = {name: _csv(["seed", "final_cost", "final_cost_error", "fidelity"], rows)
              for name, (_, rows) in zip(names, results)}
-    files["aggregate.csv"] = _csv(
-        ["epsilon_bar", "lambda", "n_seeds", "mean_final_cost_error", "std_final_cost_error"],
-        [[c.epsilon_bar, c.lam, c.n_seeds, c.mean_final_cost_error, c.std_final_cost_error]
-         for c, _ in results],
-    )
-    return s.out, files, [f"epsilon_bar {c.epsilon_bar:g} lambda {c.lam:g}: "
-                          f"mean error {_fmt(c.mean_final_cost_error)} "
-                          f"(std {_fmt(c.std_final_cost_error)}, n={c.n_seeds})"
-                          for c, _ in results]
+    stats = [(eb, lv, len(s.seeds), *stat) for (eb, lv, _), (stat, _) in zip(cells, results)]
+    files["aggregate.csv"] = _csv(["epsilon_bar", "lambda", "n_seeds", "mean_final_cost_error",
+                                   "std_final_cost_error"], stats)
+    return s.out, files, [f"epsilon_bar {eb:g} lambda {lv:g}: mean error {_fmt(mean)} "
+                          f"(std {_fmt(std)}, n={n})" for eb, lv, n, mean, std in stats]
 
 
 def _read_trace_betas(path: Path) -> np.ndarray:
@@ -497,7 +493,7 @@ def _trace_delta_t(trace: Path, digest: str) -> float:
     if recorded != digest:
         raise UsageError(f"{path} records a run on another instance: edges_sha256 "
                          f"{recorded}, here {digest}")
-    return _real(summary.get("delta_t"), f"delta_t in {path}")
+    return positive_real(summary.get("delta_t"), f"delta_t in {path}")
 
 
 def cmd_bound(s, graph: Graph, echo: dict) -> tuple:
@@ -518,13 +514,14 @@ def cmd_bound(s, graph: Graph, echo: dict) -> tuple:
         betas = engine.run_nominal(config).betas
     models = [NoiseModel(NoiseKind.INDEPENDENT, eb, s.noise_seed) for eb in s.epsilon_bars]
     _, l_value = analysis.lipschitz_from_betas(betas, delta_t, diag, driver)
+    # every draw of every row in one call, which replays the ideal state once
+    errors = [trajectory(model, depth, rebuild_index=i + 1) for model in models
+              for i in range(draws)]
+    fids = analysis.replay_fidelity(betas, errors, delta_t, diag, driver)
     rows = []
-    for model in models:
-        eb = model.epsilon_bar
-        floor, vacuous = analysis.fidelity_floor(l_value, eb)
-        errors = [trajectory(model, depth, rebuild_index=i + 1) for i in range(draws)]
-        empirical = analysis.replay_fidelity(betas, errors, delta_t, diag, driver).min()
-        rows.append([eb, l_value, floor, empirical, draws, vacuous])
+    for model, empirical in zip(models, fids.reshape(len(models), draws).min(axis=1)):
+        floor, vacuous = analysis.fidelity_floor(l_value, model.epsilon_bar)
+        rows.append([model.epsilon_bar, l_value, floor, empirical, draws, vacuous])
     header = ["epsilon_bar", "l_value", "fidelity_lower_bound", "empirical_min_fidelity",
               "draws", "vacuous"]
     notes = [f"l_value {_fmt(l_value)} over {depth} layers"]

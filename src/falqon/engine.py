@@ -54,13 +54,13 @@ from .hamiltonian import (
 from .noise import NoiseKind, NoiseModel, trajectory
 from .rng import positive_real
 from .statevector import (
-    MAX_QUBITS,
     StateVector,
     a_value,
     apply_diagonal_phase,
     apply_x_rotations,
     check_norm,
     expectation_diagonal,
+    register_width,
     uniform_state,
 )
 
@@ -102,11 +102,7 @@ class RunConfig:
             raise ValueError(f"depth must be an integer, got {self.depth}")
         depth = int(self.depth)
         object.__setattr__(self, "depth", depth)
-        if self.graph.n_nodes > MAX_QUBITS:
-            raise ValueError(
-                f"closed-loop runs are capped at {MAX_QUBITS} qubits, "
-                f"got {self.graph.n_nodes}"
-            )
+        register_width(self.graph.n_nodes)
         cap = MAX_DEPTH_INDEPENDENT if self.noise.kind is NoiseKind.INDEPENDENT else MAX_DEPTH
         if depth > cap:
             raise ValueError(

@@ -51,7 +51,7 @@ class Graph:
         for node in (self.n_nodes, *(x for edge in self.edges for x in edge[:2])):
             exact_int(node, "node")
         if self.n_nodes < 1:
-            raise ValueError("graph needs at least one node")
+            raise ValueError(f"graph needs at least one node, got {self.n_nodes}")
         seen = set()
         for u, v, w in self.edges:
             if not 0 <= u < v < self.n_nodes:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .statevector import MAX_QUBITS, driver_matvec
+from .statevector import driver_matvec, register_width
 
 #: Eigenvalues closer than this count as degenerate.
 DEGENERACY_TOL = 1e-12
@@ -42,15 +42,13 @@ class DiagonalHamiltonian:
     diag: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
+        n = register_width(self.n_qubits)
         d = np.ascontiguousarray(self.diag, dtype=np.float64)
-        if d.shape != (1 << self.n_qubits,):
-            raise ValueError(f"expected {1 << self.n_qubits} diagonal entries, "
-                             f"got shape {d.shape}")
+        if d.shape != (1 << n,):
+            raise ValueError(f"expected {1 << n} diagonal entries, got shape {d.shape}")
         if not np.all(np.isfinite(d)):
             raise ValueError("diagonal entries must be finite")
-        object.__setattr__(self, "diag", d)
+        vars(self).update(n_qubits=n, diag=d)
 
     @functools.cached_property
     def levels(self) -> tuple[np.ndarray, np.ndarray]:
@@ -81,8 +79,7 @@ class DriverHamiltonian:
     n_qubits: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
+        object.__setattr__(self, "n_qubits", register_width(self.n_qubits))
 
     @property
     def terms(self) -> tuple[tuple[int, float], ...]:
@@ -92,9 +89,7 @@ class DriverHamiltonian:
 
 def maxcut_hamiltonian(graph: Graph) -> DiagonalHamiltonian:
     """Cost Hamiltonian whose diagonal entry at x is minus the cut value of x."""
-    n = graph.n_nodes
-    if n > MAX_QUBITS:
-        raise ValueError(f"instance needs {n} qubits, cap is {MAX_QUBITS}")
+    n = register_width(graph.n_nodes)  # before the 2^n arrays are allocated
     idx = np.arange(1 << n, dtype=np.int64)
     diag = np.zeros(1 << n, dtype=np.float64)
     for u, v, w in graph.edges:

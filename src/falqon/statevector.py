@@ -53,6 +53,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .rng import exact_int
+
 if TYPE_CHECKING:
     from .hamiltonian import DiagonalHamiltonian, DriverHamiltonian
 
@@ -66,6 +68,13 @@ NORM_TOL = 1e-10
 
 #: Per thread, `_plan`'s buffers and views keyed by (size, half).
 _plans = threading.local()
+
+
+def register_width(n) -> int:
+    """``n`` as a register width, an int in [1, MAX_QUBITS], or a ValueError naming it."""
+    if not 1 <= (n := exact_int(n, "qubit count")) <= MAX_QUBITS:
+        raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+    return n
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,13 +91,11 @@ class StateVector:
     symmetric: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
-        n = self.n_qubits
-        if not 1 <= n <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n}")
+        n = register_width(self.n_qubits)
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (1 << n,):
             raise ValueError(f"expected {1 << n} amplitudes for {n} qubits, got shape {amps.shape}")
-        object.__setattr__(self, "amplitudes", amps)
+        vars(self).update(n_qubits=n, amplitudes=amps)
         check_norm(self)
 
     @property
@@ -119,8 +126,7 @@ def _state(n: int, amps: np.ndarray, symmetric: bool) -> StateVector:
 
 def uniform_state(n: int) -> StateVector:
     """Equal superposition of all 2^n basis states, amplitude 2^(-n/2)."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"n must be in [1, {MAX_QUBITS}], got {n}")
+    n = register_width(n)
     dim = 1 << n
     return _state(n, np.full(dim, dim ** -0.5, dtype=np.complex128), True)
 

@@ -136,9 +136,7 @@ def test_regularized_law_beats_standard_under_independent_noise(capsys):
                                 law=FeedbackLaw(lam=lam),
                                 noise=NoiseModel("independent", epsilon_bar=0.25, seed=seed))
                 runs.append(run(cfg))
-            summary = aggregate(runs)
-            means[lam] = summary.mean_final_cost_error
-            stds[lam] = summary.std_final_cost_error
+            means[lam], stds[lam] = aggregate(runs)
         elapsed = time.perf_counter() - t0
 
         pooled_se = float(np.hypot(stds[0.5], stds[1.0])) / np.sqrt(n_seeds)

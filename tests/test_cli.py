@@ -502,6 +502,21 @@ def test_sweep_replays_each_seed_once(tmp_path, monkeypatch):
     assert calls["n"] == 4  # 2 cells x 2 seeds
 
 
+def test_bound_replays_its_ideal_state_once(tmp_path, monkeypatch):
+    # one ideal replay for the whole bound, then one replay per draw of each row
+    calls = {"n": 0}
+    real_replay = analysis.replay
+
+    def counting_replay(*args, **kwargs):
+        calls["n"] += 1
+        return real_replay(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "replay", counting_replay)
+    assert run_cli("bound", "--regular", "4", "3", "--depth", "5", "--epsilon-bars", "0.1,0.2",
+                   "--draws", "3", "--out", str(tmp_path / "bound")) == 0
+    assert calls["n"] == 7  # 1 ideal + 2 rows x 3 draws
+
+
 def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
     # a pool starts all of its workers at once, so --jobs is capped at the
     # cell count; a stand-in pool records the size and maps in this process
@@ -640,6 +655,13 @@ def test_bound_trace_takes_delta_t_from_its_run(tmp_path, capsys):
         assert run_cli(*bound, "--trace", str(lone), "--out", str(bad)) == 2
         assert str(lone_summary) in capsys.readouterr().err
     lone_summary.rmdir()
+    # a recorded time step that is not a positive finite real, a string
+    # among them, is refused with the file's name
+    for bad_dt in (0, -0.05, "0.05", True):
+        lone_summary.write_text(json.dumps({**summary, "delta_t": bad_dt}))
+        capsys.readouterr()
+        assert run_cli(*bound, "--trace", str(lone), "--out", str(bad)) == 2
+        assert f"delta_t in {lone_summary}" in capsys.readouterr().err
     # a summary without the instance digest cannot name its instance
     del summary["graph"]["edges_sha256"]
     lone_summary.write_text(json.dumps(summary))

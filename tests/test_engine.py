@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -377,6 +378,32 @@ def test_run_config_validation():
         RunConfig(K2, 0.05, 3, None)
     with pytest.raises(ValueError, match="^graph must be a Graph"):
         RunConfig("K2", 0.05, 3)
+
+
+#: Every entry point that takes a register width, as a function of the width
+#: that returns the width it stored. A Graph refuses a non-integer or zero
+#: node count before maxcut_hamiltonian or RunConfig reads it.
+WIDTH_ENTRY_POINTS = {
+    "StateVector": lambda n: StateVector(n, np.full(8, 8 ** -0.5)).n_qubits,
+    "uniform_state": lambda n: uniform_state(n).n_qubits,
+    "DiagonalHamiltonian": lambda n: DiagonalHamiltonian(n, np.zeros(8)).n_qubits,
+    "DriverHamiltonian": lambda n: driver_x(n).n_qubits,
+    "maxcut_hamiltonian": lambda n: maxcut_hamiltonian(Graph(n)).n_qubits,
+    "RunConfig": lambda n: run(RunConfig(Graph(n), 0.05, 1)).final_state.n_qubits,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(WIDTH_ENTRY_POINTS))
+def test_register_width_is_one_integer_check(entry):
+    make = WIDTH_ENTRY_POINTS[entry]
+    for bad in (True, 2.0, 2.5, 0, 13):
+        with pytest.raises(ValueError, match=rf"(?<![\d.]){re.escape(repr(bad))}(?![\d.])"):
+            make(bad)
+    width = make(np.int64(3))
+    assert width == 3 and type(width) is int
+    # the cost diagonal is refused before its 2^n entries are allocated
+    with pytest.raises(ValueError, match="got 40"):
+        maxcut_hamiltonian(Graph(40))
 
 
 def test_replay_reproduces_closed_loop_states():
