@@ -81,19 +81,13 @@ def replay_fidelity(betas, epsilons, delta_t: float, diag: DiagonalHamiltonian,
     Both states are open-loop replays of the same inputs, one error-free and
     one under the errors. ``epsilons`` is one sequence, which gives one
     float, or a (draws, depth) stack of them, which gives one fidelity per
-    row, each bit-identical to the call on that row alone; the ideal state
-    is replayed once per call.
+    row from one stacked `replay`, each bit-identical to the call on that
+    row alone; the ideal state is replayed once per call.
     """
-    eps = np.asarray(epsilons)
-    betas = np.asarray(betas, dtype=np.float64)
-    if eps.ndim not in (1, 2) or eps.shape[-1:] != betas.shape:
-        raise ValueError(
-            f"betas and epsilons disagree on depth: {betas.shape} vs {eps.shape}"
-        )
-    ideal = replay(betas, np.zeros_like(betas), delta_t, diag, driver)
-    fids = [abs(inner_product(ideal, replay(betas, row, delta_t, diag, driver)))
-            for row in np.atleast_2d(eps)]
-    return fids[0] if eps.ndim == 1 else np.array(fids)
+    ideal = replay(betas, np.zeros(np.shape(betas)[-1:]), delta_t, diag, driver)
+    if isinstance(noisy := replay(betas, epsilons, delta_t, diag, driver), StateVector):
+        return abs(inner_product(ideal, noisy))
+    return np.array([abs(inner_product(ideal, state)) for state in noisy])
 
 
 def ideal_fidelity(trace: RunTrace, diag: DiagonalHamiltonian,

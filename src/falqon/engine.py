@@ -22,20 +22,26 @@ noiseless run whose layer t has step dt_t, every step in
 noiseless loop holds for it where it holds at the largest step
 (1 + eps_bar)*dt.
 
-`run` is the one feedback loop for every noise kind. Step t fixes beta_t,
-obtains the state of the t-layer circuit, reads A_t and the cost from it and
-feeds A_t back. The kinds differ only in how that state is obtained:
+`run_cell` is the one feedback loop, over a cell of rows that share graph,
+time step, depth and noise kind; `run` is its one-row call. Step t fixes
+each row's beta_t, obtains the state of its t-layer circuit, reads A_t and
+the cost from it and feeds A_t back. The kinds differ only in how that
+state is obtained:
 
 * no error and systematic errors are prefix-consistent: rebuilding t layers
   replays the same error prefix, so it reproduces the previous step's state
-  plus one layer, and the loop advances one state incrementally (the
-  equivalence is covered by the test suite);
+  plus one layer, and each row advances by one `layer` per step (the
+  equivalence is covered by the test suite). Batching these rows gains
+  nothing: 4 rows of a 12-qubit cell ran 0.94x as fast;
 * independent errors are redrawn on every rebuild, so no two rebuilds agree
   and step t replays the whole t-layer circuit from the uniform state under
-  rebuild t's sequence, depth*(depth+1)/2 layer applications in total.
+  rebuild t's sequence: depth*(depth+1)/2 layers per row, in depth stacked
+  `replay` calls over all rows, which saves the per-call overhead of small
+  layers (a lone row replays per state, which is faster for one row).
 
-run_nominal, run_systematic and run_independent are `run` restricted to one
-kind.
+So the package holds two evolution paths, per state and batched, each row
+bit-identical between them. run_nominal, run_systematic and
+run_independent are `run` restricted to one kind.
 """
 from __future__ import annotations
 
@@ -55,11 +61,13 @@ from .noise import NoiseKind, NoiseModel, trajectory
 from .rng import positive_real
 from .statevector import (
     StateVector,
+    _state,
     a_value,
     apply_diagonal_phase,
     apply_x_rotations,
     check_norm,
     expectation_diagonal,
+    layer_rows,
     register_width,
     uniform_state,
 )
@@ -148,78 +156,94 @@ def layer(state: StateVector, beta: float, delta_t: float, epsilon: float,
 
 
 def replay(betas, epsilons, delta_t: float, diag: DiagonalHamiltonian,
-           driver: DriverHamiltonian) -> StateVector:
+           driver: DriverHamiltonian) -> StateVector | list[StateVector]:
     """Open-loop pass: apply recorded inputs under a given error sequence.
 
     Starts from the uniform state like every closed-loop run. No feedback is
     evaluated, so this is the tool for questions of the form "what state
     would these controls have prepared under different errors". The time
     step and the returned state's norm are checked here, not in `layer`.
+
+    A (rows, T) stack of ``epsilons``, with ``betas`` (T,) or (rows, T),
+    gives one state per row, each bit-identical to its own replay, from one
+    `statevector.layer_rows` call per layer.
     """
-    positive_real(delta_t, "delta_t")
+    dt = positive_real(delta_t, "delta_t")
     betas = np.asarray(betas, dtype=np.float64)
     epsilons = np.asarray(epsilons, dtype=np.float64)
-    if betas.shape != epsilons.shape:
+    if epsilons.ndim not in (1, 2) or betas.shape not in (epsilons.shape, epsilons.shape[-1:]):
         raise ValueError(f"betas and epsilons disagree on depth: {betas.shape} vs {epsilons.shape}")
-    state = uniform_state(diag.n_qubits)
-    for b, e in zip(betas, epsilons):
-        state = layer(state, float(b), delta_t, float(e), diag, driver)
-    return check_norm(state)
+    if driver.n_qubits != diag.n_qubits:
+        raise ValueError(f"operator widths differ: {diag.n_qubits} vs {driver.n_qubits} qubits")
+    if epsilons.ndim == 1:
+        state = uniform_state(diag.n_qubits)
+        for b, e in zip(betas, epsilons):
+            state = layer(state, float(b), dt, float(e), diag, driver)
+        return check_norm(state)
+    if (bad := epsilons[~(abs(epsilons) < 1.0)]).size:
+        raise ValueError(f"layer error must satisfy |epsilon| < 1, got {bad[0]}")
+    # the uniform state is symmetric, and stays so under an invariant diagonal
+    n, half = diag.n_qubits, diag.complement_invariant or not epsilons.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # `layer_rows` refuses a non-finite one
+        scales = (1.0 + epsilons) * dt
+        angles = scales * betas
+    rows = np.full((len(epsilons), 1 << (n - half)), (1 << n) ** -0.5, dtype=np.complex128)
+    for t in range(epsilons.shape[1]):
+        layer_rows(rows, diag, scales[:, t], angles[:, t])
+    rows = np.concatenate((rows, rows[:, ::-1]), axis=1) if half else rows
+    return [check_norm(_state(n, amps, half)) for amps in rows]
 
 
-def _run_as(config: RunConfig, kind: NoiseKind, mode: str) -> RunTrace:
-    if config.noise.kind is not kind:
-        raise ValueError(
-            f"{mode} needs noise kind {kind.value!r}, got {config.noise.kind.value}"
-        )
-    return run(config)
+def _run_as(kind: NoiseKind, mode: str, doc: str):
+    def run_as(config: RunConfig) -> RunTrace:
+        if config.noise.kind is not kind:
+            raise ValueError(f"{mode} needs noise kind {kind.value!r}, "
+                             f"got {config.noise.kind.value}")
+        return run(config)
+
+    run_as.__name__, run_as.__qualname__, run_as.__doc__ = mode, mode, doc
+    return run_as
 
 
-def run_nominal(config: RunConfig) -> RunTrace:
-    """Error-free closed-loop run."""
-    return _run_as(config, NoiseKind.NONE, "run_nominal")
-
-
-def run_systematic(config: RunConfig) -> RunTrace:
-    """Closed-loop run under a frozen (prefix-consistent) error sequence."""
-    return _run_as(config, NoiseKind.SYSTEMATIC, "run_systematic")
-
-
-def run_independent(config: RunConfig) -> RunTrace:
-    """Closed-loop run where every feedback step rebuilds the circuit."""
-    return _run_as(config, NoiseKind.INDEPENDENT, "run_independent")
+run_nominal = _run_as(NoiseKind.NONE, "run_nominal", "Error-free closed-loop run.")
+run_systematic = _run_as(NoiseKind.SYSTEMATIC, "run_systematic",
+                         "Closed-loop run under a frozen (prefix-consistent) error sequence.")
+run_independent = _run_as(NoiseKind.INDEPENDENT, "run_independent",
+                          "Closed-loop run where every feedback step rebuilds the circuit.")
 
 
 def run(config: RunConfig) -> RunTrace:
-    """Closed-loop run in the mode that config.noise.kind selects.
+    """Closed-loop run in the mode that config.noise.kind selects: a one-row `run_cell`."""
+    return run_cell([config])[0]
 
-    Nominal and systematic runs take their whole error sequence up front and
-    advance one state by a layer per step. An independent run draws rebuild
-    t's sequence at step t and replays the t-layer circuit under it, so its
-    A_t and cost come from one noisy realization per step, not from an
-    average over builds.
-    """
-    diag = maxcut_hamiltonian(config.graph)
-    driver = driver_x(config.graph.n_nodes)
+
+def run_cell(configs) -> list[RunTrace]:
+    """Closed-loop runs, in lockstep, of configs that share graph, time step,
+    depth and noise kind, each bit-identical to its own `run`. An
+    independent row's A_t and cost come from one noisy build per step, not
+    from an average over builds."""
+    configs = list(configs)
+    if len({(c.graph, c.delta_t, c.depth, c.noise.kind) for c in configs}) != 1:
+        raise ValueError("a cell needs runs, all with one graph, delta_t, depth and noise kind")
+    graph, dt, depth = configs[0].graph, configs[0].delta_t, configs[0].depth
+    diag, driver = maxcut_hamiltonian(graph), driver_x(graph.n_nodes)
     p0, _ = ground_energy(diag)
-    depth = config.depth
-    rebuild = config.noise.kind is NoiseKind.INDEPENDENT
-    eps = None if rebuild else trajectory(config.noise, depth)
-    betas = np.zeros(depth)
-    a_values = np.zeros(depth)
-    costs = np.zeros(depth)
-    state = uniform_state(config.graph.n_nodes)
-    beta = 0.0
+    rebuild = configs[0].noise.kind is NoiseKind.INDEPENDENT
+    eps = None if rebuild else [trajectory(c.noise, depth) for c in configs]
+    betas, a_values, costs = (np.zeros((len(configs), depth)) for _ in range(3))
+    states = [uniform_state(graph.n_nodes)] * len(configs)
     for t in range(depth):
-        betas[t] = beta
-        if rebuild:
-            eps = trajectory(config.noise, t + 1, rebuild_index=t + 1)
-            state = replay(betas[:t + 1], eps, config.delta_t, diag, driver)
-        else:
-            state = layer(state, beta, config.delta_t, float(eps[t]), diag, driver)
-        a = a_value(state, diag, driver)
-        a_values[t] = a
-        costs[t] = expectation_diagonal(state, diag)
-        beta = feedback(a, config.law)
-    final = state if rebuild else check_norm(state)  # `replay` checked a rebuild's state
-    return RunTrace(config, betas, a_values, costs, final, p0, np.array(eps))
+        if not rebuild:
+            states = [layer(state, float(b), dt, float(e[t]), diag, driver)
+                      for state, b, e in zip(states, betas[:, t], eps)]
+        else:  # one stacked replay; for one row the per-state kernels are faster
+            eps = np.array([trajectory(c.noise, t + 1, rebuild_index=t + 1) for c in configs])
+            states = (replay(betas[:, :t + 1], eps, dt, diag, driver) if len(eps) > 1
+                      else [replay(betas[0, :t + 1], eps[0], dt, diag, driver)])
+        for r, (config, state) in enumerate(zip(configs, states)):
+            a_values[r, t] = a = a_value(state, diag, driver)
+            costs[r, t] = expectation_diagonal(state, diag)
+            if t + 1 < depth:
+                betas[r, t + 1] = feedback(a, config.law)
+    return [RunTrace(c, *arrays, check_norm(state), p0, np.array(e))
+            for c, *arrays, state, e in zip(configs, betas, a_values, costs, states, eps)]

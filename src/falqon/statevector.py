@@ -20,7 +20,12 @@ entry, up to the operand order of commutative IEEE products and sums, so
 the results are bit-identical to it. The views of both are built once per
 register size, half flag and thread (`_plan`) over two buffers of at most
 2^12 entries, under 0.4 MiB per thread in all; each call copies its input
-in and returns a fresh array that shares none of them. The norm solver's
+in and returns a fresh array that shares none of them. `layer_rows`, the
+batched layer, makes the same calls in place on a block of rows, with each
+row's phase table and its c and s from `math.cos`/`math.sin` broadcast over
+the (rows, -1, 2, 2^q) views, so every amplitude meets the per-state
+operands and each row is bit-identical to the per-state kernels; its one
+buffer, the cross block, lives for one call. The norm solver's
 `driver_matvec` is instead two GEMMs on blocks cached per register size.
 
 Half register. Complementing every bit of x maps index x to 2^n-1-x. The
@@ -148,13 +153,13 @@ def apply_diagonal_phase(state: StateVector, diag: "DiagonalHamiltonian",
 
 
 def _flips(buf: np.ndarray, half: bool):
-    """Per qubit, ``buf`` as (-1, 2, 2^q) and its bit-flipped view. On a half
-    register the top qubit comes last and pairs ``buf`` with ``buf[::-1]``."""
-    for q in range(buf.size.bit_length() - 1):
-        view = buf.reshape(-1, 2, 1 << q)
-        yield view, view[:, ::-1, :]
+    """Per qubit, the last axis of ``buf`` as (-1, 2, 2^q) and its bit-flipped view. On a
+    half register the top qubit comes last and pairs that axis with its reverse."""
+    for q in range(buf.shape[-1].bit_length() - 1):
+        view = buf.reshape(*buf.shape[:-1], buf.shape[-1] >> (q + 1), 2, 1 << q)
+        yield view, view[..., ::-1, :]
     if half:
-        yield buf, buf[::-1]
+        yield buf, buf[..., ::-1]
 
 
 def _plan(size: int, half: bool):
@@ -195,6 +200,31 @@ def apply_x_rotations(state: StateVector, driver: "DriverHamiltonian",
         view += cross  # c*lo + s*hi | c*hi + s*lo
     amps = np.concatenate((h, h[::-1])) if half else h.copy()
     return _state(state.n_qubits, amps, half)
+
+
+def layer_rows(rows: np.ndarray, diag: "DiagonalHamiltonian", scales: np.ndarray,
+               angles: np.ndarray) -> None:
+    """Apply e^{-i*angles[r]*sum_q X_q} e^{-i*scales[r]*H_p} in place to each row r of
+    ``rows``, full rows of 2^n entries or the lower halves of symmetric states under a
+    `complement_invariant` diagonal, with the operations of the per-state kernels."""
+    n, width, peak = diag.n_qubits, rows.shape[-1], diag.peak
+    if (half := width != 1 << n) and not (width << 1 == 1 << n and diag.complement_invariant):
+        raise ValueError(f"{width} entries are no full or half row under this diagonal")
+    if bad := [x for x in scales.tolist() if not math.isfinite(abs(x) * peak)]:
+        raise ValueError(f"phase scale {bad[0]!r} gives a non-finite phase")
+    if bad := [x for x in angles.tolist() if not math.isfinite(x)]:
+        raise ValueError(f"rotation angle must be finite, got {bad[0]!r}")
+    values, index = diag.levels
+    phases = np.exp(np.array([-1j * x for x in scales.tolist()])[:, None] * values)
+    rows *= phases[:, index[:width]]
+    c = np.array([math.cos(x) for x in angles.tolist()], dtype=np.complex128)
+    s = np.array([-1j * math.sin(x) for x in angles.tolist()], dtype=np.complex128)
+    cross = np.empty_like(rows)
+    for view, flipped in _flips(rows, half):
+        per_row = (-1,) + (1,) * (view.ndim - 1)
+        np.multiply(flipped, s.reshape(per_row), out=(out := cross.reshape(view.shape)))
+        view *= c.reshape(per_row)
+        view += out
 
 
 @functools.cache

@@ -18,7 +18,8 @@ from falqon.analysis import (
     success_probability,
 )
 from falqon.cli import main as cli_main
-from falqon.engine import FeedbackLaw, RunConfig, feedback, layer, run, run_nominal, run_systematic
+from falqon.engine import (FeedbackLaw, RunConfig, feedback, layer, run_cell, run_nominal,
+                           run_systematic)
 from falqon.graphs import Graph, max_cut_brute_force, reference_instance
 from falqon.hamiltonian import driver_x, ground_energy, maxcut_hamiltonian
 from falqon.noise import NoiseModel, trajectory
@@ -130,13 +131,12 @@ def test_regularized_law_beats_standard_under_independent_noise(capsys):
         stds = {}
         n_seeds = 50
         for lam in (0.5, 1.0):
-            runs = []
-            for seed in range(n_seeds):
-                cfg = RunConfig(graph=g, delta_t=DELTA_T, depth=200,
-                                law=FeedbackLaw(lam=lam),
-                                noise=NoiseModel("independent", epsilon_bar=0.25, seed=seed))
-                runs.append(run(cfg))
-            means[lam], stds[lam] = aggregate(runs)
+            # one cell per law: its seeds advance in lockstep, each row
+            # bit-identical to its own `run`
+            cell = [RunConfig(graph=g, delta_t=DELTA_T, depth=200, law=FeedbackLaw(lam=lam),
+                              noise=NoiseModel("independent", epsilon_bar=0.25, seed=seed))
+                    for seed in range(n_seeds)]
+            means[lam], stds[lam] = aggregate(run_cell(cell))
         elapsed = time.perf_counter() - t0
 
         pooled_se = float(np.hypot(stds[0.5], stds[1.0])) / np.sqrt(n_seeds)

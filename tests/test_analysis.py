@@ -187,19 +187,20 @@ def test_replay_fidelity_accepts_trajectory_objects(monkeypatch):
     with pytest.raises(ValueError):
         replay_fidelity(betas, np.zeros(9), 0.05, K2_DIAG, K2_DRIVER)
     # a (draws, depth) stack gives one fidelity per row, each bit-identical
-    # to the call on that row alone, from one ideal replay per call
+    # to the call on that row alone, from one ideal replay per call and one
+    # stacked replay of every row
     stack = np.array([trajectory(model, 10, rebuild_index=i + 1) for i in range(5)])
     singles = [replay_fidelity(betas, row, 0.05, K2_DIAG, K2_DRIVER) for row in stack]
-    calls = {"n": 0}
+    shapes = []
     real_replay = analysis.replay
 
-    def counting_replay(*args, **kwargs):
-        calls["n"] += 1
-        return real_replay(*args, **kwargs)
+    def counting_replay(betas, epsilons, *args):
+        shapes.append(np.shape(epsilons))
+        return real_replay(betas, epsilons, *args)
 
     monkeypatch.setattr(analysis, "replay", counting_replay)
     fids = replay_fidelity(betas, stack, 0.05, K2_DIAG, K2_DRIVER)
-    assert calls["n"] == 1 + len(stack)
+    assert shapes == [(10,), (5, 10)]
     assert isinstance(fids, np.ndarray) and fids.shape == (5,)
     assert fids.tolist() == singles
     one = replay_fidelity(betas, stack[:1], 0.05, K2_DIAG, K2_DRIVER)

@@ -503,18 +503,19 @@ def test_sweep_replays_each_seed_once(tmp_path, monkeypatch):
 
 
 def test_bound_replays_its_ideal_state_once(tmp_path, monkeypatch):
-    # one ideal replay for the whole bound, then one replay per draw of each row
-    calls = {"n": 0}
+    # one ideal replay for the whole bound, then one stacked replay of every
+    # draw of every row
+    shapes = []
     real_replay = analysis.replay
 
-    def counting_replay(*args, **kwargs):
-        calls["n"] += 1
-        return real_replay(*args, **kwargs)
+    def counting_replay(betas, epsilons, *args):
+        shapes.append(np.shape(epsilons))
+        return real_replay(betas, epsilons, *args)
 
     monkeypatch.setattr(analysis, "replay", counting_replay)
     assert run_cli("bound", "--regular", "4", "3", "--depth", "5", "--epsilon-bars", "0.1,0.2",
                    "--draws", "3", "--out", str(tmp_path / "bound")) == 0
-    assert calls["n"] == 7  # 1 ideal + 2 rows x 3 draws
+    assert shapes == [(5,), (6, 5)]  # 1 ideal + 2 rows x 3 draws in one stack
 
 
 def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch):

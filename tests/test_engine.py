@@ -15,6 +15,7 @@ from falqon.engine import (
     layer,
     replay,
     run,
+    run_cell,
     run_independent,
     run_nominal,
     run_systematic,
@@ -476,3 +477,119 @@ def test_layer_and_replay_refuse_non_finite_inputs():
         layer(uniform_state(8), 0.1, 1e308, 0.0, diag, driver)
     with pytest.raises(ValueError, match="phase scale 1e[+]308 gives a non-finite phase"):
         replay([0.1], [0.0], 1e308, diag, driver)
+
+
+def _assert_same_run(got, want):
+    for a, b in ((got.betas, want.betas), (got.a_values, want.a_values),
+                 (got.costs, want.costs), (got.epsilons, want.epsilons),
+                 (got.final_state.amplitudes, want.final_state.amplitudes)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(graph=st.one_of(weighted_graphs(max_nodes=5), st.just(REF8)), depth=st.integers(1, 6),
+       kind=st.sampled_from(NoiseKind), epsilon_bar=st.floats(0.0, 0.9),
+       seeds=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=4, unique=True),
+       lams=st.lists(st.floats(0.05, 20.0), min_size=4, max_size=4), data=st.data())
+@example(graph=REF8, depth=5, kind=NoiseKind.INDEPENDENT, epsilon_bar=0.25,
+         seeds=[0, 1, 2], lams=[0.5, 1.0, 0.5, 1.0], data=None)
+def test_cell_rows_do_not_depend_on_batch_size(graph, depth, kind, epsilon_bar, seeds, lams,
+                                              data):
+    # every row of a cell is its own run bit for bit, and the rebuild loop
+    # of that run (`_explicit_rebuild`, per state from the uniform state)
+    # too, whichever seeds share the cell and in whatever order
+    configs = [RunConfig(graph, 0.05, depth, FeedbackLaw(lam), NoiseModel(kind, epsilon_bar, seed))
+               for seed, lam in zip(seeds, lams)]
+    singles = [run(config) for config in configs]
+    for config, single in zip(configs, singles):
+        betas, a_values, costs, state = _explicit_rebuild(config)
+        for got, want in ((single.betas, betas), (single.a_values, a_values),
+                          (single.costs, costs), (single.final_state.amplitudes, state.amplitudes)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for got, want in zip(run_cell(configs), singles):
+        _assert_same_run(got, want)
+    if data is not None:
+        order = data.draw(st.permutations(range(len(configs))))[:data.draw(
+            st.integers(1, len(configs)))]
+        for got, i in zip(run_cell(configs[i] for i in order), order):
+            _assert_same_run(got, singles[i])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(graph=weighted_graphs(max_nodes=5), n_rows=st.integers(1, 4), depth=st.integers(0, 6),
+       per_row_betas=st.booleans(), invariant=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_stacked_replay_rows_equal_single_replays(graph, n_rows, depth, per_row_betas,
+                                                  invariant, seed):
+    # half rows under a MaxCut diagonal, full rows under a caller's diagonal
+    # that complementing the index does not leave alone; a one-row stack too
+    rng = np.random.default_rng(seed)
+    n = graph.n_nodes
+    diag = (maxcut_hamiltonian(graph) if invariant
+            else DiagonalHamiltonian(n, np.arange(1 << n) + rng.uniform(-0.5, 0.5, 1 << n)))
+    assert diag.complement_invariant == invariant
+    driver = driver_x(n)
+    eps = rng.uniform(-0.9, 0.9, (n_rows, depth))
+    betas = rng.uniform(-3.0, 3.0, (n_rows, depth) if per_row_betas else depth)
+    states = replay(betas, eps, 0.07, diag, driver)
+    assert isinstance(states, list) and len(states) == n_rows
+    for r, state in enumerate(states):
+        single = replay(betas[r] if per_row_betas else betas, eps[r], 0.07, diag, driver)
+        assert state.symmetric == single.symmetric == (invariant or depth == 0)
+        assert np.array_equal(state.amplitudes.view(np.uint64),
+                              single.amplitudes.view(np.uint64))
+
+
+def test_stacked_replay_refuses_bad_stacks():
+    diag, driver = maxcut_hamiltonian(REF8), driver_x(8)
+    eps = np.zeros((2, 3))
+    for betas, errors in ((np.zeros(4), eps), (np.zeros((3, 3)), eps),
+                          (np.zeros(3), np.zeros((2, 2, 3))), (np.zeros(()), np.zeros(())),
+                          (np.zeros((2, 3)), np.zeros(3))):
+        with pytest.raises(ValueError, match="disagree on depth"):
+            replay(betas, errors, 0.05, diag, driver)
+    for bad in (1.0, -1.0, 1.5, float("nan")):
+        errors = eps.copy()
+        errors[1, 2] = bad
+        with pytest.raises(ValueError, match=r"\|epsilon\| < 1"):
+            replay(np.full(3, 0.2), errors, 0.05, diag, driver)
+    for beta in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="rotation angle must be finite, got"):
+            replay(np.array([[0.1, 0.2, 0.3], [0.1, beta, 0.3]]), eps, 0.05, diag, driver)
+    with pytest.raises(ValueError, match="phase scale 1e[+]308 gives a non-finite phase"):
+        replay(np.full(3, 0.1), eps, 1e308, diag, driver)
+    with pytest.raises(ValueError, match="operator widths differ"):
+        replay(np.full(3, 0.1), eps, 0.05, diag, driver_x(7))
+    with pytest.raises(ValueError, match="no full or half row"):
+        statevector.layer_rows(np.zeros((2, 64), complex), diag, np.ones(2), np.ones(2))
+
+
+def test_stacked_replay_checks_the_norm_of_every_row(monkeypatch):
+    # a batched layer that scales its rows by 1 + 1e-8 is refused where the
+    # stacked replay hands its states out
+    kernel = engine.layer_rows
+
+    def drifting(rows, *args):
+        kernel(rows, *args)
+        rows *= 1 + 1e-8
+
+    monkeypatch.setattr(engine, "layer_rows", drifting)
+    with pytest.raises(ValueError, match="not a unit state"):
+        replay(np.full(3, 0.2), np.zeros((2, 3)), 0.05, maxcut_hamiltonian(REF8), driver_x(8))
+
+
+def test_run_cell_refuses_mixed_or_empty_cells():
+    base = RunConfig(K2, 0.05, 4, noise=NoiseModel(NoiseKind.INDEPENDENT, 0.2, 0))
+    for other in (RunConfig(K2, 0.05, 5, noise=base.noise),
+                  RunConfig(K2, 0.1, 4, noise=base.noise),
+                  RunConfig(K2, 0.05, 4, noise=NoiseModel(NoiseKind.SYSTEMATIC, 0.2, 0)),
+                  RunConfig(Graph.from_edges(2, [(0, 1, 2.0)]), 0.05, 4, noise=base.noise)):
+        with pytest.raises(ValueError, match="a cell needs runs"):
+            run_cell([base, other])
+    with pytest.raises(ValueError, match="a cell needs runs"):
+        run_cell([])
+    # rows may differ in seed, bound and law
+    mixed = [base, RunConfig(K2, 0.05, 4, FeedbackLaw(2.0),
+                             NoiseModel(NoiseKind.INDEPENDENT, 0.5, 9))]
+    for got, config in zip(run_cell(mixed), mixed):
+        _assert_same_run(got, run(config))
