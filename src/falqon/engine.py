@@ -23,25 +23,26 @@ noiseless loop holds for it where it holds at the largest step
 (1 + eps_bar)*dt.
 
 `run_cell` is the one feedback loop, over a cell of rows that share graph,
-time step, depth and noise kind; `run` is its one-row call. Step t fixes
-each row's beta_t, obtains the state of its t-layer circuit, reads A_t and
-the cost from it and feeds A_t back. The kinds differ only in how that
-state is obtained:
+time step, depth and noise kind; `run` is its one-row call. The cell is one
+(rows, width) block of raw amplitude rows from start to finish (lower halves
+while the states are symmetric). Step t brings each row to its t-layer
+circuit with `statevector.layer_rows`, reads every A_t and cost in one
+`statevector.read_rows` call and feeds A_t back. The kinds differ only in
+how the block reaches step t:
 
 * no error and systematic errors are prefix-consistent: rebuilding t layers
   replays the same error prefix, so it reproduces the previous step's state
-  plus one layer, and each row advances by one `layer` per step (the
-  equivalence is covered by the test suite). Batching these rows gains
-  nothing: 4 rows of a 12-qubit cell ran 0.94x as fast;
+  plus one layer (the test suite covers the equivalence), which each row
+  gets from a one-row call, faster than a block of 12-qubit rows;
 * independent errors are redrawn on every rebuild, so no two rebuilds agree
   and step t replays the whole t-layer circuit from the uniform state under
   rebuild t's sequence: depth*(depth+1)/2 layers per row, in depth stacked
-  `replay` calls over all rows, which saves the per-call overhead of small
-  layers (a lone row replays per state, which is faster for one row).
+  `replay` calls over all rows.
 
-So the package holds two evolution paths, per state and batched, each row
-bit-identical between them. run_nominal, run_systematic and
-run_independent are `run` restricted to one kind.
+`replay` runs the same block, one sequence being a one-row stack. States are
+wrapped, and their norm checked, only where `run` and `replay` hand them
+out. run_nominal, run_systematic and run_independent are `run` restricted to
+one kind.
 """
 from __future__ import annotations
 
@@ -62,12 +63,11 @@ from .rng import positive_real
 from .statevector import (
     StateVector,
     _state,
-    a_value,
     apply_diagonal_phase,
     apply_x_rotations,
     check_norm,
-    expectation_diagonal,
     layer_rows,
+    read_rows,
     register_width,
     uniform_state,
 )
@@ -113,9 +113,8 @@ class RunConfig:
         register_width(self.graph.n_nodes)
         cap = MAX_DEPTH_INDEPENDENT if self.noise.kind is NoiseKind.INDEPENDENT else MAX_DEPTH
         if depth > cap:
-            raise ValueError(
-                f"depth {depth} exceeds the cap {cap} for {self.noise.kind.value} runs"
-            )
+            raise ValueError(f"depth {depth} exceeds the cap {cap} for "
+                             f"{self.noise.kind.value} runs")
 
 
 @dataclass(eq=False)
@@ -166,32 +165,35 @@ def replay(betas, epsilons, delta_t: float, diag: DiagonalHamiltonian,
 
     A (rows, T) stack of ``epsilons``, with ``betas`` (T,) or (rows, T),
     gives one state per row, each bit-identical to its own replay, from one
-    `statevector.layer_rows` call per layer.
+    `statevector.layer_rows` call; one sequence is a one-row stack.
     """
     dt = positive_real(delta_t, "delta_t")
-    betas = np.asarray(betas, dtype=np.float64)
-    epsilons = np.asarray(epsilons, dtype=np.float64)
+    betas, epsilons = (np.asarray(x, dtype=np.float64) for x in (betas, epsilons))
     if epsilons.ndim not in (1, 2) or betas.shape not in (epsilons.shape, epsilons.shape[-1:]):
         raise ValueError(f"betas and epsilons disagree on depth: {betas.shape} vs {epsilons.shape}")
     if driver.n_qubits != diag.n_qubits:
         raise ValueError(f"operator widths differ: {diag.n_qubits} vs {driver.n_qubits} qubits")
-    if epsilons.ndim == 1:
-        state = uniform_state(diag.n_qubits)
-        for b, e in zip(betas, epsilons):
-            state = layer(state, float(b), dt, float(e), diag, driver)
-        return check_norm(state)
-    if (bad := epsilons[~(abs(epsilons) < 1.0)]).size:
+    if (bad := (stack := np.atleast_2d(epsilons))[~(abs(stack) < 1.0)]).size:
         raise ValueError(f"layer error must satisfy |epsilon| < 1, got {bad[0]}")
-    # the uniform state is symmetric, and stays so under an invariant diagonal
-    n, half = diag.n_qubits, diag.complement_invariant or not epsilons.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):  # `layer_rows` refuses a non-finite one
-        scales = (1.0 + epsilons) * dt
-        angles = scales * betas
-    rows = np.full((len(epsilons), 1 << (n - half)), (1 << n) ** -0.5, dtype=np.complex128)
-    for t in range(epsilons.shape[1]):
-        layer_rows(rows, diag, scales[:, t], angles[:, t])
-    rows = np.concatenate((rows, rows[:, ::-1]), axis=1) if half else rows
-    return [check_norm(_state(n, amps, half)) for amps in rows]
+        angles = (scales := (1.0 + stack) * dt) * betas
+    rows, half = _start(diag, len(stack), stack.shape[1])
+    if stack.shape[1]:  # no layer leaves the uniform rows, half rows whatever the diagonal
+        layer_rows(rows, diag, scales, angles)
+    states = _states(rows, diag.n_qubits, half)
+    return states if epsilons.ndim == 2 else states[0]
+
+
+def _start(diag: DiagonalHamiltonian, count: int, layers: int) -> tuple[np.ndarray, bool]:
+    """``count`` rows of the uniform state, and whether they are its lower halves."""
+    start = uniform_state(diag.n_qubits)
+    half = start.symmetric and (diag.complement_invariant or not layers)
+    return np.tile(start.amplitudes[:start.dim >> half], (count, 1)), half
+
+
+def _states(rows: np.ndarray, n: int, half: bool) -> list[StateVector]:
+    """Each row as a norm-checked state, half rows mirrored into full ones."""
+    return [check_norm(_state(n, np.concatenate((h, h[::-1])) if half else h, half)) for h in rows]
 
 
 def _run_as(kind: NoiseKind, mode: str, doc: str):
@@ -227,23 +229,20 @@ def run_cell(configs) -> list[RunTrace]:
         raise ValueError("a cell needs runs, all with one graph, delta_t, depth and noise kind")
     graph, dt, depth = configs[0].graph, configs[0].delta_t, configs[0].depth
     diag, driver = maxcut_hamiltonian(graph), driver_x(graph.n_nodes)
-    p0, _ = ground_energy(diag)
-    rebuild = configs[0].noise.kind is NoiseKind.INDEPENDENT
-    eps = None if rebuild else [trajectory(c.noise, depth) for c in configs]
+    p0, rebuild = ground_energy(diag)[0], configs[0].noise.kind is NoiseKind.INDEPENDENT
+    eps = None if rebuild else np.array([trajectory(c.noise, depth) for c in configs])
     betas, a_values, costs = (np.zeros((len(configs), depth)) for _ in range(3))
-    states = [uniform_state(graph.n_nodes)] * len(configs)
+    rows, half = _start(diag, len(configs), depth)
     for t in range(depth):
-        if not rebuild:
-            states = [layer(state, float(b), dt, float(e[t]), diag, driver)
-                      for state, b, e in zip(states, betas[:, t], eps)]
-        else:  # one stacked replay; for one row the per-state kernels are faster
+        if rebuild:  # every row's t-layer circuit, each under its own rebuild, in one replay
             eps = np.array([trajectory(c.noise, t + 1, rebuild_index=t + 1) for c in configs])
-            states = (replay(betas[:, :t + 1], eps, dt, diag, driver) if len(eps) > 1
-                      else [replay(betas[0, :t + 1], eps[0], dt, diag, driver)])
-        for r, (config, state) in enumerate(zip(configs, states)):
-            a_values[r, t] = a = a_value(state, diag, driver)
-            costs[r, t] = expectation_diagonal(state, diag)
-            if t + 1 < depth:
-                betas[r, t + 1] = feedback(a, config.law)
-    return [RunTrace(c, *arrays, check_norm(state), p0, np.array(e))
-            for c, *arrays, state, e in zip(configs, betas, a_values, costs, states, eps)]
+            rows = np.array([state.amplitudes[:rows.shape[1]]
+                             for state in replay(betas[:, :t + 1], eps, dt, diag, driver)])
+        else:  # one more layer on each row, in a one-row call each
+            for r, scale in enumerate((1.0 + eps[:, t:t + 1]) * dt):
+                layer_rows(rows[r:r + 1], diag, scale, scale * betas[r, t])
+        a_values[:, t], costs[:, t] = a_t, _ = read_rows(rows, diag)
+        if t + 1 < depth:
+            betas[:, t + 1] = [feedback(a, c.law) for a, c in zip(a_t, configs)]
+    return [RunTrace(c, *arrays, state, p0, e) for c, *arrays, state, e in
+            zip(configs, betas, a_values, costs, _states(rows, diag.n_qubits, half), eps)]

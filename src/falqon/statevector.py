@@ -10,23 +10,21 @@ operations provided, each costing O(2^n) per single-qubit factor. A
 its scalar on entry and wraps its fresh result unchecked (`_state`), and
 `engine.run` and `engine.replay` check the norm of the state they hand out.
 
-Per qubit, the X rotation makes three numpy calls on the bit-flipped view
-``view[:, ::-1, :]`` (``cross = s*flipped``, ``view *= c``, ``view += cross``)
-and the `A` readout one (``hy += flipped``); the phase takes ``exp``
-once per distinct diagonal value (`DiagonalHamiltonian.levels`, at most
-|E|+1 for MaxCut) and gathers. Each amplitude gets the same floating-point
-operations as the per-pair form c*lo + s*hi, s*lo + c*hi with one exp per
-entry, up to the operand order of commutative IEEE products and sums, so
-the results are bit-identical to it. The views of both are built once per
-register size, half flag and thread (`_plan`) over two buffers of at most
-2^12 entries, under 0.4 MiB per thread in all; each call copies its input
-in and returns a fresh array that shares none of them. `layer_rows`, the
-batched layer, makes the same calls in place on a block of rows, with each
-row's phase table and its c and s from `math.cos`/`math.sin` broadcast over
-the (rows, -1, 2, 2^q) views, so every amplitude meets the per-state
-operands and each row is bit-identical to the per-state kernels; its one
-buffer, the cross block, lives for one call. The norm solver's
-`driver_matvec` is instead two GEMMs on blocks cached per register size.
+One kernel does each step once, on (rows, width) blocks of amplitude rows:
+the phase ``exp((-1j*scale)*values)[index]`` per row, one exp per distinct
+diagonal value (`DiagonalHamiltonian.levels`); per qubit,
+``cross = s*flipped``, ``view *= c``, ``view += cross`` on the bit-flipped
+view, with c and s from `math.cos`/`math.sin` per row; and `read_rows`,
+which sums the driver product the same way and takes each row's `A` and
+cost with one ``vdot`` per full row. The engine calls only `layer_rows` and
+`read_rows`; the per-state operations are their one-row calls. Each
+amplitude gets the operations of the per-pair form c*lo + s*hi, s*lo + c*hi
+with one exp per entry, up to the operand order of commutative IEEE
+products and sums, so every row is bit-identical to it in any block. A
+one-row block runs in this thread's buffers with 0-d factors (`_plan`,
+under 0.4 MiB per thread) and copies its row in and out; a larger one is
+rotated in place, with views and (rows, 1, 1, 1) factors built per call.
+`driver_matvec`, the norm solver's product, is instead two GEMMs.
 
 Half register. Complementing every bit of x maps index x to 2^n-1-x. The
 uniform state and every MaxCut diagonal are invariant under it, and the
@@ -34,16 +32,12 @@ driver commutes with it, so every state the feedback loop prepares has
 psi(x) == psi(2^n-1-x). `StateVector.symmetric` marks the states this module
 built with that property bit for bit: `uniform_state` sets it, the rotation
 keeps it and the phase keeps it when the diagonal is
-`DiagonalHamiltonian.complement_invariant`. On such a state the rotation
-and the driver product of `a_value` (which also needs an invariant
-diagonal) run on the lower half h = psi[:2^(n-1)]: qubits 0..n-2 pair
-entries inside h as above, and the top qubit pairs h with ``h[::-1]``,
-since x + 2^(n-1) is the complement of 2^(n-1)-1-x. The result is mirrored
-into the upper half. This is bit-identical to the full kernel: given an
-input with mirrored bits, the full kernel computes entry 2^n-1-x with the
-same operations on the mirrored operands of entry x, so its upper half is
-its lower half reversed. `a_value` rebuilds the full vector before its one
-``vdot``, so the reduction is the full path's too.
+`DiagonalHamiltonian.complement_invariant`. Under such a diagonal such a
+state is a row of its lower half h = psi[:2^(n-1)]: qubits 0..n-2 pair
+entries inside h, and the top qubit pairs h with ``h[::-1]``, since
+x + 2^(n-1) is the complement of 2^(n-1)-1-x. This is bit-identical to the
+full kernel, which on mirrored input computes entry 2^n-1-x with the same
+operations on the mirrored operands of entry x; `read_rows` mirrors back.
 
 Basis convention: basis index i encodes the bitstring whose qubit-q bit is
 (i >> q) & 1, so qubit 0 is the least significant bit of the index.
@@ -71,7 +65,7 @@ MAX_QUBITS = 12
 #: Accepted deviation of |amplitudes| from 1 in `check_norm`.
 NORM_TOL = 1e-10
 
-#: Per thread, `_plan`'s buffers and views keyed by (size, half).
+#: Per thread, `_plan`'s one-row buffers and views keyed by (width, half).
 _plans = threading.local()
 
 
@@ -110,9 +104,7 @@ class StateVector:
 
 def _check_width(n_op: int, state: StateVector, what: str) -> None:
     if n_op != state.n_qubits:
-        raise ValueError(
-            f"{what} acts on {n_op} qubits but the state has {state.n_qubits}"
-        )
+        raise ValueError(f"{what} acts on {n_op} qubits but the state has {state.n_qubits}")
 
 
 def check_norm(state: StateVector) -> StateVector:
@@ -131,9 +123,55 @@ def _state(n: int, amps: np.ndarray, symmetric: bool) -> StateVector:
 
 def uniform_state(n: int) -> StateVector:
     """Equal superposition of all 2^n basis states, amplitude 2^(-n/2)."""
-    n = register_width(n)
-    dim = 1 << n
+    dim = 1 << (n := register_width(n))
     return _state(n, np.full(dim, dim ** -0.5, dtype=np.complex128), True)
+
+
+def _half(rows: np.ndarray, diag: "DiagonalHamiltonian") -> bool:
+    """Whether ``rows`` are lower halves of symmetric states under ``diag``, not full rows."""
+    n, width = diag.n_qubits, rows.shape[-1]
+    if (half := width != 1 << n) and not (width << 1 == 1 << n and diag.complement_invariant):
+        raise ValueError(f"{width} entries are no full or half row under this diagonal")
+    return half
+
+
+def _phases(diag: "DiagonalHamiltonian", scales: list, width: int, out=None) -> np.ndarray:
+    """Row r holds e^{-i*scales[r]*diag[x]} for the first ``width`` entries x (in ``out``)."""
+    if bad := [x for x in scales if not math.isfinite(abs(x) * diag.peak)]:
+        raise ValueError(f"phase scale {bad[0]!r} gives a non-finite phase")
+    values, index = diag.levels
+    table = np.exp(np.array([-1j * x for x in scales])[:, None] * values)
+    return table.take(index[:width], 1, out, "clip")  # every index is valid; "clip" copies once
+
+
+def _plan(width: int, half: bool, block: np.ndarray | None = None):
+    """Work block, cross block and per-qubit (view, flipped, cross): the last axis as (-1, 2, 2^q)
+    and its bit-flipped view, and on a half register last the top qubit, pairing the axis
+    with its reverse. This thread's one-row buffers, built once, or views over ``block``."""
+    if block is None:
+        if (key := (width, half)) not in (plans := vars(_plans)):
+            plans[key] = _plan(width, half, np.empty((1, width), dtype=np.complex128))
+        return plans[key]
+    cross, lead = np.empty_like(block), block.shape[:len(block) > 1]  # one row: no row axis
+    views = [(v := block.reshape(lead + (width >> (q + 1), 2, 1 << q), copy=False), v[..., ::-1, :])
+             for q in range(width.bit_length() - 1)]
+    if half:
+        views.append((v := block.reshape(lead + (1, 1) * len(lead) + (width,)), v[..., ::-1]))
+    return block, cross, [(view, flipped, cross.reshape(view.shape)) for view, flipped in views]
+
+
+def _rotate(steps, angles: list) -> None:
+    """e^{-i*angles[r]*sum_q X_q} in place on row r of the block ``steps`` views."""
+    if bad := [x for x in angles if not math.isfinite(x)]:
+        raise ValueError(f"rotation angle must be finite, got {bad[0]!r}")
+    # one row: 0-d arrays, which ufuncs take unconverted; c is cast as the ufunc would cast it
+    shape = () if len(angles) == 1 else (-1, 1, 1, 1)
+    c = np.array([math.cos(x) for x in angles], dtype=np.complex128).reshape(shape)
+    s = np.array([-1j * math.sin(x) for x in angles]).reshape(shape)
+    for view, flipped, cross in steps:
+        np.multiply(flipped, s, out=cross)  # s*hi | s*lo
+        view *= c
+        view += cross  # c*lo + s*hi | c*hi + s*lo
 
 
 def apply_diagonal_phase(state: StateVector, diag: "DiagonalHamiltonian",
@@ -144,35 +182,8 @@ def apply_diagonal_phase(state: StateVector, diag: "DiagonalHamiltonian",
     evaluated once per distinct diagonal value and gathered.
     """
     _check_width(diag.n_qubits, state, "diagonal Hamiltonian")
-    if not math.isfinite(abs(scale := float(scale)) * diag.peak):
-        raise ValueError(f"phase scale {scale!r} gives a non-finite phase")
-    values, index = diag.levels
-    phases = np.exp((-1j * scale) * values)[index]
-    return _state(state.n_qubits, state.amplitudes * phases,
-                  state.symmetric and diag.complement_invariant)
-
-
-def _flips(buf: np.ndarray, half: bool):
-    """Per qubit, the last axis of ``buf`` as (-1, 2, 2^q) and its bit-flipped view. On a
-    half register the top qubit comes last and pairs that axis with its reverse."""
-    for q in range(buf.shape[-1].bit_length() - 1):
-        view = buf.reshape(*buf.shape[:-1], buf.shape[-1] >> (q + 1), 2, 1 << q)
-        yield view, view[..., ::-1, :]
-    if half:
-        yield buf, buf[..., ::-1]
-
-
-def _plan(size: int, half: bool):
-    """This thread's complex work buffer for ``size`` entries and its
-    per-qubit (view, flipped, cross) triples over it and a cross buffer,
-    built once."""
-    plans, key = vars(_plans), (size, half)
-    if key not in plans:
-        buf = np.empty(size, dtype=np.complex128)
-        tmp = np.empty_like(buf)
-        plans[key] = buf, [(view, flipped, tmp.reshape(view.shape))
-                           for view, flipped in _flips(buf, half)]
-    return plans[key]
+    amps = state.amplitudes * _phases(diag, [float(scale)], state.dim)[0]
+    return _state(state.n_qubits, amps, state.symmetric and diag.complement_invariant)
 
 
 def apply_x_rotations(state: StateVector, driver: "DriverHamiltonian",
@@ -185,46 +196,25 @@ def apply_x_rotations(state: StateVector, driver: "DriverHamiltonian",
     A symmetric state is rotated on its lower half and mirrored.
     """
     _check_width(driver.n_qubits, state, "driver Hamiltonian")
-    if not math.isfinite(angle := float(angle)):
-        raise ValueError(f"rotation angle must be finite, got {angle!r}")
-    half = state.symmetric
-    h, steps = _plan(state.dim >> half, half)
+    (h,), _, steps = _plan(state.dim >> (half := state.symmetric), half)
     h[:] = state.amplitudes[:h.size]
-    # 0-d arrays, which the ufuncs take without converting a Python scalar
-    # on every call; c is cast to complex exactly as the ufunc would cast it
-    c = np.array(math.cos(angle), dtype=np.complex128)
-    s = np.array(-1j * math.sin(angle))
-    for view, flipped, cross in steps:
-        np.multiply(flipped, s, out=cross)  # s*hi | s*lo
-        view *= c
-        view += cross  # c*lo + s*hi | c*hi + s*lo
-    amps = np.concatenate((h, h[::-1])) if half else h.copy()
-    return _state(state.n_qubits, amps, half)
+    _rotate(steps, [float(angle)])
+    return _state(state.n_qubits, np.concatenate((h, h[::-1])) if half else h.copy(), half)
 
 
 def layer_rows(rows: np.ndarray, diag: "DiagonalHamiltonian", scales: np.ndarray,
                angles: np.ndarray) -> None:
-    """Apply e^{-i*angles[r]*sum_q X_q} e^{-i*scales[r]*H_p} in place to each row r of
-    ``rows``, full rows of 2^n entries or the lower halves of symmetric states under a
-    `complement_invariant` diagonal, with the operations of the per-state kernels."""
-    n, width, peak = diag.n_qubits, rows.shape[-1], diag.peak
-    if (half := width != 1 << n) and not (width << 1 == 1 << n and diag.complement_invariant):
-        raise ValueError(f"{width} entries are no full or half row under this diagonal")
-    if bad := [x for x in scales.tolist() if not math.isfinite(abs(x) * peak)]:
-        raise ValueError(f"phase scale {bad[0]!r} gives a non-finite phase")
-    if bad := [x for x in angles.tolist() if not math.isfinite(x)]:
-        raise ValueError(f"rotation angle must be finite, got {bad[0]!r}")
-    values, index = diag.levels
-    phases = np.exp(np.array([-1j * x for x in scales.tolist()])[:, None] * values)
-    rows *= phases[:, index[:width]]
-    c = np.array([math.cos(x) for x in angles.tolist()], dtype=np.complex128)
-    s = np.array([-1j * math.sin(x) for x in angles.tolist()], dtype=np.complex128)
-    cross = np.empty_like(rows)
-    for view, flipped in _flips(rows, half):
-        per_row = (-1,) + (1,) * (view.ndim - 1)
-        np.multiply(flipped, s.reshape(per_row), out=(out := cross.reshape(view.shape)))
-        view *= c.reshape(per_row)
-        view += out
+    """Apply e^{-i*angles[r, t]*sum_q X_q} e^{-i*scales[r, t]*H_p} in place to each row r of
+    ``rows`` for t = 0, 1, ... in turn (``scales`` and ``angles`` (rows,) for one layer, or
+    (rows, T)), to full rows of 2^n entries or the lower halves of symmetric states under a
+    `complement_invariant` diagonal, each row bit-identical to its own one-row call."""
+    half, (count, width) = _half(rows, diag), rows.shape
+    buf, cross, steps = _plan(width, half, None if count == 1 else rows)
+    buf[...] = rows  # one row: into this thread's buffer; more: a no-op
+    for scale, angle in zip(*(x.reshape(count, -1).T.tolist() for x in (scales, angles))):
+        buf *= _phases(diag, scale, width, cross)  # the cross block holds the phases first
+        _rotate(steps, angle)
+    rows[...] = buf
 
 
 @functools.cache
@@ -251,14 +241,40 @@ def driver_matvec(amplitudes: np.ndarray) -> np.ndarray:
     return (v @ lo + hi @ v).ravel()
 
 
+def read_rows(rows: np.ndarray, diag: "DiagonalHamiltonian") -> tuple[list, list]:
+    """Each row's commutator expectation `A` (see `a_value`) and cost <psi| H_p |psi>, as floats,
+    for rows as in `layer_rows`; a complex cost or an `A` past the bound is an error."""
+    half, width, a, costs = _half(rows, diag), rows.shape[-1], [], []
+    # blocks of at most 2^12 full amplitudes: larger temporaries fault their pages in per call
+    step = max(1, (1 << MAX_QUBITS) >> diag.n_qubits)
+    for block in (rows[i:i + step] for i in range(0, len(rows), step)):
+        y, hy, steps = _plan(width, half, None if len(block) == 1 else np.empty_like(block))
+        np.multiply(diag.diag[:width], block, out=y)
+        hy.fill(0)
+        for _, flipped, o in steps:  # on a half register the top qubit comes last
+            o += flipped
+        # full rows; diag*psi mirrors y, since the diagonal does under complementing
+        amps, dy, hy = (np.concatenate((b, b[:, ::-1]), 1) if half else b for b in (block, y, hy))
+        costs += map(np.vdot, amps, dy)
+        a += [-2.0 * float(np.vdot(x, h).imag) for x, h in zip(amps, hy)]
+    if bad := [z for z in costs if not abs(z.imag) <= 1e-10]:
+        raise AssertionError(f"diagonal expectation came out complex: {bad[0]!r}")
+    limit = 2.0 * diag.peak * diag.n_qubits
+    if bad := [x for x in a if not abs(x) <= limit * (1.0 + 1e-12) + 1e-12]:
+        raise AssertionError(f"commutator expectation {bad[0]} exceeds operator bound {limit}")
+    return a, [float(z.real) for z in costs]
+
+
+def _read(state: StateVector, diag: "DiagonalHamiltonian") -> tuple[list, list]:
+    """`read_rows` on ``state`` as one row, its lower half when symmetric under ``diag``."""
+    _check_width(diag.n_qubits, state, "diagonal Hamiltonian")
+    half = state.symmetric and diag.complement_invariant
+    return read_rows(state.amplitudes[None, :state.dim >> half], diag)
+
+
 def expectation_diagonal(state: StateVector, diag: "DiagonalHamiltonian") -> float:
     """<state| H_p |state> for a diagonal H_p, returned as a real number."""
-    _check_width(diag.n_qubits, state, "diagonal Hamiltonian")
-    amps = state.amplitudes
-    val = np.vdot(amps, diag.diag * amps)
-    if not abs(val.imag) <= 1e-10:
-        raise AssertionError(f"diagonal expectation came out complex: {val!r}")
-    return float(val.real)
+    return _read(state, diag)[1][0]
 
 
 def a_value(state: StateVector, diag: "DiagonalHamiltonian",
@@ -270,30 +286,14 @@ def a_value(state: StateVector, diag: "DiagonalHamiltonian",
     construction, so only one structured matvec chain is needed; on a
     symmetric state and an invariant diagonal it runs on the lower half.
     """
-    _check_width(diag.n_qubits, state, "diagonal Hamiltonian")
     _check_width(driver.n_qubits, state, "driver Hamiltonian")
-    amps = state.amplitudes
-    half = state.symmetric and diag.complement_invariant
-    y, steps = _plan(amps.size >> half, half)
-    np.multiply(diag.diag[:y.size], amps[:y.size], out=y)
-    hy = steps[0][2].reshape(-1)  # the first step's cross view spans its whole buffer
-    hy.fill(0)
-    for _, flipped, o in steps:  # on a half register the top qubit comes last
-        o += flipped
-    z = np.vdot(amps, np.concatenate((hy, hy[::-1])) if half else hy)
-    val = -2.0 * float(z.imag)
-    limit = 2.0 * diag.peak * driver.n_qubits
-    if not abs(val) <= limit * (1.0 + 1e-12) + 1e-12:
-        raise AssertionError(f"commutator expectation {val} exceeds operator bound {limit}")
-    return val
+    return _read(state, diag)[0][0]
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:
     """<a|b>, conjugate-linear in the first argument."""
     if a.n_qubits != b.n_qubits:
-        raise ValueError(
-            f"states live on different registers: {a.n_qubits} vs {b.n_qubits} qubits"
-        )
+        raise ValueError(f"states live on different registers: {a.n_qubits} vs {b.n_qubits} qubits")
     z = complex(np.vdot(a.amplitudes, b.amplitudes))
     if not abs(z) <= 1.0 + 1e-10:
         raise AssertionError(f"inner product of unit states has |z| = {abs(z)}")

@@ -281,14 +281,15 @@ def test_run_independent_is_deterministic():
 
 
 def test_run_independent_rebuild_count(monkeypatch):
+    # every row-layer the engine makes goes through `layer_rows`
     calls = {"n": 0}
-    real_layer = engine.layer
+    kernel = engine.layer_rows
 
-    def counting_layer(*args, **kwargs):
-        calls["n"] += 1
-        return real_layer(*args, **kwargs)
+    def counting_layer(rows, diag, scales, angles):
+        calls["n"] += np.size(scales)
+        kernel(rows, diag, scales, angles)
 
-    monkeypatch.setattr(engine, "layer", counting_layer)
+    monkeypatch.setattr(engine, "layer_rows", counting_layer)
     depth = 6
     run_independent(
         RunConfig(K2, 0.05, depth, noise=NoiseModel(NoiseKind.INDEPENDENT, 0.2, 1))
@@ -447,15 +448,15 @@ def test_engine_states_skip_the_constructor_checks(monkeypatch):
 
 
 def test_norm_drift_is_caught_where_states_leave_the_engine(monkeypatch):
-    # a rotation that scales its result by 1 + 1e-8 goes unseen inside the
+    # a layer that scales its rows by 1 + 1e-8 goes unseen inside the
     # loop, and is refused when run or replay hands the state out
-    rotate = engine.apply_x_rotations
+    kernel = engine.layer_rows
 
-    def drifting(state, driver, angle):
-        out = rotate(state, driver, angle)
-        return statevector._state(out.n_qubits, out.amplitudes * (1 + 1e-8), out.symmetric)
+    def drifting(rows, *args):
+        kernel(rows, *args)
+        rows *= 1 + 1e-8
 
-    monkeypatch.setattr(engine, "apply_x_rotations", drifting)
+    monkeypatch.setattr(engine, "layer_rows", drifting)
     diag, driver = maxcut_hamiltonian(REF8), driver_x(8)
     with pytest.raises(ValueError, match="not a unit state"):
         replay(np.full(3, 0.2), np.zeros(3), 0.05, diag, driver)

@@ -343,14 +343,73 @@ def test_kernels_bit_identical_at_twelve_qubits():
         state = apply_x_rotations(apply_diagonal_phase(state, diag, angle), driver, angle)
 
 
+@st.composite
+def readout_blocks(draw):
+    # 1-5 rows of one register, each from its own layers: symmetric (half)
+    # rows from the flagged uniform state under a MaxCut diagonal, full rows
+    # from the unflagged one or under a diagonal that complementing skews;
+    # ten qubits split five rows into blocks of four and one
+    graph = draw(st.one_of(weighted_graphs(), st.just(random_regular(10, 3, 1))))
+    n, flagged, invariant = graph.n_nodes, draw(st.booleans()), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    diag = (maxcut_hamiltonian(graph) if invariant
+            else DiagonalHamiltonian(n, np.arange(1 << n) + rng.uniform(-0.5, 0.5, 1 << n)))
+    driver, states = driver_x(n), []
+    for _ in range(draw(st.integers(1, 5))):
+        state = uniform_state(n) if flagged else StateVector(n, uniform_state(n).amplitudes)
+        for _ in range(draw(st.integers(0, 3))):
+            state = apply_x_rotations(apply_diagonal_phase(state, diag, rng.uniform(-2.0, 2.0)),
+                                      driver, rng.uniform(-2.0, 2.0))
+        states.append(state)
+    return states, diag, driver
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(case=readout_blocks())
+def test_batched_readout_bit_identical_to_per_state_readouts(case):
+    states, diag, driver = case
+    half = states[0].symmetric and diag.complement_invariant
+    assert all(s.symmetric and diag.complement_invariant for s in states) == half
+    rows = np.array([s.amplitudes[:s.dim >> half] for s in states])
+    a, costs = statevector.read_rows(rows, diag)
+    assert len(a) == len(costs) == len(states)
+    for state, got_a, got_cost in zip(states, a, costs):
+        amps = state.amplitudes
+        assert_same_bits(got_a, a_value(state, diag, driver))
+        assert_same_bits(got_a, -2.0 * float(np.vdot(
+            amps, reference_driver_matvec(diag.diag * amps, driver.terms)).imag))
+        assert_same_bits(got_cost, expectation_diagonal(state, diag))
+        assert_same_bits(got_cost, float(np.vdot(amps, diag.diag * amps).real))
+
+
 def test_rotated_states_share_no_memory_with_the_plan():
     for n in range(1, 13):
         driver, uniform = driver_x(n), uniform_state(n)
         for state in (uniform, StateVector(n, uniform.amplitudes)):
             out = apply_x_rotations(state, driver, 0.3).amplitudes
-            buf, steps = statevector._plan(state.dim >> state.symmetric, state.symmetric)
-            assert not np.shares_memory(out, buf)
+            buf, cross, steps = statevector._plan(state.dim >> state.symmetric, state.symmetric)
+            assert not np.shares_memory(out, buf) and not np.shares_memory(out, cross)
             assert not any(np.shares_memory(out, cross) for _, _, cross in steps)
+
+
+def test_plan_buffers_stay_small_after_large_stacked_replays():
+    # a one-row block runs in this thread's buffers, and a larger one builds
+    # its views per call, so 300-row replays cache no block of theirs; the
+    # buffers of every row width and half flag stay under 0.4 MiB in all
+    def job():
+        for graph in (random_regular(12, 3, 42), random_regular(8, 3, 42)):
+            n = graph.n_nodes
+            replay(np.full(2, 0.3), np.zeros((300, 2)), 0.05, maxcut_hamiltonian(graph),
+                   driver_x(n))
+        for n in range(1, 13):
+            for state in (uniform_state(n), StateVector(n, uniform_state(n).amplitudes)):
+                apply_x_rotations(state, driver_x(n), 0.3)
+        return list(vars(statevector._plans).values())
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        plans = pool.submit(job).result(timeout=120)
+    assert len(plans) == 24 and all(len(buf) == 1 for buf, _, _ in plans)
+    assert sum(buf.nbytes + cross.nbytes for buf, cross, _ in plans) < 0.4 * 2**20
 
 
 def test_driver_products_share_no_memory_with_the_plan():
@@ -436,7 +495,7 @@ def test_invariant_checks_hold_under_optimize_flag():
         from falqon.analysis import success_probability
         from falqon.hamiltonian import DiagonalHamiltonian, driver_x
         from falqon.statevector import (a_value, expectation_diagonal,
-                                        inner_product, uniform_state)
+                                        inner_product, read_rows, uniform_state)
 
         assert False, "asserts must be stripped under -O"
         s = uniform_state(2)
@@ -447,7 +506,10 @@ def test_invariant_checks_hold_under_optimize_flag():
         c = DiagonalHamiltonian(2, np.zeros(4))
         object.__setattr__(c, "diag", np.array([1j, 0, 0, 0]))
         checks = [lambda: inner_product(s, s), lambda: success_probability(s, [0, 1]),
-                  lambda: a_value(w, d, driver_x(2)), lambda: expectation_diagonal(s, c)]
+                  lambda: a_value(w, d, driver_x(2)), lambda: expectation_diagonal(s, c),
+                  # a block whose second row fails, in the batched readout
+                  lambda: read_rows(np.array([uniform_state(2).amplitudes, w.amplitudes]), d),
+                  lambda: read_rows(np.array([[0, 1, 0, 0], s.amplitudes]), c)]
         for check in checks:
             try:
                 check()
@@ -458,10 +520,11 @@ def test_invariant_checks_hold_under_optimize_flag():
 
         # the norm check where a state leaves the engine is a ValueError
         import falqon.engine as engine
-        from falqon.statevector import _state
-        rotate = engine.apply_x_rotations
-        engine.apply_x_rotations = lambda state, driver, angle: _state(
-            2, rotate(state, driver, angle).amplitudes * (1 + 1e-8), False)
+        kernel = engine.layer_rows
+        def drifting(rows, *args):
+            kernel(rows, *args)
+            rows *= 1 + 1e-8
+        engine.layer_rows = drifting
         try:
             engine.replay([0.1, 0.2], [0.0, 0.0], 0.05, d, driver_x(2))
         except ValueError as exc:
@@ -474,7 +537,8 @@ def test_invariant_checks_hold_under_optimize_flag():
                           text=True, timeout=120, env=env)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 5
+    assert len(lines) == 7
     for line, text in zip(lines, ("inner product", "probability", "commutator",
-                                  "came out complex", "not a unit state")):
+                                  "came out complex", "commutator", "came out complex",
+                                  "not a unit state")):
         assert text in line
