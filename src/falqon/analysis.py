@@ -34,7 +34,7 @@ sequence are bit-identical to the first norms of the whole sequence.
 
 The sweep side is plain statistics: `aggregate` returns (mean, std), one
 cell's mean and sample std of the final cost error, and replays nothing,
-while `ideal_fidelity` replays a run's ideal state once for its fidelity.
+while `ideal_fidelity` replays a cell's ideal states in one stack.
 """
 from __future__ import annotations
 
@@ -90,13 +90,18 @@ def replay_fidelity(betas, epsilons, delta_t: float, diag: DiagonalHamiltonian,
     return np.array([abs(inner_product(ideal, state)) for state in noisy])
 
 
-def ideal_fidelity(trace: RunTrace, diag: DiagonalHamiltonian,
-                   driver: DriverHamiltonian) -> float:
-    """|<ideal|final>|: the run's final state against the error-free replay
-    of its own control sequence."""
-    ideal = replay(trace.betas, np.zeros_like(trace.betas), trace.config.delta_t,
-                   diag, driver)
-    return abs(inner_product(ideal, trace.final_state))
+def ideal_fidelity(runs: RunTrace | list[RunTrace], diag: DiagonalHamiltonian,
+                   driver: DriverHamiltonian) -> float | list[float]:
+    """|<ideal|final>|: a run's final state against the error-free replay of its own control
+    sequence; for a list of runs that share time step and depth, as a sweep cell's do, one per
+    run from one stacked `replay`, each bit-identical to the call on that run alone."""
+    runs = [runs] if (one := isinstance(runs, RunTrace)) else list(runs)
+    if len({(r.config.delta_t, r.depth) for r in runs}) != 1:
+        raise ValueError("need runs, all with one delta_t and depth")
+    betas = np.array([r.betas for r in runs])
+    ideal = replay(betas, np.zeros_like(betas), runs[0].config.delta_t, diag, driver)
+    fids = [abs(inner_product(i, r.final_state)) for i, r in zip(ideal, runs)]
+    return fids[0] if one else fids
 
 
 def aggregate(runs: list[RunTrace]) -> tuple[float, float]:

@@ -421,8 +421,8 @@ def _sweep_cell(configs: list[RunConfig]) -> tuple[tuple[float, float], list]:
     """One (epsilon_bar, lambda) cell's (mean, std) and seed rows. Top level for pickling."""
     runs = engine.run_cell(configs)
     diag, driver = maxcut_hamiltonian(configs[0].graph), driver_x(configs[0].graph.n_nodes)
-    rows = [[trace.config.noise.seed, float(trace.costs[-1]), trace.final_cost_error,
-             analysis.ideal_fidelity(trace, diag, driver)] for trace in runs]
+    rows = [[trace.config.noise.seed, float(trace.costs[-1]), trace.final_cost_error, fidelity]
+            for trace, fidelity in zip(runs, analysis.ideal_fidelity(runs, diag, driver))]
     return analysis.aggregate(runs), rows
 
 

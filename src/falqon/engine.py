@@ -24,16 +24,16 @@ noiseless loop holds for it where it holds at the largest step
 
 `run_cell` is the one feedback loop, over a cell of rows that share graph,
 time step, depth and noise kind; `run` is its one-row call. The cell is one
-(rows, width) block of raw amplitude rows from start to finish (lower halves
-while the states are symmetric). Step t brings each row to its t-layer
-circuit with `statevector.layer_rows`, reads every A_t and cost in one
-`statevector.read_rows` call and feeds A_t back. The kinds differ only in
-how the block reaches step t:
+(width, rows) block whose columns are raw amplitude rows, from start to
+finish (lower halves while the states are symmetric). Step t brings each
+row to its t-layer circuit with `statevector.layer_rows`, reads every A_t
+and cost in one `statevector.read_rows` call and feeds A_t back. The kinds
+differ only in how the block reaches step t:
 
 * no error and systematic errors are prefix-consistent: rebuilding t layers
   replays the same error prefix, so it reproduces the previous step's state
-  plus one layer (the test suite covers the equivalence), which each row
-  gets from a one-row call, faster than a block of 12-qubit rows;
+  plus one layer (the test suite covers the equivalence), which every row
+  gets in one call on the block;
 * independent errors are redrawn on every rebuild, so no two rebuilds agree
   and step t replays the whole t-layer circuit from the uniform state under
   rebuild t's sequence: depth*(depth+1)/2 layers per row, in depth stacked
@@ -62,6 +62,7 @@ from .noise import NoiseKind, NoiseModel, trajectory
 from .rng import positive_real
 from .statevector import (
     StateVector,
+    _plan,
     _state,
     apply_diagonal_phase,
     apply_x_rotations,
@@ -177,23 +178,24 @@ def replay(betas, epsilons, delta_t: float, diag: DiagonalHamiltonian,
         raise ValueError(f"layer error must satisfy |epsilon| < 1, got {bad[0]}")
     with np.errstate(over="ignore", invalid="ignore"):  # `layer_rows` refuses a non-finite one
         angles = (scales := (1.0 + stack) * dt) * betas
-    rows, half = _start(diag, len(stack), stack.shape[1])
+    block, half = _start(diag, len(stack), stack.shape[1])
     if stack.shape[1]:  # no layer leaves the uniform rows, half rows whatever the diagonal
-        layer_rows(rows, diag, scales, angles)
-    states = _states(rows, diag.n_qubits, half)
+        layer_rows(block, diag, scales, angles)
+    states = _states(block, diag.n_qubits, half)
     return states if epsilons.ndim == 2 else states[0]
 
 
 def _start(diag: DiagonalHamiltonian, count: int, layers: int) -> tuple[np.ndarray, bool]:
-    """``count`` rows of the uniform state, and whether they are its lower halves."""
+    """``count`` columns of the uniform state, and whether they are its lower halves."""
     start = uniform_state(diag.n_qubits)
     half = start.symmetric and (diag.complement_invariant or not layers)
-    return np.tile(start.amplitudes[:start.dim >> half], (count, 1)), half
+    return np.tile(start.amplitudes[:start.dim >> half, None], count), half
 
 
-def _states(rows: np.ndarray, n: int, half: bool) -> list[StateVector]:
-    """Each row as a norm-checked state, half rows mirrored into full ones."""
-    return [check_norm(_state(n, np.concatenate((h, h[::-1])) if half else h, half)) for h in rows]
+def _states(block: np.ndarray, n: int, half: bool) -> list[StateVector]:
+    """Each column as a norm-checked state, half columns mirrored into full ones."""
+    return [check_norm(_state(n, np.concatenate((h, h[::-1])) if half else h.copy(), half))
+            for h in block.T]
 
 
 def _run_as(kind: NoiseKind, mode: str, doc: str):
@@ -232,17 +234,18 @@ def run_cell(configs) -> list[RunTrace]:
     p0, rebuild = ground_energy(diag)[0], configs[0].noise.kind is NoiseKind.INDEPENDENT
     eps = None if rebuild else np.array([trajectory(c.noise, depth) for c in configs])
     betas, a_values, costs = (np.zeros((len(configs), depth)) for _ in range(3))
-    rows, half = _start(diag, len(configs), depth)
+    block, half = _start(diag, len(configs), depth)
+    rotation, readout = _plan(block, half), _plan(np.empty_like(block), half, 1)
     for t in range(depth):
         if rebuild:  # every row's t-layer circuit, each under its own rebuild, in one replay
             eps = np.array([trajectory(c.noise, t + 1, rebuild_index=t + 1) for c in configs])
-            rows = np.array([state.amplitudes[:rows.shape[1]]
-                             for state in replay(betas[:, :t + 1], eps, dt, diag, driver)])
-        else:  # one more layer on each row, in a one-row call each
-            for r, scale in enumerate((1.0 + eps[:, t:t + 1]) * dt):
-                layer_rows(rows[r:r + 1], diag, scale, scale * betas[r, t])
-        a_values[:, t], costs[:, t] = a_t, _ = read_rows(rows, diag)
+            block = np.stack([state.amplitudes[:len(block)]
+                              for state in replay(betas[:, :t + 1], eps, dt, diag, driver)], 1)
+        else:  # one more layer on every row, in one call
+            scales = (1.0 + eps[:, t]) * dt
+            layer_rows(block, diag, scales, scales * betas[:, t], rotation)
+        a_values[:, t], costs[:, t] = a_t, _ = read_rows(block, diag, readout)
         if t + 1 < depth:
             betas[:, t + 1] = [feedback(a, c.law) for a, c in zip(a_t, configs)]
     return [RunTrace(c, *arrays, state, p0, e) for c, *arrays, state, e in
-            zip(configs, betas, a_values, costs, _states(rows, diag.n_qubits, half), eps)]
+            zip(configs, betas, a_values, costs, _states(block, diag.n_qubits, half), eps)]

@@ -10,20 +10,20 @@ operations provided, each costing O(2^n) per single-qubit factor. A
 its scalar on entry and wraps its fresh result unchecked (`_state`), and
 `engine.run` and `engine.replay` check the norm of the state they hand out.
 
-One kernel does each step once, on (rows, width) blocks of amplitude rows:
-the phase ``exp((-1j*scale)*values)[index]`` per row, one exp per distinct
-diagonal value (`DiagonalHamiltonian.levels`); per qubit,
-``cross = s*flipped``, ``view *= c``, ``view += cross`` on the bit-flipped
-view, with c and s from `math.cos`/`math.sin` per row; and `read_rows`,
-which sums the driver product the same way and takes each row's `A` and
-cost with one ``vdot`` per full row. The engine calls only `layer_rows` and
-`read_rows`; the per-state operations are their one-row calls. Each
-amplitude gets the operations of the per-pair form c*lo + s*hi, s*lo + c*hi
-with one exp per entry, up to the operand order of commutative IEEE
-products and sums, so every row is bit-identical to it in any block. A
-one-row block runs in this thread's buffers with 0-d factors (`_plan`,
-under 0.4 MiB per thread) and copies its row in and out; a larger one is
-rotated in place, with views and (rows, 1, 1, 1) factors built per call.
+One kernel does each step once, on C-ordered (width, rows) blocks whose
+columns are amplitude rows, so that the row axis is innermost: the phase,
+one exp per distinct diagonal value (`DiagonalHamiltonian.levels`) and row,
+gathered along the width axis; per qubit, ``cross = s*flipped``,
+``view *= c``, ``view += cross`` on the (-1, 2, 2^q, rows) view and its
+bit-flipped view, with c and s from `math.cos`/`math.sin` per row written
+into two full tiles, so that no operand broadcasts; and `read_rows`, which
+sums the driver product the same way and takes each row's `A` and cost with
+one ``vdot`` per full row, copied out C-ordered. The engine calls only
+`layer_rows` and `read_rows`, with views and work blocks (`_plan`) built
+once per run, cell or replay; the per-state operations are one-column
+calls. Each amplitude gets the operations of the per-pair form c*lo + s*hi,
+s*lo + c*hi with one exp per entry, up to the operand order of commutative
+IEEE products and sums, so every row is bit-identical to it in any block.
 `driver_matvec`, the norm solver's product, is instead two GEMMs.
 
 Half register. Complementing every bit of x maps index x to 2^n-1-x. The
@@ -33,7 +33,7 @@ psi(x) == psi(2^n-1-x). `StateVector.symmetric` marks the states this module
 built with that property bit for bit: `uniform_state` sets it, the rotation
 keeps it and the phase keeps it when the diagonal is
 `DiagonalHamiltonian.complement_invariant`. Under such a diagonal such a
-state is a row of its lower half h = psi[:2^(n-1)]: qubits 0..n-2 pair
+state is carried as its lower half h = psi[:2^(n-1)]: qubits 0..n-2 pair
 entries inside h, and the top qubit pairs h with ``h[::-1]``, since
 x + 2^(n-1) is the complement of 2^(n-1)-1-x. This is bit-identical to the
 full kernel, which on mirrored input computes entry 2^n-1-x with the same
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -64,9 +63,6 @@ MAX_QUBITS = 12
 
 #: Accepted deviation of |amplitudes| from 1 in `check_norm`.
 NORM_TOL = 1e-10
-
-#: Per thread, `_plan`'s one-row buffers and views keyed by (width, half).
-_plans = threading.local()
 
 
 def register_width(n) -> int:
@@ -127,48 +123,44 @@ def uniform_state(n: int) -> StateVector:
     return _state(n, np.full(dim, dim ** -0.5, dtype=np.complex128), True)
 
 
-def _half(rows: np.ndarray, diag: "DiagonalHamiltonian") -> bool:
-    """Whether ``rows`` are lower halves of symmetric states under ``diag``, not full rows."""
-    n, width = diag.n_qubits, rows.shape[-1]
+def _half(block: np.ndarray, diag: "DiagonalHamiltonian") -> bool:
+    """Whether ``block``'s columns are lower halves of symmetric states under ``diag``."""
+    n, width = diag.n_qubits, len(block)
     if (half := width != 1 << n) and not (width << 1 == 1 << n and diag.complement_invariant):
         raise ValueError(f"{width} entries are no full or half row under this diagonal")
     return half
 
 
 def _phases(diag: "DiagonalHamiltonian", scales: list, width: int, out=None) -> np.ndarray:
-    """Row r holds e^{-i*scales[r]*diag[x]} for the first ``width`` entries x (in ``out``)."""
-    if bad := [x for x in scales if not math.isfinite(abs(x) * diag.peak)]:
+    """Column r holds e^{-i*scales[r]*diag[x]} for the first ``width`` entries x (in ``out``)."""
+    peak = diag.peak
+    if bad := [x for x in scales if not math.isfinite(abs(x) * peak)]:
         raise ValueError(f"phase scale {bad[0]!r} gives a non-finite phase")
     values, index = diag.levels
-    table = np.exp(np.array([-1j * x for x in scales])[:, None] * values)
-    return table.take(index[:width], 1, out, "clip")  # every index is valid; "clip" copies once
+    table = np.exp(np.array([-1j * x for x in scales]) * values[:, None])
+    return table.take(index[:width], 0, out, "clip")  # every index is valid; "clip" copies once
 
 
-def _plan(width: int, half: bool, block: np.ndarray | None = None):
-    """Work block, cross block and per-qubit (view, flipped, cross): the last axis as (-1, 2, 2^q)
-    and its bit-flipped view, and on a half register last the top qubit, pairing the axis
-    with its reverse. This thread's one-row buffers, built once, or views over ``block``."""
-    if block is None:
-        if (key := (width, half)) not in (plans := vars(_plans)):
-            plans[key] = _plan(width, half, np.empty((1, width), dtype=np.complex128))
-        return plans[key]
-    cross, lead = np.empty_like(block), block.shape[:len(block) > 1]  # one row: no row axis
-    views = [(v := block.reshape(lead + (width >> (q + 1), 2, 1 << q), copy=False), v[..., ::-1, :])
-             for q in range(width.bit_length() - 1)]
-    if half:
-        views.append((v := block.reshape(lead + (1, 1) * len(lead) + (width,)), v[..., ::-1]))
-    return block, cross, [(view, flipped, cross.reshape(view.shape)) for view, flipped in views]
+def _plan(block: np.ndarray, half: bool, tiles: int = 3) -> tuple:
+    """``block``, ``tiles`` blocks of its (width, rows) shape (`layer_rows`' cross block and c and s
+    tiles, or `read_rows`' hy over a y block) and per qubit (view, flipped, *tiles): ``block`` as
+    (-1, 2, 2^q, rows), its bit-flipped view and each tile alike; on a half register last the top
+    qubit, pairing the block with its reverse. Built once per run, cell or replay."""
+    (width, count), work = block.shape, np.empty((tiles, *block.shape), dtype=np.complex128)
+    shapes = [(width >> (q + 1), 2, 1 << q, count) for q in range(width.bit_length() - 1)]
+    steps = [(v := block.reshape(shape, copy=False), v[:, ::-1], *(t.reshape(shape) for t in work))
+             for shape in shapes]
+    return block, work, steps + [(block, block[::-1], *work)] * half
 
 
 def _rotate(steps, angles: list) -> None:
-    """e^{-i*angles[r]*sum_q X_q} in place on row r of the block ``steps`` views."""
+    """e^{-i*angles[r]*sum_q X_q} in place on column r of the block ``steps`` views."""
     if bad := [x for x in angles if not math.isfinite(x)]:
         raise ValueError(f"rotation angle must be finite, got {bad[0]!r}")
-    # one row: 0-d arrays, which ufuncs take unconverted; c is cast as the ufunc would cast it
-    shape = () if len(angles) == 1 else (-1, 1, 1, 1)
-    c = np.array([math.cos(x) for x in angles], dtype=np.complex128).reshape(shape)
-    s = np.array([-1j * math.sin(x) for x in angles]).reshape(shape)
-    for view, flipped, cross in steps:
+    _, _, _, c, s = steps[0]  # every step views the same full tiles, so no operand broadcasts
+    c[...] = [math.cos(x) for x in angles]
+    s[...] = [-1j * math.sin(x) for x in angles]
+    for view, flipped, cross, c, s in steps:
         np.multiply(flipped, s, out=cross)  # s*hi | s*lo
         view *= c
         view += cross  # c*lo + s*hi | c*hi + s*lo
@@ -182,7 +174,7 @@ def apply_diagonal_phase(state: StateVector, diag: "DiagonalHamiltonian",
     evaluated once per distinct diagonal value and gathered.
     """
     _check_width(diag.n_qubits, state, "diagonal Hamiltonian")
-    amps = state.amplitudes * _phases(diag, [float(scale)], state.dim)[0]
+    amps = state.amplitudes * _phases(diag, [float(scale)], state.dim)[:, 0]
     return _state(state.n_qubits, amps, state.symmetric and diag.complement_invariant)
 
 
@@ -196,25 +188,23 @@ def apply_x_rotations(state: StateVector, driver: "DriverHamiltonian",
     A symmetric state is rotated on its lower half and mirrored.
     """
     _check_width(driver.n_qubits, state, "driver Hamiltonian")
-    (h,), _, steps = _plan(state.dim >> (half := state.symmetric), half)
-    h[:] = state.amplitudes[:h.size]
-    _rotate(steps, [float(angle)])
-    return _state(state.n_qubits, np.concatenate((h, h[::-1])) if half else h.copy(), half)
+    h = state.amplitudes[:state.dim >> (half := state.symmetric)].copy()
+    _rotate(_plan(h[:, None], half)[2], [float(angle)])
+    return _state(state.n_qubits, np.concatenate((h, h[::-1])) if half else h, half)
 
 
-def layer_rows(rows: np.ndarray, diag: "DiagonalHamiltonian", scales: np.ndarray,
-               angles: np.ndarray) -> None:
-    """Apply e^{-i*angles[r, t]*sum_q X_q} e^{-i*scales[r, t]*H_p} in place to each row r of
-    ``rows`` for t = 0, 1, ... in turn (``scales`` and ``angles`` (rows,) for one layer, or
-    (rows, T)), to full rows of 2^n entries or the lower halves of symmetric states under a
-    `complement_invariant` diagonal, each row bit-identical to its own one-row call."""
-    half, (count, width) = _half(rows, diag), rows.shape
-    buf, cross, steps = _plan(width, half, None if count == 1 else rows)
-    buf[...] = rows  # one row: into this thread's buffer; more: a no-op
+def layer_rows(block: np.ndarray, diag: "DiagonalHamiltonian", scales: np.ndarray,
+               angles: np.ndarray, plan: tuple | None = None) -> None:
+    """Apply e^{-i*angles[r, t]*sum_q X_q} e^{-i*scales[r, t]*H_p} in place to each row r, the
+    column r of the C-ordered (width, rows) ``block``, for t = 0, 1, ... in turn (``scales`` and
+    ``angles`` (rows,) for one layer, or (rows, T)), to full rows of 2^n entries or the lower
+    halves of symmetric states under a `complement_invariant` diagonal, each row bit-identical
+    to its own one-row call. ``plan`` is the block's `_plan`, or None to build it."""
+    half, count = _half(block, diag), block.shape[1]
+    _, (cross, _, _), steps = plan or _plan(block, half)
     for scale, angle in zip(*(x.reshape(count, -1).T.tolist() for x in (scales, angles))):
-        buf *= _phases(diag, scale, width, cross)  # the cross block holds the phases first
+        block *= _phases(diag, scale, len(block), cross)  # the cross block holds the phases first
         _rotate(steps, angle)
-    rows[...] = buf
 
 
 @functools.cache
@@ -241,22 +231,25 @@ def driver_matvec(amplitudes: np.ndarray) -> np.ndarray:
     return (v @ lo + hi @ v).ravel()
 
 
-def read_rows(rows: np.ndarray, diag: "DiagonalHamiltonian") -> tuple[list, list]:
+def read_rows(block: np.ndarray, diag: "DiagonalHamiltonian",
+              plan: tuple | None = None) -> tuple[list, list]:
     """Each row's commutator expectation `A` (see `a_value`) and cost <psi| H_p |psi>, as floats,
-    for rows as in `layer_rows`; a complex cost or an `A` past the bound is an error."""
-    half, width, a, costs = _half(rows, diag), rows.shape[-1], [], []
-    # blocks of at most 2^12 full amplitudes: larger temporaries fault their pages in per call
-    step = max(1, (1 << MAX_QUBITS) >> diag.n_qubits)
-    for block in (rows[i:i + step] for i in range(0, len(rows), step)):
-        y, hy, steps = _plan(width, half, None if len(block) == 1 else np.empty_like(block))
-        np.multiply(diag.diag[:width], block, out=y)
-        hy.fill(0)
-        for _, flipped, o in steps:  # on a half register the top qubit comes last
-            o += flipped
-        # full rows; diag*psi mirrors y, since the diagonal does under complementing
-        amps, dy, hy = (np.concatenate((b, b[:, ::-1]), 1) if half else b for b in (block, y, hy))
+    for a block as in `layer_rows` and a one-tile `_plan` of its shape (None builds it); a
+    complex cost or an `A` past the bound is an error."""
+    half, (width, count) = _half(block, diag), block.shape
+    y, (hy,), steps = plan or _plan(np.empty(block.shape, dtype=np.complex128), half, 1)
+    np.multiply(diag.diag[:width, None], block, out=y)
+    hy.fill(0)
+    for _, flipped, o in steps:  # on a half register the top qubit comes last
+        o += flipped
+    a, costs, step = [], [], max(1, (1 << MAX_QUBITS) >> diag.n_qubits)
+    for part in ((b[:, i:i + step] for b in (block, y, hy)) for i in range(0, count, step)):
+        # C-ordered full rows, at most 2^12 amplitudes per copy: a larger one faults its pages in
+        # per call; diag*psi mirrors y, since the diagonal does under complementing
+        amps, dy, h = (np.ascontiguousarray((np.concatenate((b, b[::-1])) if half else b).T)
+                       for b in part)
         costs += map(np.vdot, amps, dy)
-        a += [-2.0 * float(np.vdot(x, h).imag) for x, h in zip(amps, hy)]
+        a += [-2.0 * float(np.vdot(x, z).imag) for x, z in zip(amps, h)]
     if bad := [z for z in costs if not abs(z.imag) <= 1e-10]:
         raise AssertionError(f"diagonal expectation came out complex: {bad[0]!r}")
     limit = 2.0 * diag.peak * diag.n_qubits
@@ -269,7 +262,7 @@ def _read(state: StateVector, diag: "DiagonalHamiltonian") -> tuple[list, list]:
     """`read_rows` on ``state`` as one row, its lower half when symmetric under ``diag``."""
     _check_width(diag.n_qubits, state, "diagonal Hamiltonian")
     half = state.symmetric and diag.complement_invariant
-    return read_rows(state.amplitudes[None, :state.dim >> half], diag)
+    return read_rows(state.amplitudes[:state.dim >> half, None], diag)
 
 
 def expectation_diagonal(state: StateVector, diag: "DiagonalHamiltonian") -> float:

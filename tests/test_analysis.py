@@ -11,7 +11,15 @@ from falqon.analysis import (
     replay_fidelity,
     success_probability,
 )
-from falqon.engine import FeedbackLaw, RunConfig, replay, run, run_nominal, run_systematic
+from falqon.engine import (
+    FeedbackLaw,
+    RunConfig,
+    replay,
+    run,
+    run_cell,
+    run_nominal,
+    run_systematic,
+)
 from falqon.graphs import Graph, reference_instance
 from falqon.hamiltonian import driver_x, ground_energy, maxcut_hamiltonian
 from falqon.noise import NoiseKind, NoiseModel, trajectory
@@ -222,6 +230,15 @@ def test_ideal_fidelity_against_replays():
     want = replay_fidelity(noisy.betas, noisy.epsilons, 0.05, diag, driver)
     assert want < 0.999
     assert abs(ideal_fidelity(noisy, diag, driver) - want) < 1e-12
+    # a cell's runs in one stacked replay, each as its own call; runs that
+    # differ in depth or time step share no stack
+    cell = run_cell([RunConfig(graph, 0.05, 30, noise=NoiseModel(NoiseKind.SYSTEMATIC, 0.5, seed))
+                     for seed in (6, 7, 8)])
+    assert ideal_fidelity(cell, diag, driver) == [ideal_fidelity(t, diag, driver) for t in cell]
+    for runs in ([], [noisy, run_nominal(RunConfig(graph, 0.05, 29))],
+                 [noisy, run_nominal(RunConfig(graph, 0.06, 30))]):
+        with pytest.raises(ValueError, match="one delta_t and depth"):
+            ideal_fidelity(runs, diag, driver)
 
 
 def test_fidelity_respects_lipschitz_bound_on_random_draws():

@@ -486,20 +486,20 @@ def test_sweep_parallel_matches_serial(tmp_path):
 
 
 def test_sweep_replays_each_seed_once(tmp_path, monkeypatch):
-    # each seed's ideal state is replayed once, for its cell row's fidelity;
-    # the cell statistics replay nothing
-    calls = {"n": 0}
+    # each seed's ideal state is replayed once, for its cell row's fidelity,
+    # in one stacked replay per cell; the cell statistics replay nothing
+    shapes = []
     real_replay = analysis.replay
 
-    def counting_replay(*args, **kwargs):
-        calls["n"] += 1
-        return real_replay(*args, **kwargs)
+    def counting_replay(betas, epsilons, *args):
+        shapes.append(np.shape(epsilons))
+        return real_replay(betas, epsilons, *args)
 
     monkeypatch.setattr(analysis, "replay", counting_replay)
     assert run_cli("sweep", "--regular", "4", "3", "--depth", "5", "--noise", "systematic",
                    "--epsilon-bars", "0.1,0.2", "--seeds", "0:2", "--jobs", "1",
                    "--out", str(tmp_path / "sweep")) == 0
-    assert calls["n"] == 4  # 2 cells x 2 seeds
+    assert shapes == [(2, 5), (2, 5)]  # 2 cells of 2 seeds
 
 
 def test_bound_replays_its_ideal_state_once(tmp_path, monkeypatch):

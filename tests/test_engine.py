@@ -297,6 +297,24 @@ def test_run_independent_rebuild_count(monkeypatch):
     assert calls["n"] == depth * (depth + 1) // 2
 
 
+@pytest.mark.parametrize("kind", [NoiseKind.NONE, NoiseKind.SYSTEMATIC])
+def test_prefix_consistent_cells_advance_as_one_block(monkeypatch, kind):
+    # a nominal or systematic cell of k rows and depth d makes d kernel
+    # calls of k row-layers each: its rows advance as one block
+    sizes = []
+    kernel = engine.layer_rows
+
+    def counting_layer(rows, diag, scales, angles, *plan):
+        sizes.append(np.size(scales))
+        kernel(rows, diag, scales, angles, *plan)
+
+    monkeypatch.setattr(engine, "layer_rows", counting_layer)
+    depth, eb = 6, 0.3 if kind is NoiseKind.SYSTEMATIC else 0.0
+    run_cell([RunConfig(K2, 0.05, depth, FeedbackLaw(lam), NoiseModel(kind, eb, seed))
+              for lam, seed in ((0.5, 1), (1.0, 2), (2.0, 3))])
+    assert sizes == [3] * depth
+
+
 def test_run_independent_records_last_rebuild_errors():
     config = RunConfig(K2, 0.05, 9, noise=NoiseModel(NoiseKind.INDEPENDENT, 0.3, 2))
     trace = run_independent(config)

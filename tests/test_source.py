@@ -19,11 +19,12 @@ def test_package_has_no_assert_statements():
 
 
 def test_import_builds_no_rotation_plans():
-    # the rotation's buffers and the driver blocks are built on first use,
-    # not at import, and importing the library loads none of the command
-    # line's modules
-    script = ("import sys, falqon; from falqon import statevector as sv; "
-              "print(len(vars(sv._plans)), sv._driver_blocks.cache_info().currsize, "
+    # the kernels keep no array at module level, the driver blocks are built
+    # on first use, not at import, and importing the library loads none of
+    # the command line's modules
+    script = ("import sys, numpy, falqon; from falqon import statevector as sv; "
+              "print(sum(isinstance(v, numpy.ndarray) for v in vars(sv).values()), "
+              "sv._driver_blocks.cache_info().currsize, "
               "[m for m in ('argparse', 'json', 'hashlib', 'concurrent.futures', "
               "'multiprocessing', 'falqon.cli') if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(Path(falqon.__file__).parents[1])}

@@ -3,18 +3,19 @@ import pickle
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import falqon
 from falqon import statevector
 from falqon.engine import replay
-from falqon.graphs import random_regular
+from falqon.graphs import Graph, random_regular
 from falqon.hamiltonian import (
     DiagonalHamiltonian,
     driver_x,
@@ -307,28 +308,73 @@ def assert_kernels_match_references(state, diag, driver, angle):
                          a_value(StateVector(state.n_qubits, amps), diag, driver))
 
 
+def evolved(n, diag, driver, flagged, layers):
+    """The flagged or unflagged uniform state after (scale, angle) layers of the kernels."""
+    state = uniform_state(n) if flagged else StateVector(n, uniform_state(n).amplitudes)
+    for scale, angle in layers:
+        state = apply_x_rotations(apply_diagonal_phase(state, diag, scale), driver, angle)
+    return state
+
+
+def assert_block_matches_references(states, diag, driver, scales, angles):
+    # the states as the columns of one (width, columns) block, half columns
+    # when every state is symmetric under the diagonal, under a (columns, T)
+    # stack of layers: each column bit-identical to its own one-column call
+    # and to the per-pair references applied layer by layer
+    half = all(s.symmetric for s in states) and diag.complement_invariant
+    block = np.stack([s.amplitudes[:s.dim >> half] for s in states], 1)
+    statevector.layer_rows(block, diag, scales, angles)
+    for r, state in enumerate(states):
+        column = state.amplitudes[:state.dim >> half, None].copy()
+        statevector.layer_rows(column, diag, scales[r], angles[r])
+        assert_same_bits(block[:, r].copy(), column[:, 0])
+        want = state.amplitudes
+        for scale, angle in zip(scales[r], angles[r]):
+            want = reference_x_rotations(reference_diagonal_phase(want, diag.diag, scale),
+                                         driver.terms, angle)
+        got = column[:, 0]
+        assert_same_bits(np.concatenate((got, got[::-1])) if half else got, want)
+
+
 @st.composite
 def kernel_cases(draw):
+    # 1-6 states of one register and a stack of 1-4 layers for each
     graph = draw(weighted_graphs())
     n = graph.n_nodes
     diag, driver = maxcut_hamiltonian(graph), driver_x(n)
     # None starts from the uniform state, whose imaginary parts are exact
-    # zeros, and may run a few layers on the symmetric (half-register) path
+    # zeros, and may run a few layers on the symmetric (half-register) path;
+    # a seed starts from random states, which are full rows
     seed = draw(st.one_of(st.none(), st.integers(0, 2**32 - 1)))
-    if seed is None:
-        state = uniform_state(n)
-        for angle in draw(st.lists(st.floats(-3.0, 3.0), max_size=4)):
-            state = apply_x_rotations(apply_diagonal_phase(state, diag, angle), driver, angle)
-    else:
-        state = StateVector(n, random_unit_state(np.random.default_rng(seed), n))
-    angle = draw(st.floats(-10.0, 10.0))
-    return state, diag, driver, angle
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)) if seed is None else seed)
+    states = [evolved(n, diag, driver, True, [(a, a) for a in draw(st.lists(
+                  st.floats(-3.0, 3.0), max_size=4))]) if seed is None
+              else StateVector(n, random_unit_state(rng, n))
+              for _ in range(draw(st.integers(1, 6)))]
+    stack, angle = (len(states), draw(st.integers(1, 4))), draw(st.floats(-10.0, 10.0))
+    return (states, diag, driver, angle, rng.uniform(-2.0, 2.0, stack),
+            rng.uniform(-10.0, 10.0, stack))
+
+
+def fixed_kernel_case(graph, columns, layers):
+    # symmetric columns, each after its own layers, and a fixed stack of layers
+    n = graph.n_nodes
+    diag, driver, rng = maxcut_hamiltonian(graph), driver_x(n), np.random.default_rng(n)
+    states = [evolved(n, diag, driver, True, rng.uniform(-2.0, 2.0, (r, 2)))
+              for r in range(columns)]
+    return (states, diag, driver, 0.7, rng.uniform(-2.0, 2.0, (columns, layers)),
+            rng.uniform(-10.0, 10.0, (columns, layers)))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(case=kernel_cases())
+# one qubit: a half register of width 1, on which only the mirror step runs
+@example(case=fixed_kernel_case(Graph.from_edges(1, []), 3, 2))
+@example(case=fixed_kernel_case(random_regular(12, 3, 42), 3, 2))
 def test_kernels_bit_identical_to_per_pair_references(case):
-    assert_kernels_match_references(*case)
+    states, diag, driver, angle, scales, angles = case
+    assert_kernels_match_references(states[0], diag, driver, angle)
+    assert_block_matches_references(states, diag, driver, scales, angles)
 
 
 def test_kernels_bit_identical_at_twelve_qubits():
@@ -345,36 +391,38 @@ def test_kernels_bit_identical_at_twelve_qubits():
 
 @st.composite
 def readout_blocks(draw):
-    # 1-5 rows of one register, each from its own layers: symmetric (half)
-    # rows from the flagged uniform state under a MaxCut diagonal, full rows
-    # from the unflagged one or under a diagonal that complementing skews;
-    # ten qubits split five rows into blocks of four and one
+    # 1-6 columns of one register, each after 0-4 layers of its own:
+    # symmetric (half) columns from the flagged uniform state under a MaxCut
+    # diagonal, full ones from the unflagged state or under a diagonal that
+    # complementing skews; ten qubits copy five or six columns out as four
+    # and the rest
     graph = draw(st.one_of(weighted_graphs(), st.just(random_regular(10, 3, 1))))
     n, flagged, invariant = graph.n_nodes, draw(st.booleans()), draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     diag = (maxcut_hamiltonian(graph) if invariant
             else DiagonalHamiltonian(n, np.arange(1 << n) + rng.uniform(-0.5, 0.5, 1 << n)))
-    driver, states = driver_x(n), []
-    for _ in range(draw(st.integers(1, 5))):
-        state = uniform_state(n) if flagged else StateVector(n, uniform_state(n).amplitudes)
-        for _ in range(draw(st.integers(0, 3))):
-            state = apply_x_rotations(apply_diagonal_phase(state, diag, rng.uniform(-2.0, 2.0)),
-                                      driver, rng.uniform(-2.0, 2.0))
-        states.append(state)
+    driver = driver_x(n)
+    states = [evolved(n, diag, driver, flagged, rng.uniform(-2.0, 2.0, (layers, 2)))
+              for layers in draw(st.lists(st.integers(0, 4), min_size=1, max_size=6))]
     return states, diag, driver
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(case=readout_blocks())
+@example(case=fixed_kernel_case(Graph.from_edges(1, []), 3, 2)[:3])
+@example(case=fixed_kernel_case(random_regular(12, 3, 42), 4, 2)[:3])
 def test_batched_readout_bit_identical_to_per_state_readouts(case):
     states, diag, driver = case
     half = states[0].symmetric and diag.complement_invariant
     assert all(s.symmetric and diag.complement_invariant for s in states) == half
-    rows = np.array([s.amplitudes[:s.dim >> half] for s in states])
-    a, costs = statevector.read_rows(rows, diag)
+    block = np.stack([s.amplitudes[:s.dim >> half] for s in states], 1)
+    a, costs = statevector.read_rows(block, diag)
     assert len(a) == len(costs) == len(states)
-    for state, got_a, got_cost in zip(states, a, costs):
+    for r, (state, got_a, got_cost) in enumerate(zip(states, a, costs)):
         amps = state.amplitudes
+        (one_a,), (one_cost,) = statevector.read_rows(block[:, r:r + 1], diag)
+        assert_same_bits(got_a, one_a)
+        assert_same_bits(got_cost, one_cost)
         assert_same_bits(got_a, a_value(state, diag, driver))
         assert_same_bits(got_a, -2.0 * float(np.vdot(
             amps, reference_driver_matvec(diag.diag * amps, driver.terms)).imag))
@@ -382,34 +430,55 @@ def test_batched_readout_bit_identical_to_per_state_readouts(case):
         assert_same_bits(got_cost, float(np.vdot(amps, diag.diag * amps).real))
 
 
-def test_rotated_states_share_no_memory_with_the_plan():
+def test_rotated_states_share_no_memory_with_the_plan(monkeypatch):
+    # each call's cross block and c and s tiles are work buffers: no state a
+    # one-column call or a stacked replay hands out aliases them, and the
+    # one-column call does not alias the state it started from either
+    works, plan = [], statevector._plan
+
+    def recording(*args):
+        works.append((made := plan(*args))[1])
+        return made
+
+    monkeypatch.setattr(statevector, "_plan", recording)
     for n in range(1, 13):
         driver, uniform = driver_x(n), uniform_state(n)
-        for state in (uniform, StateVector(n, uniform.amplitudes)):
+        diag = maxcut_hamiltonian(Graph.from_edges(n, []))
+        for half, state in ((True, uniform), (False, StateVector(n, uniform.amplitudes))):
             out = apply_x_rotations(state, driver, 0.3).amplitudes
-            buf, cross, steps = statevector._plan(state.dim >> state.symmetric, state.symmetric)
-            assert not np.shares_memory(out, buf) and not np.shares_memory(out, cross)
-            assert not any(np.shares_memory(out, cross) for _, _, cross in steps)
+            assert not np.shares_memory(out, state.amplitudes)
+            outs = [out, *(s.amplitudes for s in replay(np.full((2, 1), 0.3), np.zeros((2, 1)),
+                                                          0.05, diag, driver))]
+            # the replay runs half rows, whichever state the rotation started from
+            assert [w.shape for w in works] == [(3, state.dim >> half, 1), (3, state.dim >> 1, 2)]
+            assert not any(np.shares_memory(out, work) for out in outs for work in works)
+            works.clear()
 
 
 def test_plan_buffers_stay_small_after_large_stacked_replays():
-    # a one-row block runs in this thread's buffers, and a larger one builds
-    # its views per call, so 300-row replays cache no block of theirs; the
-    # buffers of every row width and half flag stay under 0.4 MiB in all
+    # each call builds its cross block and tiles, three blocks the size of
+    # its own, and drops them: 300-row replays at n12 and n8 and one-column
+    # calls at every width keep nothing, and the n12 replay's peak is its
+    # block and the three work blocks
     def job():
         for graph in (random_regular(12, 3, 42), random_regular(8, 3, 42)):
-            n = graph.n_nodes
             replay(np.full(2, 0.3), np.zeros((300, 2)), 0.05, maxcut_hamiltonian(graph),
-                   driver_x(n))
+                   driver_x(graph.n_nodes))
         for n in range(1, 13):
             for state in (uniform_state(n), StateVector(n, uniform_state(n).amplitudes)):
                 apply_x_rotations(state, driver_x(n), 0.3)
-        return list(vars(statevector._plans).values())
 
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        plans = pool.submit(job).result(timeout=120)
-    assert len(plans) == 24 and all(len(buf) == 1 for buf, _, _ in plans)
-    assert sum(buf.nbytes + cross.nbytes for buf, cross, _ in plans) < 0.4 * 2**20
+    job()  # anything built once per process is built here
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        job()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = 300 * 2048 * 16  # the n12 replay's half rows
+    assert after - before < 0.1 * 2**20
+    assert peak - before < 4 * block + 2**20
 
 
 def test_driver_products_share_no_memory_with_the_plan():
@@ -507,9 +576,9 @@ def test_invariant_checks_hold_under_optimize_flag():
         object.__setattr__(c, "diag", np.array([1j, 0, 0, 0]))
         checks = [lambda: inner_product(s, s), lambda: success_probability(s, [0, 1]),
                   lambda: a_value(w, d, driver_x(2)), lambda: expectation_diagonal(s, c),
-                  # a block whose second row fails, in the batched readout
-                  lambda: read_rows(np.array([uniform_state(2).amplitudes, w.amplitudes]), d),
-                  lambda: read_rows(np.array([[0, 1, 0, 0], s.amplitudes]), c)]
+                  # a block whose second column fails, in the batched readout
+                  lambda: read_rows(np.array([uniform_state(2).amplitudes, w.amplitudes]).T, d),
+                  lambda: read_rows(np.array([[0, 1, 0, 0], s.amplitudes]).T, c)]
         for check in checks:
             try:
                 check()
