@@ -34,10 +34,10 @@ differ only in how the block reaches step t:
   replays the same error prefix, so it reproduces the previous step's state
   plus one layer (the test suite covers the equivalence), which every row
   gets in one call on the block;
-* independent errors are redrawn on every rebuild, so no two rebuilds agree
-  and step t replays the whole t-layer circuit from the uniform state under
-  rebuild t's sequence: depth*(depth+1)/2 layers per row, in depth stacked
-  `replay` calls over all rows.
+* independent errors are redrawn on every rebuild, so no two rebuilds agree:
+  step t resets the block to the uniform rows and re-runs layers 0..t under
+  each row's rebuild t+1 sequence, depth*(depth+1)/2 layers per row, in one
+  kernel call per step over all rows.
 
 `replay` runs the same block, one sequence being a one-row stack. States are
 wrapped, and their norm checked, only where `run` and `replay` hand them
@@ -54,7 +54,6 @@ from .graphs import Graph
 from .hamiltonian import (
     DiagonalHamiltonian,
     DriverHamiltonian,
-    driver_x,
     ground_energy,
     maxcut_hamiltonian,
 )
@@ -174,7 +173,9 @@ def replay(betas, epsilons, delta_t: float, diag: DiagonalHamiltonian,
         raise ValueError(f"betas and epsilons disagree on depth: {betas.shape} vs {epsilons.shape}")
     if driver.n_qubits != diag.n_qubits:
         raise ValueError(f"operator widths differ: {diag.n_qubits} vs {driver.n_qubits} qubits")
-    if (bad := (stack := np.atleast_2d(epsilons))[~(abs(stack) < 1.0)]).size:
+    if not len(stack := np.atleast_2d(epsilons)):
+        raise ValueError(f"the error stack is empty: shape {epsilons.shape}, no row to replay")
+    if (bad := stack[~(abs(stack) < 1.0)]).size:
         raise ValueError(f"layer error must satisfy |epsilon| < 1, got {bad[0]}")
     with np.errstate(over="ignore", invalid="ignore"):  # `layer_rows` refuses a non-finite one
         angles = (scales := (1.0 + stack) * dt) * betas
@@ -229,21 +230,19 @@ def run_cell(configs) -> list[RunTrace]:
     configs = list(configs)
     if len({(c.graph, c.delta_t, c.depth, c.noise.kind) for c in configs}) != 1:
         raise ValueError("a cell needs runs, all with one graph, delta_t, depth and noise kind")
-    graph, dt, depth = configs[0].graph, configs[0].delta_t, configs[0].depth
-    diag, driver = maxcut_hamiltonian(graph), driver_x(graph.n_nodes)
+    diag, dt, depth = maxcut_hamiltonian(configs[0].graph), configs[0].delta_t, configs[0].depth
     p0, rebuild = ground_energy(diag)[0], configs[0].noise.kind is NoiseKind.INDEPENDENT
     eps = None if rebuild else np.array([trajectory(c.noise, depth) for c in configs])
     betas, a_values, costs = (np.zeros((len(configs), depth)) for _ in range(3))
-    block, half = _start(diag, len(configs), depth)
-    rotation, readout = _plan(block, half), _plan(np.empty_like(block), half, 1)
-    for t in range(depth):
-        if rebuild:  # every row's t-layer circuit, each under its own rebuild, in one replay
+    start, half = _start(diag, len(configs), depth)  # kept for the rebuilds' resets
+    rotation, readout = _plan(block := start.copy(), half), _plan(np.empty_like(start), half, 1)
+    for t in range(depth):  # every row to its (t+1)-layer circuit in one kernel call
+        if rebuild:  # anew from the uniform rows, each under its own rebuild's errors
             eps = np.array([trajectory(c.noise, t + 1, rebuild_index=t + 1) for c in configs])
-            block = np.stack([state.amplitudes[:len(block)]
-                              for state in replay(betas[:, :t + 1], eps, dt, diag, driver)], 1)
-        else:  # one more layer on every row, in one call
-            scales = (1.0 + eps[:, t]) * dt
-            layer_rows(block, diag, scales, scales * betas[:, t], rotation)
+            block[...] = start
+        window = slice(0 if rebuild else t, t + 1)  # layers 0..t, or layer t on step t-1's rows
+        scales = (1.0 + eps[:, window]) * dt
+        layer_rows(block, diag, scales, scales * betas[:, window], rotation)
         a_values[:, t], costs[:, t] = a_t, _ = read_rows(block, diag, readout)
         if t + 1 < depth:
             betas[:, t + 1] = [feedback(a, c.law) for a, c in zip(a_t, configs)]

@@ -216,6 +216,9 @@ def test_replay_fidelity_accepts_trajectory_objects(monkeypatch):
     for bad in (np.zeros((3, 9)), np.zeros((2, 3, 10)), np.zeros(())):
         with pytest.raises(ValueError):
             replay_fidelity(betas, bad, 0.05, K2_DIAG, K2_DRIVER)
+    # a stack of no draws is refused by name, before any kernel runs
+    with pytest.raises(ValueError, match=r"error stack is empty: shape \(0, 10\)"):
+        replay_fidelity(betas, np.zeros((0, 10)), 0.05, K2_DIAG, K2_DRIVER)
 
 
 def test_ideal_fidelity_against_replays():

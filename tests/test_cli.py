@@ -1,12 +1,16 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import falqon
 from falqon import analysis, cli
 from falqon.cli import SETTINGS, _build_parser, main
 from falqon.graphs import (
@@ -111,6 +115,23 @@ def test_run_rerun_is_byte_identical(tmp_path):
     assert run_cli(*args, "--out", str(out2)) == 0
     for name in ("trace.csv", "summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_run_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the norm solver runs on BLAS products; one and two OpenBLAS threads
+    # must write the same bytes for the reference instance at depth 200
+    graph = tmp_path / "ref8.edges"
+    save_edge_list(reference_instance(), graph)
+    env = {**os.environ, "PYTHONPATH": str(Path(falqon.__file__).parents[1])}
+    for threads in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-m", "falqon.cli", "run", "--graph", str(graph), "--depth", "200",
+             "--out", str(tmp_path / threads)],
+            capture_output=True, text=True, timeout=300,
+            env={**env, "OPENBLAS_NUM_THREADS": threads})
+        assert done.returncode == 0, done.stderr
+    for name in ("trace.csv", "summary.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_run_config_file_with_flag_override(tmp_path):

@@ -285,9 +285,9 @@ def test_run_independent_rebuild_count(monkeypatch):
     calls = {"n": 0}
     kernel = engine.layer_rows
 
-    def counting_layer(rows, diag, scales, angles):
+    def counting_layer(rows, diag, scales, angles, *plan):
         calls["n"] += np.size(scales)
-        kernel(rows, diag, scales, angles)
+        kernel(rows, diag, scales, angles, *plan)
 
     monkeypatch.setattr(engine, "layer_rows", counting_layer)
     depth = 6
@@ -446,6 +446,21 @@ REF8 = reference_instance()
 KINDS = [NoiseModel(), NoiseModel("systematic", 0.3, 1), NoiseModel("independent", 0.3, 1)]
 
 
+@pytest.mark.parametrize("noise", KINDS, ids=lambda noise: noise.kind.value)
+def test_cell_loop_stays_inside_its_block(monkeypatch, noise):
+    # every kind brings its rows to step t with one kernel call on the cell's
+    # own block, never through `replay`, and wraps its states once, at the end
+    spies = {name: mock.Mock(wraps=getattr(engine, name)) for name in ("layer_rows", "_states")}
+    for name, spy in spies.items():
+        monkeypatch.setattr(engine, name, spy)
+    monkeypatch.setattr(engine, "replay", mock.Mock(side_effect=AssertionError("replay called")))
+    depth = 5
+    rows = [NoiseModel(noise.kind, noise.epsilon_bar, seed) for seed in range(3)]
+    assert len(run_cell([RunConfig(REF8, 0.05, depth, noise=row) for row in rows])) == 3
+    assert {name: spy.call_count for name, spy in spies.items()} == {"layer_rows": depth,
+                                                                      "_states": 1}
+
+
 def test_engine_states_skip_the_constructor_checks(monkeypatch):
     # kernel results are wrapped unchecked; the constructor runs for caller states only
     calls = {"n": 0}
@@ -579,6 +594,10 @@ def test_stacked_replay_refuses_bad_stacks():
         replay(np.full(3, 0.1), eps, 1e308, diag, driver)
     with pytest.raises(ValueError, match="operator widths differ"):
         replay(np.full(3, 0.1), eps, 0.05, diag, driver_x(7))
+    # a stack with no rows is refused at the boundary (a sequence of no layers is one row)
+    for errors in (np.zeros((0, 3)), np.zeros((0, 0))):
+        with pytest.raises(ValueError, match=r"error stack is empty: shape \(0, \d\)"):
+            replay(np.zeros(errors.shape[1]), errors, 0.05, diag, driver)
     with pytest.raises(ValueError, match="no full or half row"):
         statevector.layer_rows(np.zeros((2, 64), complex), diag, np.ones(2), np.ones(2))
 
