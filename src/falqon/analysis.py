@@ -45,7 +45,7 @@ import numpy as np
 from .engine import RunTrace, replay
 from .hamiltonian import DiagonalHamiltonian, DriverHamiltonian, spectral_norm
 from .rng import exact_int, positive_real, real
-from .statevector import StateVector, inner_product
+from .statevector import PRODUCT_BOUND, StateVector, inner_product
 
 
 def fidelity_floor(l_value: float, epsilon_bar: float) -> tuple[float, bool]:
@@ -135,6 +135,6 @@ def success_probability(state: StateVector, ground_states) -> float:
         raise ValueError("ground-state indices must be distinct")
     amps = state.amplitudes[idxs]
     p = float(np.sum(amps.real ** 2 + amps.imag ** 2))
-    if not -1e-10 <= p <= 1.0 + 1e-10:
+    if not -1e-10 <= p <= PRODUCT_BOUND:  # p <= |<state|state>|
         raise AssertionError(f"probability {p} outside [0, 1]")
     return p

@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import analysis, engine
+from . import analysis, engine, statevector
 from .engine import FeedbackLaw, RunConfig
 from .graphs import (
     BRUTE_FORCE_MAX_NODES,
@@ -329,7 +329,7 @@ def _settings(args) -> argparse.Namespace:
             raise UsageError(f"missing {row.key} (flag {row.flag} or config)")
         elif row.dest not in given and row.default is not None:
             values[row.dest] = row.parse(row.default, row.flag)
-    return argparse.Namespace(given=given, **values)
+    return argparse.Namespace(command=args.command, given=given, **values)
 
 
 def _resolve_graph(s) -> tuple[Graph, dict]:
@@ -348,14 +348,13 @@ def _resolve_graph(s) -> tuple[Graph, dict]:
         except ValueError as exc:  # the format, or a graph that cannot exist
             raise UsageError(f"graph {s.graph}: {exc}") from None
         echo: dict = {"source": "file", "path": s.graph}
-    elif picked == ["regular"]:
-        n, d = s.regular
-        graph = random_regular(n, d, s.graph_seed)
-        echo = {"source": "regular", "n": n, "d": d, "seed": s.graph_seed}
-    else:
-        n, p = s.er
-        graph = erdos_renyi(n, p, s.graph_seed)
-        echo = {"source": "er", "n": n, "p": p, "seed": s.graph_seed}
+    else:  # a generated instance, whose width a run checks before building it
+        (n, x), source = getattr(s, picked[0]), picked[0]
+        if s.command != "graph":
+            statevector.register_width(n)
+        make, key = (random_regular, "d") if source == "regular" else (erdos_renyi, "p")
+        graph = make(n, x, s.graph_seed)
+        echo = {"source": source, "n": n, key: x, "seed": s.graph_seed}
     digest = hashlib.sha256(format_edge_list(graph).encode()).hexdigest()
     return graph, {**echo, "n_nodes": graph.n_nodes, "n_edges": len(graph.edges),
                    "edges_sha256": digest}

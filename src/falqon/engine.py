@@ -25,10 +25,10 @@ noiseless loop holds for it where it holds at the largest step
 `run_cell` is the one feedback loop, over a cell of rows that share graph,
 time step, depth and noise kind; `run` is its one-row call. The cell is one
 (width, rows) block whose columns are raw amplitude rows, from start to
-finish (lower halves while the states are symmetric). Step t brings each
-row to its t-layer circuit with `statevector.layer_rows`, reads every A_t
-and cost in one `statevector.read_rows` call and feeds A_t back. The kinds
-differ only in how the block reaches step t:
+finish, lower halves under a complement-invariant diagonal. Step t brings
+each row to its t-layer circuit with `statevector.layer_rows`, reads every
+A_t and cost in one `statevector.read_rows` call and feeds A_t back. The
+kinds differ only in how the block reaches step t:
 
 * no error and systematic errors are prefix-consistent: rebuilding t layers
   replays the same error prefix, so it reproduces the previous step's state
@@ -179,23 +179,21 @@ def replay(betas, epsilons, delta_t: float, diag: DiagonalHamiltonian,
         raise ValueError(f"layer error must satisfy |epsilon| < 1, got {bad[0]}")
     with np.errstate(over="ignore", invalid="ignore"):  # `layer_rows` refuses a non-finite one
         angles = (scales := (1.0 + stack) * dt) * betas
-    block, half = _start(diag, len(stack), stack.shape[1])
-    if stack.shape[1]:  # no layer leaves the uniform rows, half rows whatever the diagonal
-        layer_rows(block, diag, scales, angles)
+    block, half = _start(diag, len(stack))
+    layer_rows(block, diag, scales, angles)
     states = _states(block, diag.n_qubits, half)
     return states if epsilons.ndim == 2 else states[0]
 
 
-def _start(diag: DiagonalHamiltonian, count: int, layers: int) -> tuple[np.ndarray, bool]:
-    """``count`` columns of the uniform state, and whether they are its lower halves."""
-    start = uniform_state(diag.n_qubits)
-    half = start.symmetric and (diag.complement_invariant or not layers)
+def _start(diag: DiagonalHamiltonian, count: int) -> tuple[np.ndarray, bool]:
+    """``count`` uniform-state columns: lower halves, and True, iff ``diag`` is invariant."""
+    start, half = uniform_state(diag.n_qubits), diag.complement_invariant
     return np.tile(start.amplitudes[:start.dim >> half, None], count), half
 
 
 def _states(block: np.ndarray, n: int, half: bool) -> list[StateVector]:
     """Each column as a norm-checked state, half columns mirrored into full ones."""
-    return [check_norm(_state(n, np.concatenate((h, h[::-1])) if half else h.copy(), half))
+    return [check_norm(_state(n, np.concatenate((h, h[::-1])) if half else h.copy()))
             for h in block.T]
 
 
@@ -234,7 +232,7 @@ def run_cell(configs) -> list[RunTrace]:
     p0, rebuild = ground_energy(diag)[0], configs[0].noise.kind is NoiseKind.INDEPENDENT
     eps = None if rebuild else np.array([trajectory(c.noise, depth) for c in configs])
     betas, a_values, costs = (np.zeros((len(configs), depth)) for _ in range(3))
-    start, half = _start(diag, len(configs), depth)  # kept for the rebuilds' resets
+    start, half = _start(diag, len(configs))  # kept for the rebuilds' resets
     rotation, readout = _plan(block := start.copy(), half), _plan(np.empty_like(start), half, 1)
     for t in range(depth):  # every row to its (t+1)-layer circuit in one kernel call
         if rebuild:  # anew from the uniform rows, each under its own rebuild's errors

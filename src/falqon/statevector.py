@@ -27,17 +27,17 @@ IEEE products and sums, so every row is bit-identical to it in any block.
 `driver_matvec`, the norm solver's product, is instead two GEMMs.
 
 Half register. Complementing every bit of x maps index x to 2^n-1-x. The
-uniform state and every MaxCut diagonal are invariant under it, and the
-driver commutes with it, so every state the feedback loop prepares has
-psi(x) == psi(2^n-1-x). `StateVector.symmetric` marks the states this module
-built with that property bit for bit: `uniform_state` sets it, the rotation
-keeps it and the phase keeps it when the diagonal is
-`DiagonalHamiltonian.complement_invariant`. Under such a diagonal such a
-state is carried as its lower half h = psi[:2^(n-1)]: qubits 0..n-2 pair
-entries inside h, and the top qubit pairs h with ``h[::-1]``, since
-x + 2^(n-1) is the complement of 2^(n-1)-1-x. This is bit-identical to the
-full kernel, which on mirrored input computes entry 2^n-1-x with the same
-operations on the mirrored operands of entry x; `read_rows` mirrors back.
+uniform state is invariant under it and the driver commutes with it, so
+under a `DiagonalHamiltonian.complement_invariant` diagonal, as every MaxCut
+diagonal is, every state the feedback loop prepares has psi(x) ==
+psi(2^n-1-x) bit for bit. The engine's blocks then hold each row as its
+lower half h = psi[:2^(n-1)]: qubits 0..n-2 pair entries inside h, and the
+top qubit pairs h with ``h[::-1]``, since x + 2^(n-1) is the complement of
+2^(n-1)-1-x. This is bit-identical to the full kernel, which on mirrored
+input computes entry 2^n-1-x with the same operations on the mirrored
+operands of entry x; `read_rows` mirrors back. A block's width alone says
+which it holds (`_half`). The per-state operations always take full rows,
+so they are a reference that shares none of this shortcut.
 
 Basis convention: basis index i encodes the bitstring whose qubit-q bit is
 (i >> q) & 1, so qubit 0 is the least significant bit of the index.
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -63,6 +63,9 @@ MAX_QUBITS = 12
 
 #: Accepted deviation of |amplitudes| from 1 in `check_norm`.
 NORM_TOL = 1e-10
+#: Bound on |<a|b>| for accepted states a and b: their norms' product, each within NORM_TOL of 1
+#: as computed, and the rounding of sums over 2^MAX_QUBITS entries, 16 unit roundoffs per entry.
+PRODUCT_BOUND = (1.0 + NORM_TOL) ** 2 * (1.0 + 2.0 ** (MAX_QUBITS - 49))
 
 
 def register_width(n) -> int:
@@ -77,13 +80,11 @@ class StateVector:
     """Unit-norm complex amplitude vector over ``n_qubits`` qubits.
 
     Instances are immutable; every operation below returns a fresh state and
-    never aliases the input buffer. ``symmetric``, set only by this module,
-    records that amplitudes[x] and amplitudes[2^n-1-x] have equal bits.
+    never aliases the input buffer.
     """
 
     n_qubits: int
     amplitudes: np.ndarray
-    symmetric: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
         n = register_width(self.n_qubits)
@@ -111,16 +112,16 @@ def check_norm(state: StateVector) -> StateVector:
     return state
 
 
-def _state(n: int, amps: np.ndarray, symmetric: bool) -> StateVector:
+def _state(n: int, amps: np.ndarray) -> StateVector:
     state = object.__new__(StateVector)
-    vars(state).update(n_qubits=n, amplitudes=amps, symmetric=symmetric)
+    vars(state).update(n_qubits=n, amplitudes=amps)
     return state
 
 
 def uniform_state(n: int) -> StateVector:
     """Equal superposition of all 2^n basis states, amplitude 2^(-n/2)."""
     dim = 1 << (n := register_width(n))
-    return _state(n, np.full(dim, dim ** -0.5, dtype=np.complex128), True)
+    return _state(n, np.full(dim, dim ** -0.5, dtype=np.complex128))
 
 
 def _half(block: np.ndarray, diag: "DiagonalHamiltonian") -> bool:
@@ -175,7 +176,7 @@ def apply_diagonal_phase(state: StateVector, diag: "DiagonalHamiltonian",
     """
     _check_width(diag.n_qubits, state, "diagonal Hamiltonian")
     amps = state.amplitudes * _phases(diag, [float(scale)], state.dim)[:, 0]
-    return _state(state.n_qubits, amps, state.symmetric and diag.complement_invariant)
+    return _state(state.n_qubits, amps)
 
 
 def apply_x_rotations(state: StateVector, driver: "DriverHamiltonian",
@@ -185,12 +186,11 @@ def apply_x_rotations(state: StateVector, driver: "DriverHamiltonian",
     The terms commute, so the exponential factorizes exactly into one
     rotation per qubit: cos(angle) on the diagonal and -i*sin(angle)
     between the bit-flipped pairs. No Trotter error is introduced here.
-    A symmetric state is rotated on its lower half and mirrored.
+    The state is rotated as one full row.
     """
     _check_width(driver.n_qubits, state, "driver Hamiltonian")
-    h = state.amplitudes[:state.dim >> (half := state.symmetric)].copy()
-    _rotate(_plan(h[:, None], half)[2], [float(angle)])
-    return _state(state.n_qubits, np.concatenate((h, h[::-1])) if half else h, half)
+    _rotate(_plan((amps := state.amplitudes.copy())[:, None], False)[2], [float(angle)])
+    return _state(state.n_qubits, amps)
 
 
 def layer_rows(block: np.ndarray, diag: "DiagonalHamiltonian", scales: np.ndarray,
@@ -259,10 +259,9 @@ def read_rows(block: np.ndarray, diag: "DiagonalHamiltonian",
 
 
 def _read(state: StateVector, diag: "DiagonalHamiltonian") -> tuple[list, list]:
-    """`read_rows` on ``state`` as one row, its lower half when symmetric under ``diag``."""
+    """`read_rows` on ``state`` as one full row."""
     _check_width(diag.n_qubits, state, "diagonal Hamiltonian")
-    half = state.symmetric and diag.complement_invariant
-    return read_rows(state.amplitudes[:state.dim >> half, None], diag)
+    return read_rows(state.amplitudes[:, None], diag)
 
 
 def expectation_diagonal(state: StateVector, diag: "DiagonalHamiltonian") -> float:
@@ -276,8 +275,7 @@ def a_value(state: StateVector, diag: "DiagonalHamiltonian",
 
     With z = <psi| H_d H_p |psi>, Hermiticity of both operators gives
     <psi| i[H_d, H_p] |psi> = i(z - conj(z)) = -2*Im(z), which is real by
-    construction, so only one structured matvec chain is needed; on a
-    symmetric state and an invariant diagonal it runs on the lower half.
+    construction, so only one structured matvec chain is needed, on the full row.
     """
     _check_width(driver.n_qubits, state, "driver Hamiltonian")
     return _read(state, diag)[0][0]
@@ -288,6 +286,6 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
     if a.n_qubits != b.n_qubits:
         raise ValueError(f"states live on different registers: {a.n_qubits} vs {b.n_qubits} qubits")
     z = complex(np.vdot(a.amplitudes, b.amplitudes))
-    if not abs(z) <= 1.0 + 1e-10:
+    if not abs(z) <= PRODUCT_BOUND:
         raise AssertionError(f"inner product of unit states has |z| = {abs(z)}")
     return z

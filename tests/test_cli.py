@@ -69,6 +69,30 @@ def test_graph_rejects_impossible_parameters(tmp_path):
     assert not out.exists()
 
 
+def test_runs_refuse_a_wide_generated_instance_before_building_it(tmp_path, monkeypatch,
+                                                                    capsys):
+    # graph generates any size, but run, sweep and bound check the width of
+    # a generated instance, from a flag or the config, before generating it
+    assert run_cli("graph", "--regular", "14", "3", "--out", str(tmp_path / "g.edges")) == 0
+
+    def unbuilt(*args):
+        raise AssertionError(f"an instance was generated from {args}")
+
+    monkeypatch.setattr(cli, "erdos_renyi", unbuilt)
+    monkeypatch.setattr(cli, "random_regular", unbuilt)
+    out, cfg = tmp_path / "out", tmp_path / "cfg.json"
+    tails = {"run": (), "bound": ("--epsilon-bars", "0.1"),
+             "sweep": ("--noise", "systematic", "--epsilon-bars", "0.1", "--seeds", "0")}
+    for command, tail in tails.items():
+        for source, n in ((("--er", "2000", "0.5"), 2000), (("--regular", "100000", "3"), 100000),
+                          ((), 13), (("--er", "0", "0.5"), 0)):
+            cfg.write_text(json.dumps({"graph": {"regular": [13, 3]}}))
+            capsys.readouterr()
+            assert run_cli(command, *source, *tail, "--config", str(cfg), "--out", str(out)) == 2
+            assert capsys.readouterr().err == f"error: qubit count must be in [1, 12], got {n}\n"
+            assert not out.exists()
+
+
 def test_run_writes_trace_and_summary(tmp_path):
     out = tmp_path / "results"
     code = run_cli(

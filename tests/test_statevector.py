@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import falqon
-from falqon import statevector
+from falqon import analysis, statevector
 from falqon.engine import replay
 from falqon.graphs import Graph, random_regular
 from falqon.hamiltonian import (
@@ -229,6 +230,21 @@ def test_inner_product_conjugate_symmetry():
     assert abs(inner_product(a, b) - np.conj(inner_product(b, a))) < 1e-14
 
 
+@pytest.mark.parametrize("n", [1, 8, 12])
+def test_products_accept_every_state_the_constructor_accepts(n):
+    # a state's norm may be off 1 by NORM_TOL, so an inner product or a
+    # probability may exceed 1 by about twice that and is still no error
+    for scale in (1.0 + 0.9e-10, 1.0 + 0.99e-10, 1.0 - 0.99e-10):
+        spread = StateVector(n, uniform_state(n).amplitudes * scale)
+        basis = StateVector(n, np.eye(1, 1 << n, (1 << n) - 1)[0] * scale)
+        for a, b in ((spread, spread), (basis, basis), (spread, basis)):
+            assert inner_product(a, b) == np.vdot(a.amplitudes, b.amplitudes)
+        assert abs(analysis.success_probability(basis, [(1 << n) - 1]) - scale ** 2) < 1e-15
+        assert abs(analysis.success_probability(spread, range(1 << n)) - scale ** 2) < 1e-13
+    # and the bound stays that tight
+    assert statevector.PRODUCT_BOUND < 1.0 + 2.1 * statevector.NORM_TOL
+
+
 def test_inner_product_width_mismatch():
     with pytest.raises(ValueError):
         inner_product(uniform_state(2), uniform_state(3))
@@ -249,7 +265,8 @@ def test_a_value_on_a_symmetric_state_with_a_non_invariant_diagonal():
     s = apply_diagonal_phase(
         uniform_state(3), DiagonalHamiltonian(3, [0, -1, -1, -2, -2, -1, -1, 0]), 0.7)
     skew = DiagonalHamiltonian(3, np.arange(8.0))
-    assert s.symmetric and not skew.complement_invariant
+    assert_same_bits(s.amplitudes, s.amplitudes[::-1].copy())
+    assert not skew.complement_invariant
     driver = driver_x(3)
     got = a_value(s, skew, driver)
     assert_same_bits(got, a_value(StateVector(3, s.amplitudes), skew, driver))
@@ -257,24 +274,20 @@ def test_a_value_on_a_symmetric_state_with_a_non_invariant_diagonal():
     assert abs(got - want) < 1e-12
 
 
-def test_symmetric_flag_is_set_only_by_the_kernels():
+def test_complement_invariance_is_bitwise_and_states_pickle():
     diag, driver = maxcut_hamiltonian(random_regular(6, 3, 1)), driver_x(6)
     skew = DiagonalHamiltonian(6, np.arange(64.0))
     assert diag.complement_invariant and not skew.complement_invariant
     # signed zeros compare equal but are different bits
     assert not DiagonalHamiltonian(1, [0.0, -0.0]).complement_invariant
+    # a state is its width and amplitudes: where it came from is not recorded
     s = uniform_state(6)
-    assert s.symmetric
+    assert [f.name for f in dataclasses.fields(StateVector)] == ["n_qubits", "amplitudes"]
     with pytest.raises(TypeError):
         StateVector(6, s.amplitudes, True)
-    assert not StateVector(6, s.amplitudes).symmetric
     kept = apply_x_rotations(apply_diagonal_phase(s, diag, 0.3), driver, 0.2)
-    assert kept.symmetric
-    dropped = apply_diagonal_phase(s, skew, 0.3)
-    assert not dropped.symmetric
-    assert not apply_x_rotations(apply_diagonal_phase(dropped, diag, 0.3), driver, 0.2).symmetric
     back = pickle.loads(pickle.dumps(kept))
-    assert back.symmetric
+    assert vars(back).keys() == {"n_qubits", "amplitudes"}
     assert_same_bits(back.amplitudes, kept.amplitudes)
 
 
@@ -302,26 +315,30 @@ def assert_kernels_match_references(state, diag, driver, angle):
         want = reference_driver_matvec(buf, driver.terms)
         tol = 4 * state.n_qubits ** 2 * 2.0 ** -53 * np.abs(buf).max()
         np.testing.assert_allclose(driver_matvec(buf), want, rtol=0, atol=tol)
-    if state.symmetric:  # the half-register paths against the full ones
-        assert_same_bits(amps, amps[::-1].copy())
-        assert_same_bits(a_value(state, diag, driver),
-                         a_value(StateVector(state.n_qubits, amps), diag, driver))
 
 
-def evolved(n, diag, driver, flagged, layers):
-    """The flagged or unflagged uniform state after (scale, angle) layers of the kernels."""
-    state = uniform_state(n) if flagged else StateVector(n, uniform_state(n).amplitudes)
+def evolved(n, diag, driver, layers):
+    """The uniform state after (scale, angle) layers of the kernels, and whether it is
+    symmetric under complementing, as it is under a complement-invariant diagonal."""
+    state = uniform_state(n)
     for scale, angle in layers:
         state = apply_x_rotations(apply_diagonal_phase(state, diag, scale), driver, angle)
-    return state
+    return state, diag.complement_invariant
 
 
-def assert_block_matches_references(states, diag, driver, scales, angles):
+def assert_mirrored(states):
+    # a half column stands for a state whose entries x and 2^n-1-x have equal bits
+    for s in states:
+        assert_same_bits(s.amplitudes, s.amplitudes[::-1].copy())
+
+
+def assert_block_matches_references(states, diag, driver, half, scales, angles):
     # the states as the columns of one (width, columns) block, half columns
-    # when every state is symmetric under the diagonal, under a (columns, T)
-    # stack of layers: each column bit-identical to its own one-column call
-    # and to the per-pair references applied layer by layer
-    half = all(s.symmetric for s in states) and diag.complement_invariant
+    # when the case built symmetric states, under a (columns, T) stack of
+    # layers: each column bit-identical to its own one-column call and to
+    # the per-pair references applied layer by layer
+    if half:
+        assert_mirrored(states)
     block = np.stack([s.amplitudes[:s.dim >> half] for s in states], 1)
     statevector.layer_rows(block, diag, scales, angles)
     for r, state in enumerate(states):
@@ -343,16 +360,16 @@ def kernel_cases(draw):
     n = graph.n_nodes
     diag, driver = maxcut_hamiltonian(graph), driver_x(n)
     # None starts from the uniform state, whose imaginary parts are exact
-    # zeros, and may run a few layers on the symmetric (half-register) path;
-    # a seed starts from random states, which are full rows
+    # zeros, and may run a few layers: symmetric states, taken as half
+    # columns; a seed starts from random states, which are full rows
     seed = draw(st.one_of(st.none(), st.integers(0, 2**32 - 1)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)) if seed is None else seed)
-    states = [evolved(n, diag, driver, True, [(a, a) for a in draw(st.lists(
-                  st.floats(-3.0, 3.0), max_size=4))]) if seed is None
+    states = [evolved(n, diag, driver, [(a, a) for a in draw(st.lists(
+                  st.floats(-3.0, 3.0), max_size=4))])[0] if seed is None
               else StateVector(n, random_unit_state(rng, n))
               for _ in range(draw(st.integers(1, 6)))]
     stack, angle = (len(states), draw(st.integers(1, 4))), draw(st.floats(-10.0, 10.0))
-    return (states, diag, driver, angle, rng.uniform(-2.0, 2.0, stack),
+    return (states, diag, driver, seed is None, angle, rng.uniform(-2.0, 2.0, stack),
             rng.uniform(-10.0, 10.0, stack))
 
 
@@ -360,9 +377,9 @@ def fixed_kernel_case(graph, columns, layers):
     # symmetric columns, each after its own layers, and a fixed stack of layers
     n = graph.n_nodes
     diag, driver, rng = maxcut_hamiltonian(graph), driver_x(n), np.random.default_rng(n)
-    states = [evolved(n, diag, driver, True, rng.uniform(-2.0, 2.0, (r, 2)))
-              for r in range(columns)]
-    return (states, diag, driver, 0.7, rng.uniform(-2.0, 2.0, (columns, layers)),
+    built = [evolved(n, diag, driver, rng.uniform(-2.0, 2.0, (r, 2))) for r in range(columns)]
+    states, symmetric = [s for s, _ in built], all(half for _, half in built)
+    return (states, diag, driver, symmetric, 0.7, rng.uniform(-2.0, 2.0, (columns, layers)),
             rng.uniform(-10.0, 10.0, (columns, layers)))
 
 
@@ -372,9 +389,9 @@ def fixed_kernel_case(graph, columns, layers):
 @example(case=fixed_kernel_case(Graph.from_edges(1, []), 3, 2))
 @example(case=fixed_kernel_case(random_regular(12, 3, 42), 3, 2))
 def test_kernels_bit_identical_to_per_pair_references(case):
-    states, diag, driver, angle, scales, angles = case
+    states, diag, driver, half, angle, scales, angles = case
     assert_kernels_match_references(states[0], diag, driver, angle)
-    assert_block_matches_references(states, diag, driver, scales, angles)
+    assert_block_matches_references(states, diag, driver, half, scales, angles)
 
 
 def test_kernels_bit_identical_at_twelve_qubits():
@@ -392,29 +409,29 @@ def test_kernels_bit_identical_at_twelve_qubits():
 @st.composite
 def readout_blocks(draw):
     # 1-6 columns of one register, each after 0-4 layers of its own:
-    # symmetric (half) columns from the flagged uniform state under a MaxCut
-    # diagonal, full ones from the unflagged state or under a diagonal that
-    # complementing skews; ten qubits copy five or six columns out as four
-    # and the rest
+    # symmetric columns from the uniform state under a MaxCut diagonal, read
+    # as halves when drawn so and as full rows otherwise, and full ones under
+    # a diagonal that complementing skews; ten qubits copy five or six
+    # columns out as four and the rest
     graph = draw(st.one_of(weighted_graphs(), st.just(random_regular(10, 3, 1))))
-    n, flagged, invariant = graph.n_nodes, draw(st.booleans()), draw(st.booleans())
+    n, halve, invariant = graph.n_nodes, draw(st.booleans()), draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     diag = (maxcut_hamiltonian(graph) if invariant
             else DiagonalHamiltonian(n, np.arange(1 << n) + rng.uniform(-0.5, 0.5, 1 << n)))
     driver = driver_x(n)
-    states = [evolved(n, diag, driver, flagged, rng.uniform(-2.0, 2.0, (layers, 2)))
-              for layers in draw(st.lists(st.integers(0, 4), min_size=1, max_size=6))]
-    return states, diag, driver
+    built = [evolved(n, diag, driver, rng.uniform(-2.0, 2.0, (layers, 2)))
+             for layers in draw(st.lists(st.integers(0, 4), min_size=1, max_size=6))]
+    return [s for s, _ in built], diag, driver, halve and all(half for _, half in built)
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(case=readout_blocks())
-@example(case=fixed_kernel_case(Graph.from_edges(1, []), 3, 2)[:3])
-@example(case=fixed_kernel_case(random_regular(12, 3, 42), 4, 2)[:3])
+@example(case=fixed_kernel_case(Graph.from_edges(1, []), 3, 2)[:4])
+@example(case=fixed_kernel_case(random_regular(12, 3, 42), 4, 2)[:4])
 def test_batched_readout_bit_identical_to_per_state_readouts(case):
-    states, diag, driver = case
-    half = states[0].symmetric and diag.complement_invariant
-    assert all(s.symmetric and diag.complement_invariant for s in states) == half
+    states, diag, driver, half = case
+    if half:
+        assert_mirrored(states)
     block = np.stack([s.amplitudes[:s.dim >> half] for s in states], 1)
     a, costs = statevector.read_rows(block, diag)
     assert len(a) == len(costs) == len(states)
@@ -444,13 +461,13 @@ def test_rotated_states_share_no_memory_with_the_plan(monkeypatch):
     for n in range(1, 13):
         driver, uniform = driver_x(n), uniform_state(n)
         diag = maxcut_hamiltonian(Graph.from_edges(n, []))
-        for half, state in ((True, uniform), (False, StateVector(n, uniform.amplitudes))):
+        for state in (uniform, StateVector(n, uniform.amplitudes)):
             out = apply_x_rotations(state, driver, 0.3).amplitudes
             assert not np.shares_memory(out, state.amplitudes)
             outs = [out, *(s.amplitudes for s in replay(np.full((2, 1), 0.3), np.zeros((2, 1)),
                                                           0.05, diag, driver))]
-            # the replay runs half rows, whichever state the rotation started from
-            assert [w.shape for w in works] == [(3, state.dim >> half, 1), (3, state.dim >> 1, 2)]
+            # the rotation takes one full row, the replay half rows
+            assert [w.shape for w in works] == [(3, state.dim, 1), (3, state.dim >> 1, 2)]
             assert not any(np.shares_memory(out, work) for out in outs for work in works)
             works.clear()
 
@@ -498,12 +515,12 @@ def test_driver_products_share_no_memory_with_the_plan():
 
 def test_later_rotations_leave_earlier_results_unchanged():
     diag, driver = maxcut_hamiltonian(random_regular(6, 3, 1)), driver_x(6)
-    flagged = apply_diagonal_phase(uniform_state(6), diag, 0.4)
-    plain = StateVector(6, flagged.amplitudes)
-    first = [apply_x_rotations(s, driver, 0.3) for s in (flagged, plain)]
+    phased = apply_diagonal_phase(uniform_state(6), diag, 0.4)
+    plain = StateVector(6, phased.amplitudes)
+    first = [apply_x_rotations(s, driver, 0.3) for s in (phased, plain)]
     saved = [s.amplitudes.copy() for s in first]
     for angle in (0.1, -0.8, 2.5):
-        for s in (flagged, plain, *first):
+        for s in (phased, plain, *first):
             apply_x_rotations(s, driver, angle)
     for s, bits in zip(first, saved):
         assert_same_bits(s.amplitudes, bits)
