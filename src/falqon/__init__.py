@@ -48,7 +48,7 @@ from .hamiltonian import (
     maxcut_hamiltonian,
     spectral_norm,
 )
-from .noise import NoiseKind, NoiseModel, trajectory
+from .noise import NoiseKind, NoiseModel, trajectories, trajectory
 from .statevector import (
     StateVector,
     a_value,

@@ -34,7 +34,7 @@ sequence are bit-identical to the first norms of the whole sequence.
 
 The sweep side is plain statistics: `aggregate` returns (mean, std), one
 cell's mean and sample std of the final cost error, and replays nothing,
-while `ideal_fidelity` replays a cell's ideal states in one stack.
+while `ideal_fidelity` replays a sweep block's ideal states in one stack.
 """
 from __future__ import annotations
 
@@ -93,7 +93,7 @@ def replay_fidelity(betas, epsilons, delta_t: float, diag: DiagonalHamiltonian,
 def ideal_fidelity(runs: RunTrace | list[RunTrace], diag: DiagonalHamiltonian,
                    driver: DriverHamiltonian) -> float | list[float]:
     """|<ideal|final>|: a run's final state against the error-free replay of its own control
-    sequence; for a list of runs that share time step and depth, as a sweep cell's do, one per
+    sequence; for a list of runs that share time step and depth, as a sweep block's do, one per
     run from one stacked `replay`, each bit-identical to the call on that run alone."""
     runs = [runs] if (one := isinstance(runs, RunTrace)) else list(runs)
     if len({(r.config.delta_t, r.depth) for r in runs}) != 1:

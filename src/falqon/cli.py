@@ -62,7 +62,7 @@ from .graphs import (
     random_regular,
 )
 from .hamiltonian import DEGENERACY_TOL, driver_x, ground_energy, maxcut_hamiltonian
-from .noise import NoiseKind, NoiseModel, trajectory
+from .noise import NoiseKind, NoiseModel, trajectories
 from .rng import positive_real
 
 #: Output directory used when neither --out nor the config gives one.
@@ -253,7 +253,7 @@ SETTINGS = (
             "comma list of regularization weights; without it the --lambda value"),
     Setting("seeds", "--seeds", "seeds", _seed_list, _REQUIRED, ("sweep",),
             "distinct noise seeds: comma list and/or a:b ranges, e.g. 0:50"),
-    Setting("jobs", "--jobs", "jobs", _count, 1, ("sweep",), "worker processes for sweep cells"),
+    Setting("jobs", "--jobs", "jobs", _count, 1, ("sweep",), "worker processes for sweep blocks"),
     Setting("trace", "--trace", None, _path, None, ("bound",),
             "trace.csv to take the control sequence from"),
     Setting("draws", "--draws", "draws", _count, 100, ("bound",),
@@ -416,41 +416,47 @@ def cmd_run(s, graph: Graph, echo: dict) -> tuple:
                           f"error {_fmt(trace.final_cost_error)} success {_fmt(succ)}"]
 
 
-def _sweep_cell(configs: list[RunConfig]) -> tuple[tuple[float, float], list]:
-    """One (epsilon_bar, lambda) cell's (mean, std) and seed rows. Top level for pickling."""
-    runs = engine.run_cell(configs)
-    diag, driver = maxcut_hamiltonian(configs[0].graph), driver_x(configs[0].graph.n_nodes)
-    rows = [[trace.config.noise.seed, float(trace.costs[-1]), trace.final_cost_error, fidelity]
-            for trace, fidelity in zip(runs, analysis.ideal_fidelity(runs, diag, driver))]
-    return analysis.aggregate(runs), rows
+#: Most amplitudes (rows times half-row width) in a sweep block that ``--jobs`` does not
+#: split further: on a 2-core VM a 12-qubit row-layer took 74 us in an 8-row block and 145 us
+#: in a 32-row one, an 8-qubit one near 5 us from 64 to 256 rows. MaxCut rows are half rows.
+_BLOCK_AMPLITUDES = 1 << 14
+
+
+def _sweep_block(rows: list[RunConfig]) -> list[tuple]:
+    """(run, cell CSV row) of each row of a block, which may cut through cells, from one
+    `engine.run_cell` and one stacked ideal replay. Top level for pickling."""
+    try:
+        runs = engine.run_cell(rows)
+        diag, driver = maxcut_hamiltonian(rows[0].graph), driver_x(rows[0].graph.n_nodes)
+        fidelities = analysis.ideal_fidelity(runs, diag, driver)
+    except (ValueError, RuntimeError) as exc:
+        cells = dict.fromkeys(f"epsilon_bar={r.noise.epsilon_bar:g} lambda={r.law.lam:g}"
+                              for r in rows)
+        raise RuntimeError(f"sweep cells {', '.join(cells)} failed: {exc}") from exc
+    return [(t, [t.config.noise.seed, float(t.costs[-1]), t.final_cost_error, fidelity])
+            for t, fidelity in zip(runs, fidelities)]
 
 
 def cmd_sweep(s, graph: Graph, _echo: dict) -> tuple:
     if s.noise is NoiseKind.NONE:
         raise UsageError("sweep needs a noisy kind: systematic or independent")
-    lambdas = [s.lam] if s.lambdas is None else s.lambdas
-    cells = [
-        (eb, lv, [RunConfig(graph, s.delta_t, s.depth, FeedbackLaw(lv, s.w),
-                            NoiseModel(s.noise, eb, seed)) for seed in s.seeds])
-        for eb in s.epsilon_bars
-        for lv in lambdas
-    ]
-    names = [f"cell_eps{eb:g}_lam{lv:g}.csv" for eb, lv, _ in cells]
+    lambdas, k = [s.lam] if s.lambdas is None else s.lambdas, len(s.seeds)
+    cells = [(eb, lv) for eb in s.epsilon_bars for lv in lambdas]
+    names = [f"cell_eps{eb:g}_lam{lv:g}.csv" for eb, lv in cells]
     if repeated := [name for name, n in Counter(names).items() if n > 1]:
         raise UsageError(f"two sweep cells would both write {repeated[0]}")
-    results = []
-    jobs = min(s.jobs, len(cells))  # the pool starts every worker at once, busy or not
-    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1
-          else contextlib.nullcontext()) as pool:
-        outcomes = (pool.map if pool else map)(_sweep_cell, [c for _, _, c in cells])
-        for eb, lv, _ in cells:
-            try:
-                results.append(next(outcomes))
-            except (ValueError, RuntimeError) as exc:
-                raise RuntimeError(f"cell epsilon_bar={eb:g} lambda={lv:g} failed: {exc}") from exc
-    files = {name: _csv(["seed", "final_cost", "final_cost_error", "fidelity"], rows)
-             for name, (_, rows) in zip(names, results)}
-    stats = [(eb, lv, len(s.seeds), *stat) for (eb, lv, _), (stat, _) in zip(cells, results)]
+    rows = [RunConfig(graph, s.delta_t, s.depth, FeedbackLaw(lv, s.w),
+                      NoiseModel(s.noise, eb, seed)) for eb, lv in cells for seed in s.seeds]
+    count = min(len(rows), max(s.jobs, -((-len(rows) << graph.n_nodes - 1) // _BLOCK_AMPLITUDES)))
+    blocks = [rows[len(rows) * i // count:len(rows) * (i + 1) // count] for i in range(count)]
+    jobs = min(s.jobs, count)  # the pool starts every worker at once, busy or not
+    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()) as pool:
+        done = [run for block in (pool.map if pool else map)(_sweep_block, blocks) for run in block]
+    by_cell = [done[i:i + k] for i in range(0, len(done), k)]
+    files = {name: _csv(["seed", "final_cost", "final_cost_error", "fidelity"],
+                        [row for _, row in cell]) for name, cell in zip(names, by_cell)}
+    stats = [(eb, lv, k, *analysis.aggregate([t for t, _ in cell]))
+             for (eb, lv), cell in zip(cells, by_cell)]
     files["aggregate.csv"] = _csv(["epsilon_bar", "lambda", "n_seeds", "mean_final_cost_error",
                                    "std_final_cost_error"], stats)
     return s.out, files, [f"epsilon_bar {eb:g} lambda {lv:g}: mean error {_fmt(mean)} "
@@ -513,9 +519,8 @@ def cmd_bound(s, graph: Graph, echo: dict) -> tuple:
         betas = engine.run_nominal(config).betas
     models = [NoiseModel(NoiseKind.INDEPENDENT, eb, s.noise_seed) for eb in s.epsilon_bars]
     _, l_value = analysis.lipschitz_from_betas(betas, delta_t, diag, driver)
-    # every draw of every row in one call, which replays the ideal state once
-    errors = [trajectory(model, depth, rebuild_index=i + 1) for model in models
-              for i in range(draws)]
+    # every draw of every row from one stack, in one call, which replays the ideal state once
+    errors = trajectories([(model, i + 1) for model in models for i in range(draws)], depth)
     fids = analysis.replay_fidelity(betas, errors, delta_t, diag, driver)
     rows = []
     for model, empirical in zip(models, fids.reshape(len(models), draws).min(axis=1)):

@@ -33,11 +33,11 @@ kinds differ only in how the block reaches step t:
 * no error and systematic errors are prefix-consistent: rebuilding t layers
   replays the same error prefix, so it reproduces the previous step's state
   plus one layer (the test suite covers the equivalence), which every row
-  gets in one call on the block;
+  gets in one call on the block, under one `noise.trajectories` error stack;
 * independent errors are redrawn on every rebuild, so no two rebuilds agree:
   step t resets the block to the uniform rows and re-runs layers 0..t under
   each row's rebuild t+1 sequence, depth*(depth+1)/2 layers per row, in one
-  kernel call per step over all rows.
+  kernel call per step over all rows, drawn as one stack per step.
 
 `replay` runs the same block, one sequence being a one-row stack. States are
 wrapped, and their norm checked, only where `run` and `replay` hand them
@@ -57,7 +57,7 @@ from .hamiltonian import (
     ground_energy,
     maxcut_hamiltonian,
 )
-from .noise import NoiseKind, NoiseModel, trajectory
+from .noise import NoiseKind, NoiseModel, trajectories
 from .rng import positive_real
 from .statevector import (
     StateVector,
@@ -230,13 +230,13 @@ def run_cell(configs) -> list[RunTrace]:
         raise ValueError("a cell needs runs, all with one graph, delta_t, depth and noise kind")
     diag, dt, depth = maxcut_hamiltonian(configs[0].graph), configs[0].delta_t, configs[0].depth
     p0, rebuild = ground_energy(diag)[0], configs[0].noise.kind is NoiseKind.INDEPENDENT
-    eps = None if rebuild else np.array([trajectory(c.noise, depth) for c in configs])
+    eps = None if rebuild else trajectories([(c.noise, 1) for c in configs], depth)
     betas, a_values, costs = (np.zeros((len(configs), depth)) for _ in range(3))
     start, half = _start(diag, len(configs))  # kept for the rebuilds' resets
     rotation, readout = _plan(block := start.copy(), half), _plan(np.empty_like(start), half, 1)
     for t in range(depth):  # every row to its (t+1)-layer circuit in one kernel call
         if rebuild:  # anew from the uniform rows, each under its own rebuild's errors
-            eps = np.array([trajectory(c.noise, t + 1, rebuild_index=t + 1) for c in configs])
+            eps = trajectories([(c.noise, t + 1) for c in configs], t + 1)
             block[...] = start
         window = slice(0 if rebuild else t, t + 1)  # layers 0..t, or layer t on step t-1's rows
         scales = (1.0 + eps[:, window]) * dt

@@ -12,8 +12,9 @@ A control error scales the generator exponent of circuit layer t by a factor
 
 Samples are uniform on [-epsilon_bar, +epsilon_bar] and derived counter-style
 from (seed, rebuild index), so sweep cells and rebuilds can be evaluated in
-any order, or in parallel, with no shared generator state. `trajectory`
-returns one build's values as a fresh 1-D float64 array.
+any order, or in parallel, with no shared generator state. `trajectories` draws
+a (rows, depth) stack, a row per (model, rebuild index), in uint64 array
+arithmetic; `trajectory` is its one-row call.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .rng import SplitMix64, derive_key, positive_real, seed_int
+from .rng import GOLDEN, derive_key, mix64, positive_real, seed_int
 
 _STREAM_SYSTEMATIC = 101
 _STREAM_INDEPENDENT = 202
@@ -60,7 +61,7 @@ class NoiseModel:
 
 def trajectory(model: NoiseModel, depth: int, rebuild_index: int = 1) -> np.ndarray:
     """Error values for layers 1..depth of one circuit build, as a fresh
-    1-D float64 array.
+    1-D float64 array: the one-row `trajectories`.
 
     ``rebuild_index`` identifies which build of the circuit this is (1-based).
     NONE gives zeros. SYSTEMATIC ignores the rebuild index by construction,
@@ -68,18 +69,21 @@ def trajectory(model: NoiseModel, depth: int, rebuild_index: int = 1) -> np.ndar
     folds the rebuild index into the stream key, so each rebuild sees fresh
     draws while remaining reproducible from (seed, rebuild_index).
     """
-    for name, value in (("depth", depth), ("rebuild_index", rebuild_index)):
+    return trajectories([(model, rebuild_index)], depth)[0]
+
+
+def trajectories(rows, depth: int) -> np.ndarray:
+    """Error values for layers 1..depth of several circuit builds, as a fresh
+    (rows, depth) float64 array whose row r is `trajectory(model, depth,
+    rebuild_index)` of the r-th (model, rebuild_index) pair in ``rows``."""
+    rows = list(rows)
+    for name, value in (("depth", depth), *(("rebuild_index", r) for _, r in rows)):
         if not positive_real(value, name).is_integer():  # 2.5 is refused, not truncated
             raise ValueError(f"{name} must be an integer of at least 1, got {value}")
-    depth = int(depth)
-    if model.kind is NoiseKind.NONE:
-        return np.zeros(depth)
-    if model.kind is NoiseKind.SYSTEMATIC:
-        key = derive_key(model.seed, _STREAM_SYSTEMATIC)
-    else:
-        key = derive_key(model.seed, _STREAM_INDEPENDENT, int(rebuild_index))
-    rng = SplitMix64(key)
-    eb = model.epsilon_bar
-    return np.fromiter(
-        (rng.uniform(-eb, eb) for _ in range(depth)), np.float64, count=depth
-    )
+    keys = [derive_key(m.seed, _STREAM_INDEPENDENT, int(r)) if m.kind is NoiseKind.INDEPENDENT
+            else derive_key(m.seed, _STREAM_SYSTEMATIC) for m, r in rows]
+    # SplitMix64 value k mixes key + k*GOLDEN, here on arrays: a numpy scalar warns as it wraps
+    z = mix64(np.array(keys, np.uint64)[:, None]
+              + np.arange(1, int(depth) + 1, dtype=np.uint64) * GOLDEN)
+    eb = np.array([0.0 if m.kind is NoiseKind.NONE else m.epsilon_bar for m, _ in rows])[:, None]
+    return -eb + (eb - -eb) * ((z >> 11) * 2.0 ** -53)  # as `SplitMix64.random`; NONE gives +0.0

@@ -15,11 +15,12 @@ import numbers
 import operator
 
 _MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
+GOLDEN = 0x9E3779B97F4A7C15
 
 
 def mix64(z: int) -> int:
-    """SplitMix64 finalizer: a bijective avalanche mix of one 64-bit word."""
+    """SplitMix64 finalizer: a bijective avalanche mix of one 64-bit word, or of each
+    word of a uint64 array (in place), whose products wrap modulo 2^64."""
     z &= _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -69,9 +70,9 @@ def derive_key(seed: int, *streams: int) -> int:
     substreams in any order, or in parallel, without shared generator state.
     A seed that is not an integer in [-2^63, 2^63) is refused.
     """
-    key = mix64(seed_int(seed) ^ _GOLDEN)
+    key = mix64(seed_int(seed) ^ GOLDEN)
     for s in streams:
-        key = mix64(key ^ (((s + 1) * _GOLDEN) & _MASK64))
+        key = mix64(key ^ (((s + 1) * GOLDEN) & _MASK64))
     return key
 
 
@@ -82,16 +83,12 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
+        self._state = (self._state + GOLDEN) & _MASK64
         return mix64(self._state)
 
     def random(self) -> float:
         """Uniform double in [0, 1) with 53 significant bits."""
         return (self.next_u64() >> 11) * 2.0 ** -53
-
-    def uniform(self, low: float, high: float) -> float:
-        """Uniform double in [low, high)."""
-        return low + (high - low) * self.random()
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n), rejection-sampled to avoid modulo bias."""

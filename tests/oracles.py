@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from falqon.graphs import Graph
+from falqon.noise import NoiseKind
+from falqon.rng import SplitMix64, derive_key
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -130,3 +132,15 @@ def reference_driver_matvec(amplitudes: np.ndarray, terms) -> np.ndarray:
 def reference_diagonal_phase(amplitudes: np.ndarray, diag, scale: float) -> np.ndarray:
     """e^{-i*scale*H_p} with one exp per basis index."""
     return amplitudes * np.exp((-1j * float(scale)) * np.asarray(diag, dtype=np.float64))
+
+
+def reference_trajectory(model, depth: int, rebuild_index: int = 1) -> np.ndarray:
+    """`noise.trajectory` one value at a time: one SplitMix64 step per layer, keyed by
+    (seed, 101) for systematic errors and (seed, 202, rebuild_index) for independent
+    ones, each value low + (high - low) * u on [-epsilon_bar, epsilon_bar)."""
+    if model.kind is NoiseKind.NONE:
+        return np.zeros(depth)
+    streams = (101,) if model.kind is NoiseKind.SYSTEMATIC else (202, rebuild_index)
+    rng = SplitMix64(derive_key(model.seed, *streams))
+    low, high = -model.epsilon_bar, model.epsilon_bar
+    return np.array([low + (high - low) * rng.random() for _ in range(depth)])

@@ -532,7 +532,8 @@ def test_sweep_parallel_matches_serial(tmp_path):
 
 def test_sweep_replays_each_seed_once(tmp_path, monkeypatch):
     # each seed's ideal state is replayed once, for its cell row's fidelity,
-    # in one stacked replay per cell; the cell statistics replay nothing
+    # in one stacked replay per block, here one block of both cells; the cell
+    # statistics replay nothing
     shapes = []
     real_replay = analysis.replay
 
@@ -544,7 +545,61 @@ def test_sweep_replays_each_seed_once(tmp_path, monkeypatch):
     assert run_cli("sweep", "--regular", "4", "3", "--depth", "5", "--noise", "systematic",
                    "--epsilon-bars", "0.1,0.2", "--seeds", "0:2", "--jobs", "1",
                    "--out", str(tmp_path / "sweep")) == 0
-    assert shapes == [(2, 5), (2, 5)]  # 2 cells of 2 seeds
+    assert shapes == [(4, 5)]  # 2 cells of 2 seeds in one block
+
+
+def test_sweep_files_do_not_depend_on_where_blocks_cut_cells(tmp_path):
+    # 3 epsilon_bars x 2 lambdas x 3 seeds are 18 rows in (epsilon_bar,
+    # lambda, seed) order, run as one block, or as --jobs near-equal blocks:
+    # 9 + 9 and 6 + 6 + 6 rows end where cells end, 4 + 5 + 4 + 5 cut two
+    # cells in two; every file stays byte-identical
+    args = ("sweep", "--regular", "4", "3", "--depth", "6", "--noise", "independent",
+            "--epsilon-bars", "0.1,0.3,0.5", "--lambdas", "0.5,1.0", "--seeds", "0:3")
+    for jobs in (1, 2, 3, 4):
+        assert run_cli(*args, "--jobs", str(jobs), "--out", str(tmp_path / f"j{jobs}")) == 0
+    names = sorted(p.name for p in (tmp_path / "j1").iterdir())
+    assert len(names) == 7
+    for jobs in (2, 3, 4):
+        assert sorted(p.name for p in (tmp_path / f"j{jobs}").iterdir()) == names
+        for name in names:
+            assert (tmp_path / f"j{jobs}" / name).read_bytes() == (
+                tmp_path / "j1" / name).read_bytes(), (jobs, name)
+
+
+def test_sweep_blocks_hold_at_most_2_14_amplitudes(tmp_path, monkeypatch):
+    # a 12-qubit row is 2^11 half-register amplitudes: 8 rows fill one block,
+    # 9 rows take two, the first ending inside the second cell
+    sizes = []
+    block = cli._sweep_block
+
+    def recording(rows):
+        sizes.append(len(rows))
+        return block(rows)
+
+    monkeypatch.setattr(cli, "_sweep_block", recording)
+    args = ("sweep", "--regular", "12", "3", "--depth", "2", "--noise", "systematic")
+    assert run_cli(*args, "--epsilon-bars", "0.1,0.2,0.3", "--seeds", "0:3",
+                   "--out", str(tmp_path / "nine")) == 0
+    assert run_cli(*args, "--epsilon-bars", "0.1,0.2", "--seeds", "0:4",
+                   "--out", str(tmp_path / "eight")) == 0
+    assert sizes == [4, 5, 8]
+    cell = (tmp_path / "nine" / "cell_eps0.2_lam0.5.csv").read_text().splitlines()
+    assert cell[1:] == (tmp_path / "eight" / "cell_eps0.2_lam0.5.csv").read_text().splitlines()[1:4]
+
+
+def test_sweep_failure_names_the_cells_of_its_block(tmp_path, monkeypatch, capsys):
+    # a run that fails in a block is a runtime failure (exit 1), not a bad
+    # setting, and the message names every cell the block holds
+    def fail(rows):
+        raise ValueError("state is not a unit state")
+
+    monkeypatch.setattr(cli.engine, "run_cell", fail)
+    assert run_cli("sweep", "--regular", "4", "3", "--depth", "3", "--noise", "systematic",
+                   "--epsilon-bars", "0.1,0.2", "--seeds", "0:2",
+                   "--out", str(tmp_path / "sweep")) == 1
+    assert ("sweep cells epsilon_bar=0.1 lambda=0.5, epsilon_bar=0.2 lambda=0.5 failed: "
+            "state is not a unit state") in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_bound_replays_its_ideal_state_once(tmp_path, monkeypatch):
@@ -565,7 +620,8 @@ def test_bound_replays_its_ideal_state_once(tmp_path, monkeypatch):
 
 def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
     # a pool starts all of its workers at once, so --jobs is capped at the
-    # cell count; a stand-in pool records the size and maps in this process
+    # block count, here one block per row and so per cell; a stand-in pool
+    # records the size and maps in this process
     pools = []
 
     class RecordingPool:

@@ -518,18 +518,20 @@ def _assert_same_run(got, want):
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(graph=st.one_of(weighted_graphs(max_nodes=5), st.just(REF8)), depth=st.integers(1, 6),
-       kind=st.sampled_from(NoiseKind), epsilon_bar=st.floats(0.0, 0.9),
+       kind=st.sampled_from(NoiseKind),
+       epsilon_bars=st.lists(st.floats(0.0, 0.9), min_size=4, max_size=4),
        seeds=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=4, unique=True),
        lams=st.lists(st.floats(0.05, 20.0), min_size=4, max_size=4), data=st.data())
-@example(graph=REF8, depth=5, kind=NoiseKind.INDEPENDENT, epsilon_bar=0.25,
+@example(graph=REF8, depth=5, kind=NoiseKind.INDEPENDENT, epsilon_bars=[0.25, 0.25, 0.5, 0.5],
          seeds=[0, 1, 2], lams=[0.5, 1.0, 0.5, 1.0], data=None)
-def test_cell_rows_do_not_depend_on_batch_size(graph, depth, kind, epsilon_bar, seeds, lams,
+def test_cell_rows_do_not_depend_on_batch_size(graph, depth, kind, epsilon_bars, seeds, lams,
                                               data):
     # every row of a cell is its own run bit for bit, and the rebuild loop
     # of that run (`_explicit_rebuild`, per state from the uniform state)
-    # too, whichever seeds share the cell and in whatever order
-    configs = [RunConfig(graph, 0.05, depth, FeedbackLaw(lam), NoiseModel(kind, epsilon_bar, seed))
-               for seed, lam in zip(seeds, lams)]
+    # too, whichever seeds share the cell and in whatever order; rows differ
+    # in law and error bound as well, as in a sweep block that cuts cells
+    configs = [RunConfig(graph, 0.05, depth, FeedbackLaw(lam), NoiseModel(kind, eb, seed))
+               for seed, lam, eb in zip(seeds, lams, epsilon_bars)]
     singles = [run(config) for config in configs]
     for config, single in zip(configs, singles):
         betas, a_values, costs, state = _explicit_rebuild(config)

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from falqon.noise import NoiseKind, NoiseModel, trajectory
+from falqon.engine import MAX_DEPTH
+from falqon.noise import NoiseKind, NoiseModel, trajectories, trajectory
+
+from oracles import reference_trajectory
 
 
 def test_none_kind_gives_zeros():
@@ -116,3 +121,55 @@ def test_trajectory_values_are_float64_1d():
         a, b = trajectory(model, 6, rebuild_index=2), trajectory(model, 6, rebuild_index=2)
         assert a.dtype == np.float64 and a.shape == (6,)
         assert not np.shares_memory(a, b)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tobytes()
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(rows=st.lists(st.tuples(st.sampled_from(NoiseKind),
+                               st.sampled_from([0.0, 1e-300, 0.01, 0.25, 0.5, 0.9])
+                               | st.floats(0.0, 0.999),
+                               st.integers(-(2**63), 2**63 - 1), st.integers(1, 500)),
+                     min_size=1, max_size=4),
+       depth=st.sampled_from([1, 2, MAX_DEPTH]))
+def test_stacked_draws_are_the_per_value_stream_bit_for_bit(rows, depth):
+    # every row of one stacked draw, kinds and bounds mixed, is the
+    # one-step-per-value SplitMix64 loop, and the one-row call too
+    pairs = [(NoiseModel(kind, eb, seed), rebuild) for kind, eb, seed, rebuild in rows]
+    stack = trajectories(pairs, depth)
+    assert stack.dtype == np.float64 and stack.shape == (len(pairs), depth)
+    for row, (model, rebuild) in zip(stack, pairs):
+        assert _bits(row) == _bits(reference_trajectory(model, depth, rebuild))
+        assert _bits(trajectory(model, depth, rebuild)) == _bits(row)
+
+
+def test_draws_keep_the_values_recorded_before_the_stacked_draw():
+    # the first three values of four streams, as the per-value loop drew them
+    for model, rebuild, want in (
+        (NoiseModel("independent", 0.25, 0), 1,
+         ["0x1.33d7b9a849468p-3", "0x1.fef72aa0697b6p-3", "0x1.fc8b136a633a0p-3"]),
+        (NoiseModel("systematic", 0.25, 0), 1,
+         ["0x1.c68e0943f141ap-3", "0x1.81de4909d1dd2p-3", "0x1.2601bacf20b62p-3"]),
+        (NoiseModel("independent", 0.5, -(2**63)), 500,
+         ["0x1.96c23e852868ap-2", "0x1.035e54e8ab83ep-2", "0x1.0f4fc97453e78p-2"]),
+        (NoiseModel("systematic", 0.9, 2**63 - 1), 7,
+         ["0x1.56b07f2c42461p-1", "0x1.f23245edb79f8p-4", "-0x1.da54c51f6e0fap-2"]),
+    ):
+        assert _bits(trajectory(model, 3, rebuild)) == _bits([float.fromhex(x) for x in want])
+
+
+def test_stacked_draws_validate_every_row():
+    model = NoiseModel("independent", 0.2, 0)
+    assert trajectories([], 4).shape == (0, 4)
+    # any iterable of rows, each drawn once
+    np.testing.assert_array_equal(trajectories(((model, r) for r in (1, 2)), 3),
+                                  [trajectory(model, 3, 1), trajectory(model, 3, 2)])
+    for rows, depth, message in (
+        ([(model, 1), (model, 0)], 3, "rebuild_index must be a positive finite real, got 0"),
+        ([(model, 1), (model, 2.5)], 3, "rebuild_index must be an integer of at least 1, got 2.5"),
+        ([(model, 0)], 2.5, "depth must be an integer of at least 1, got 2.5"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            trajectories(rows, depth)
