@@ -32,13 +32,11 @@ step only from four steps before the step where that solve stopped. Layer t
 depends only on beta_0..beta_t, so the norms of a prefix of a control
 sequence are bit-identical to the first norms of the whole sequence.
 
-The sweep side is plain statistics: `aggregate` returns (mean, std), one
-cell's mean and sample std of the final cost error, and replays nothing,
-while `ideal_fidelity` replays a sweep block's ideal states in one stack.
+The sweep side is plain statistics: `aggregate` takes one cell's final cost
+errors and returns their mean and sample std, and replays nothing, while
+`ideal_fidelity` replays a sweep block's ideal states in one stack.
 """
 from __future__ import annotations
-
-import operator
 
 import numpy as np
 
@@ -104,23 +102,16 @@ def ideal_fidelity(runs: RunTrace | list[RunTrace], diag: DiagonalHamiltonian,
     return fids[0] if one else fids
 
 
-def aggregate(runs: list[RunTrace]) -> tuple[float, float]:
-    """(mean, std): the mean and sample std (ddof=1, 0.0 for a single run)
-    of the final cost error over repeated runs of one sweep cell.
+def aggregate(errors) -> tuple[float, float]:
+    """(mean, std): the mean and sample std (ddof=1, 0.0 for a single value)
+    of one sweep cell's final cost errors.
 
-    All runs must share instance, depth, time step, feedback law and noise
-    settings. Nothing is replayed here: a seed's fidelity against its
-    noiseless replay is `ideal_fidelity`, which the sweep's cell rows carry.
+    Nothing is replayed here: a seed's fidelity against its noiseless replay
+    is `ideal_fidelity`, which the sweep's cell rows carry.
     """
-    if not runs:
-        raise ValueError("need at least one run to aggregate")
-    head = runs[0].config
-    cell = operator.attrgetter("graph", "depth", "delta_t", "law", "noise.kind",
-                               "noise.epsilon_bar")
-    if any(cell(trace.config) != cell(head) for trace in runs[1:]):
-        raise ValueError("runs in one cell must share instance, depth, time step, law and "
-                         "noise shape")
-    errors = np.array([t.final_cost_error for t in runs])
+    errors = np.array(errors, dtype=np.float64)
+    if not errors.size:
+        raise ValueError("need at least one final cost error to aggregate")
     std = 0.0 if errors.size == 1 else float(np.std(errors, ddof=1))
     return float(errors.mean()), std
 

@@ -416,15 +416,23 @@ def cmd_run(s, graph: Graph, echo: dict) -> tuple:
                           f"error {_fmt(trace.final_cost_error)} success {_fmt(succ)}"]
 
 
-#: Most amplitudes (rows times half-row width) in a sweep block that ``--jobs`` does not
-#: split further: on a 2-core VM a 12-qubit row-layer took 74 us in an 8-row block and 145 us
-#: in a 32-row one, an 8-qubit one near 5 us from 64 to 256 rows. MaxCut rows are half rows.
+#: Most amplitudes (rows times half-row width) in a sweep or bound block that ``--jobs`` does
+#: not split further. On a 2-core VM a 12-qubit row-layer took 74 us in an 8-row block and
+#: 145 us in a 32-row one, an 8-qubit one near 5 us from 64 to 256 rows; a 12-qubit depth-300
+#: bound of 3 x 100 draws took 8-9 s in 8-row blocks, 16-18 s in one. MaxCut rows are half rows.
 _BLOCK_AMPLITUDES = 1 << 14
 
 
-def _sweep_block(rows: list[RunConfig]) -> list[tuple]:
-    """(run, cell CSV row) of each row of a block, which may cut through cells, from one
-    `engine.run_cell` and one stacked ideal replay. Top level for pickling."""
+def _blocks(rows, n: int, jobs: int) -> list:
+    """``rows`` of ``n`` qubits, a list or an array, as max(jobs, ceil(rows * 2^(n-1) /
+    _BLOCK_AMPLITUDES)) near-equal contiguous blocks, at most one per row."""
+    count = min(len(rows), max(jobs, -((-len(rows) << n - 1) // _BLOCK_AMPLITUDES)))
+    return [rows[len(rows) * i // count:len(rows) * (i + 1) // count] for i in range(count)]
+
+
+def _sweep_block(rows: list[RunConfig]) -> list[list]:
+    """The cell CSV row, not the run, of each row of a block, which may cut through cells, from
+    one `engine.run_cell` and one stacked ideal replay. Top level for pickling."""
     try:
         runs = engine.run_cell(rows)
         diag, driver = maxcut_hamiltonian(rows[0].graph), driver_x(rows[0].graph.n_nodes)
@@ -433,7 +441,7 @@ def _sweep_block(rows: list[RunConfig]) -> list[tuple]:
         cells = dict.fromkeys(f"epsilon_bar={r.noise.epsilon_bar:g} lambda={r.law.lam:g}"
                               for r in rows)
         raise RuntimeError(f"sweep cells {', '.join(cells)} failed: {exc}") from exc
-    return [(t, [t.config.noise.seed, float(t.costs[-1]), t.final_cost_error, fidelity])
+    return [[t.config.noise.seed, float(t.costs[-1]), t.final_cost_error, fidelity]
             for t, fidelity in zip(runs, fidelities)]
 
 
@@ -447,15 +455,14 @@ def cmd_sweep(s, graph: Graph, _echo: dict) -> tuple:
         raise UsageError(f"two sweep cells would both write {repeated[0]}")
     rows = [RunConfig(graph, s.delta_t, s.depth, FeedbackLaw(lv, s.w),
                       NoiseModel(s.noise, eb, seed)) for eb, lv in cells for seed in s.seeds]
-    count = min(len(rows), max(s.jobs, -((-len(rows) << graph.n_nodes - 1) // _BLOCK_AMPLITUDES)))
-    blocks = [rows[len(rows) * i // count:len(rows) * (i + 1) // count] for i in range(count)]
-    jobs = min(s.jobs, count)  # the pool starts every worker at once, busy or not
+    blocks = _blocks(rows, graph.n_nodes, s.jobs)
+    jobs = min(s.jobs, len(blocks))  # the pool starts every worker at once, busy or not
     with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()) as pool:
-        done = [run for block in (pool.map if pool else map)(_sweep_block, blocks) for run in block]
+        done = [row for block in (pool.map if pool else map)(_sweep_block, blocks) for row in block]
     by_cell = [done[i:i + k] for i in range(0, len(done), k)]
-    files = {name: _csv(["seed", "final_cost", "final_cost_error", "fidelity"],
-                        [row for _, row in cell]) for name, cell in zip(names, by_cell)}
-    stats = [(eb, lv, k, *analysis.aggregate([t for t, _ in cell]))
+    files = {name: _csv(["seed", "final_cost", "final_cost_error", "fidelity"], cell)
+             for name, cell in zip(names, by_cell)}
+    stats = [(eb, lv, k, *analysis.aggregate([row[2] for row in cell]))
              for (eb, lv), cell in zip(cells, by_cell)]
     files["aggregate.csv"] = _csv(["epsilon_bar", "lambda", "n_seeds", "mean_final_cost_error",
                                    "std_final_cost_error"], stats)
@@ -519,9 +526,10 @@ def cmd_bound(s, graph: Graph, echo: dict) -> tuple:
         betas = engine.run_nominal(config).betas
     models = [NoiseModel(NoiseKind.INDEPENDENT, eb, s.noise_seed) for eb in s.epsilon_bars]
     _, l_value = analysis.lipschitz_from_betas(betas, delta_t, diag, driver)
-    # every draw of every row from one stack, in one call, which replays the ideal state once
-    errors = trajectories([(model, i + 1) for model in models for i in range(draws)], depth)
-    fids = analysis.replay_fidelity(betas, errors, delta_t, diag, driver)
+    # (epsilon_bar, draw) pairs in the sweep's blocks: each one stacked draw and one ideal replay
+    blocks = _blocks([(m, i + 1) for m in models for i in range(draws)], graph.n_nodes, 1)
+    fids = np.concatenate([analysis.replay_fidelity(betas, trajectories(block, depth), delta_t,
+                                                    diag, driver) for block in blocks])
     rows = []
     for model, empirical in zip(models, fids.reshape(len(models), draws).min(axis=1)):
         floor, vacuous = analysis.fidelity_floor(l_value, model.epsilon_bar)

@@ -136,7 +136,7 @@ def test_regularized_law_beats_standard_under_independent_noise(capsys):
             cell = [RunConfig(graph=g, delta_t=DELTA_T, depth=200, law=FeedbackLaw(lam=lam),
                               noise=NoiseModel("independent", epsilon_bar=0.25, seed=seed))
                     for seed in range(n_seeds)]
-            means[lam], stds[lam] = aggregate(run_cell(cell))
+            means[lam], stds[lam] = aggregate([t.final_cost_error for t in run_cell(cell)])
         elapsed = time.perf_counter() - t0
 
         pooled_se = float(np.hypot(stds[0.5], stds[1.0])) / np.sqrt(n_seeds)

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 import falqon
 from falqon import analysis, cli
 from falqon.cli import SETTINGS, _build_parser, main
+from falqon.engine import FeedbackLaw, RunConfig
 from falqon.graphs import (
     load_edge_list,
     parse_edge_list,
@@ -20,6 +22,7 @@ from falqon.graphs import (
     reference_instance,
     save_edge_list,
 )
+from falqon.noise import NoiseModel
 
 
 def run_cli(*argv):
@@ -530,10 +533,8 @@ def test_sweep_parallel_matches_serial(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_sweep_replays_each_seed_once(tmp_path, monkeypatch):
-    # each seed's ideal state is replayed once, for its cell row's fidelity,
-    # in one stacked replay per block, here one block of both cells; the cell
-    # statistics replay nothing
+def _recording_replay(monkeypatch) -> list:
+    """The shape of each error stack that `analysis` replays, in call order."""
     shapes = []
     real_replay = analysis.replay
 
@@ -542,6 +543,14 @@ def test_sweep_replays_each_seed_once(tmp_path, monkeypatch):
         return real_replay(betas, epsilons, *args)
 
     monkeypatch.setattr(analysis, "replay", counting_replay)
+    return shapes
+
+
+def test_sweep_replays_each_seed_once(tmp_path, monkeypatch):
+    # each seed's ideal state is replayed once, for its cell row's fidelity,
+    # in one stacked replay per block, here one block of both cells; the cell
+    # statistics replay nothing
+    shapes = _recording_replay(monkeypatch)
     assert run_cli("sweep", "--regular", "4", "3", "--depth", "5", "--noise", "systematic",
                    "--epsilon-bars", "0.1,0.2", "--seeds", "0:2", "--jobs", "1",
                    "--out", str(tmp_path / "sweep")) == 0
@@ -603,19 +612,51 @@ def test_sweep_failure_names_the_cells_of_its_block(tmp_path, monkeypatch, capsy
 
 
 def test_bound_replays_its_ideal_state_once(tmp_path, monkeypatch):
-    # one ideal replay for the whole bound, then one stacked replay of every
-    # draw of every row
-    shapes = []
-    real_replay = analysis.replay
-
-    def counting_replay(betas, epsilons, *args):
-        shapes.append(np.shape(epsilons))
-        return real_replay(betas, epsilons, *args)
-
-    monkeypatch.setattr(analysis, "replay", counting_replay)
+    # one ideal replay per block, then one stacked replay of every draw of
+    # every row in it, here one block
+    shapes = _recording_replay(monkeypatch)
     assert run_cli("bound", "--regular", "4", "3", "--depth", "5", "--epsilon-bars", "0.1,0.2",
                    "--draws", "3", "--out", str(tmp_path / "bound")) == 0
     assert shapes == [(5,), (6, 5)]  # 1 ideal + 2 rows x 3 draws in one stack
+
+
+@pytest.mark.parametrize("amplitudes, sizes", [(1 << 14, [6]), (32, [3, 3]), (8, [1] * 6)])
+def test_bound_file_does_not_depend_on_its_blocks(tmp_path, monkeypatch, amplitudes, sizes):
+    # 2 epsilon_bars x 3 draws are 6 rows of 8 half-register amplitudes, run
+    # as one block, as two that end where the epsilon_bars end, or one per row
+    args = ("bound", "--regular", "4", "3", "--depth", "5", "--epsilon-bars", "0.1,0.3",
+            "--draws", "3", "--seed", "2")
+    assert run_cli(*args, "--out", str(tmp_path / "whole")) == 0
+    shapes = _recording_replay(monkeypatch)
+    monkeypatch.setattr(cli, "_BLOCK_AMPLITUDES", amplitudes)
+    assert run_cli(*args, "--out", str(tmp_path / "cut")) == 0
+    assert shapes == [shape for n in sizes for shape in ((5,), (n, 5))]
+    assert (tmp_path / "cut" / "bound.csv").read_bytes() == (
+        tmp_path / "whole" / "bound.csv").read_bytes()
+
+
+def test_bound_blocks_hold_at_most_2_14_amplitudes(tmp_path, monkeypatch):
+    # a 12-qubit row is 2^11 half-register amplitudes: 3 epsilon_bars x 3
+    # draws take two blocks, the first ending inside the second epsilon_bar,
+    # whose row matches a bound of that epsilon_bar alone
+    shapes = _recording_replay(monkeypatch)
+    args = ("bound", "--regular", "12", "3", "--depth", "2", "--draws", "3")
+    assert run_cli(*args, "--epsilon-bars", "0.1,0.2,0.3", "--out", str(tmp_path / "three")) == 0
+    assert shapes == [(2,), (4, 2), (2,), (5, 2)]
+    assert run_cli(*args, "--epsilon-bars", "0.2", "--out", str(tmp_path / "one")) == 0
+    rows = (tmp_path / "three" / "bound.csv").read_text().splitlines()
+    assert rows[2] == (tmp_path / "one" / "bound.csv").read_text().splitlines()[1]
+
+
+def test_sweep_block_returns_plain_rows():
+    # a worker sends back each row's four CSV values, not its run
+    graph = random_regular(12, 3, 42)
+    rows = [RunConfig(graph, 0.05, 20, FeedbackLaw(0.5), NoiseModel("systematic", 0.5, seed))
+            for seed in range(4)]
+    block = cli._sweep_block(rows)
+    assert [row[0] for row in block] == [0, 1, 2, 3]
+    assert {type(value) for row in block for value in row} == {int, float}
+    assert len(pickle.dumps(block)) < 1024
 
 
 def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
